@@ -51,7 +51,6 @@ class RunConfig:
     format: str = "json"
     out: Optional[str] = None
     seed: int = 0
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -101,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--A", type=int, default=3)
     v.add_argument("--depth", type=int, default=5)
     v.add_argument("--count", type=int, default=5)
-    v.add_argument("--jobs", type=int, default=1)
     add_io_flags(v)
 
     c = sub.add_parser("counterexample", help="build a family, audit it, tabulate divergence")
@@ -232,7 +230,7 @@ def run_verify(config: RunConfig) -> list[VerificationReport]:
     if config.target == "yano":
         return [experiments.verify_yano(config.n_max, config.resolution)]
     if config.target == "lemma2":
-        return [experiments.verify_lemma2(config.A, jobs=config.jobs)]
+        return [experiments.verify_lemma2(config.A)]
     return experiments.verify_identities(
         resolution=min(config.resolution, 8), depth=config.depth,
         seed=config.seed, count=config.count)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -32,14 +31,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .group import DyadicInterval, GroupPoint, tau_index
+from .group import DyadicInterval, GroupPoint, tau_permutation
 from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
 from .operators import fejer_mean
 from .walsh import (SampledFunction, System, character_samples, compose_with_tau,
-                    dirichlet, kaczmarz_paley_index, kaczmarz_samples,
-                    walsh_paley_samples)
+                    dirichlet, fejer_numerators, kaczmarz_paley_index,
+                    kaczmarz_samples, walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +102,8 @@ def q_seq(A: int) -> int:
 # integer kernel prefix sums (exact)
 
 def dirichlet_prefix(n: int, N: int) -> np.ndarray:
-    """sum_{k=1..n} D_k^w as int64 samples (= n * K_n^w), exactly.
-
-    Values are bounded by n(n+1)/2, far inside int64 at desk scale.
-    """
-    size = 1 << N
-    if n > size:
-        raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
-    if n * (n + 1) // 2 >= (1 << 62) // max(size, 1):
-        raise ValueError("prefix sums would not fit int64; reduce n or resolution")
-    idx = np.arange(size, dtype=np.int64)
-    D = np.zeros(size, dtype=np.int64)
-    T = np.zeros(size, dtype=np.int64)
-    for k in range(1, n + 1):
-        row = 1 - 2 * (np.bitwise_count(idx & (k - 1)).astype(np.int64) & 1)
-        D += row
-        T += D
-    return T
+    """sum_{k=1..n} D_k^w as int64 samples (= n * K_n^w), exactly."""
+    return fejer_numerators(System.PALEY, n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +266,15 @@ def _lemma2_cell(T: np.ndarray, A: int, m: int, s: int) -> dict:
     """Exhaustively check one (m, s) cell of the kernel lower bound."""
     bound = 1 << (2 * m + 2 * s - 3)
     anchor = (1 << (2 * m)) | (1 << (2 * s))
-    free_bits = 2 * A - 1 - (2 * s + 1) + 1
-    min_slack = None
-    min_x = None
-    for t in range(1 << free_bits):
-        x = anchor | (t << (2 * s + 1))
-        slack = int(abs(int(T[x]))) - bound
-        if min_slack is None or slack < min_slack:
-            min_slack, min_x = slack, x
+    free_bits = 2 * (A - s) - 1
+    x = anchor | (np.arange(1 << free_bits, dtype=np.int64) << (2 * s + 1))
+    slack = np.abs(T[x]) - bound
+    k = int(np.argmin(slack))  # first minimum, as a strict < scan finds it
     return {"m": m, "s": s, "bound": bound, "points": 1 << free_bits,
-            "min_slack": min_slack, "argmin_index": min_x}
+            "min_slack": int(slack[k]), "argmin_index": int(x[k])}
 
 
-def verify_lemma2(A: int, jobs: int = 1) -> VerificationReport:
+def verify_lemma2(A: int) -> VerificationReport:
     """Check q_{A-1}|K_{q_{A-1}}(x)| >= 2^{2m+2s-3} on every admissible point.
 
     The point set at resolution N = 2A fixes x_{2m} = x_{2s} = 1, zeros
@@ -308,11 +288,7 @@ def verify_lemma2(A: int, jobs: int = 1) -> VerificationReport:
     q = q_seq(A - 1)
     T = dirichlet_prefix(q, N)  # q * K_q, integer-valued
     cells = [(m, s) for m in range(0, A - 2) for s in range(m + 2, A)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda ms: _lemma2_cell(T, A, *ms), cells))
-    else:
-        rows = [_lemma2_cell(T, A, m, s) for m, s in cells]
+    rows = [_lemma2_cell(T, A, m, s) for m, s in cells]
     worst = min(rows, key=lambda r: r["min_slack"])
     return VerificationReport(
         claim="lacunary-kernel-lower-bound",
@@ -390,11 +366,10 @@ def kernel_half_integral(order: int, tau_width: int, N: int) -> float:
     if tau_width > N:
         raise ValueError(f"coordinate reversal width {tau_width} exceeds resolution {N}")
     T = dirichlet_prefix(order, N)
-    size = 1 << N
     total = 0.0
-    for j in range(size):
-        total += sqrt(abs(int(T[tau_index(tau_width, j)])))
-    return total / size
+    for v in np.abs(T[tau_permutation(tau_width, N)]).tolist():
+        total += sqrt(v)  # sequential sum keeps the reported floats stable
+    return total / (1 << N)
 
 
 def divergence_t2(i_list: Sequence[int], L: int = 3, M: int = 10,

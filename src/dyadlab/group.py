@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 def msb(n: int) -> int:
     """Position of the highest set bit: 2^msb(n) <= n < 2^(msb(n)+1)."""
@@ -119,6 +121,17 @@ def tau_index(A: int, j: int) -> int:
     """Index form of tau: reverse the low A bits of j."""
     mask = (1 << A) - 1
     return (j & ~mask) | bit_reverse(j & mask, A)
+
+
+def tau_permutation(A: int, N: int) -> np.ndarray:
+    """tau_index(A, j) for every j < 2^N, as an int64 index array."""
+    if A > N:
+        raise ValueError(f"tau width {A} exceeds resolution {N}")
+    j = np.arange(1 << N, dtype=np.int64)
+    out = j & ~((1 << A) - 1)
+    for k in range(A):
+        out |= (j >> k & 1) << (A - 1 - k)
+    return out
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .group import DyadicInterval, GroupPoint, bit_reverse, msb, rademacher, tau_index
+from .group import (DyadicInterval, GroupPoint, bit_reverse, msb, rademacher,
+                    tau_permutation)
 
 Scalar = Union[int, Fraction, float]
 
@@ -384,15 +385,15 @@ def _butterfly_list(vals: list) -> list:
 
 
 def _butterfly_array(arr: np.ndarray) -> np.ndarray:
-    """FWHT butterflies on a float64 copy, vectorized stage by stage."""
-    out = arr.astype(np.float64, copy=True)
+    """FWHT butterflies on a copy of the same dtype, vectorized stage by stage."""
+    out = arr.copy()
     n = out.shape[0]
     h = 1
     while h < n:
         view = out.reshape(-1, 2 * h)
         left = view[:, :h].copy()
-        view[:, :h] = left + view[:, h:]
-        view[:, h:] = left - view[:, h:]
+        np.add(left, view[:, h:], out=view[:, :h])
+        np.subtract(left, view[:, h:], out=view[:, h:])
         h <<= 1
     return out
 
@@ -435,41 +436,53 @@ def truncate_paley(f: SampledFunction, count: int) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # kernels
 
+def _numerators_fit_int64(n: int) -> bool:
+    """Whether the butterfly of the numerators n - i (i < n) stays in int64.
+
+    Every partial butterfly value is a signed sum of the numerators, so
+    it is bounded by their sum n(n+1)/2, which the x = 0 sample reaches.
+    """
+    return n * (n + 1) // 2 <= (1 << 63) - 1
+
+
+def _placed(system: System, head: np.ndarray, N: int) -> np.ndarray:
+    """int64 Paley spectrum holding head[i] at system index i, 0 elsewhere."""
+    out = np.zeros(1 << N, dtype=np.int64)
+    if system is System.PALEY:
+        out[:head.size] = head
+    else:
+        out[np.array(sigma_permutation(N)[:head.size], dtype=np.int64)] = head
+    return out
+
+
+def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
+    """n * K_n = sum_{k=1..n} D_k as exact int64 samples (zero for n = 0).
+
+    The sum has system-ordering coefficients n - i for i < n, so one
+    int64 butterfly of that vector gives every sample in O(N 2^N).
+    """
+    system = System.coerce(system)
+    if n < 0 or n > 1 << N:
+        raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
+    if not _numerators_fit_int64(n):
+        raise ValueError(f"kernel order {n} would overflow int64 sums; reduce n")
+    return _butterfly_array(_placed(system, n - np.arange(n, dtype=np.int64), N))
+
+
 def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     """D_n = sum_{k<n} (system function k), exact integer samples; D_0 = 0."""
     system = System.coerce(system)
-    size = 1 << N
-    if n < 0 or n > size:
+    if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
-    coeffs = [0] * size
-    if system is System.PALEY:
-        for i in range(n):
-            coeffs[i] = 1
-    else:
-        sigma = sigma_permutation(N)
-        for i in range(n):
-            coeffs[sigma[i]] = 1
-    return SampledFunction(N, _butterfly_list(coeffs))
+    ones = np.ones(n, dtype=np.int64)
+    return SampledFunction(N, _butterfly_array(_placed(system, ones, N)).tolist())
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:
     """K_n = (1/n) sum_{k=1..n} D_k; rational samples with denominator | n."""
-    system = System.coerce(system)
-    size = 1 << N
     if n < 1:
         raise ValueError("Fejer kernel order must be >= 1")
-    if n > size:
-        raise ValueError(f"Fejer order {n} overflows spectrum at resolution {N}")
-    # sum_{k<=n} D_k has system-ordering coefficients (n - i) for i < n
-    numer = [0] * size
-    if system is System.PALEY:
-        for i in range(n):
-            numer[i] = n - i
-    else:
-        sigma = sigma_permutation(N)
-        for i in range(n):
-            numer[sigma[i]] = n - i
-    raw = _butterfly_list(numer)
+    raw = fejer_numerators(system, n, N).tolist()
     return SampledFunction(N, [Fraction(v, n) for v in raw])
 
 
@@ -500,13 +513,11 @@ def compose_with_tau(f: SampledFunction, A: int) -> SampledFunction:
     """(f o tau_A)(x) = f(tau_A x): gather samples through the bit reversal."""
     if A > f.resolution:
         raise ValueError(f"reversal width {A} exceeds resolution {f.resolution}")
-    size = 1 << f.resolution
+    perm = tau_permutation(A, f.resolution)
     if f.is_exact:
         vals = f.values
-        return SampledFunction(f.resolution,
-                               [vals[tau_index(A, j)] for j in range(size)])
-    idx = np.fromiter((tau_index(A, j) for j in range(size)), dtype=np.int64)
-    return SampledFunction(f.resolution, np.asarray(f.values)[idx])
+        return SampledFunction(f.resolution, [vals[j] for j in perm.tolist()])
+    return SampledFunction(f.resolution, np.asarray(f.values)[perm])
 
 
 def fejer_by_average(system: System | str, n: int, N: int) -> SampledFunction:

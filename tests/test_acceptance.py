@@ -298,8 +298,7 @@ def test_c15_determinism(tmp_path):
     out = tmp_path / "report.json"
     snapshots = []
     for _ in range(2):
-        code = cli_main(["verify", "lemma2", "--A", "4", "--jobs", "2",
-                         "--out", str(out)])
+        code = cli_main(["verify", "lemma2", "--A", "4", "--out", str(out)])
         assert code == 0
         snapshots.append(out.read_bytes())
     assert snapshots[0] == snapshots[1]
@@ -316,4 +315,4 @@ def test_c15_determinism(tmp_path):
         csv_snaps.append(out_csv.read_bytes())
     assert csv_snaps[0] == csv_snaps[1]
     report("15", "json and csv reports byte-identical across reruns "
-                 "(lemma2 with --jobs 2, seeded converge)")
+                 "(lemma2, seeded converge)")

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadlab import (SampledFunction, dirichlet_prefix, fejer, is_p_atom,
@@ -19,6 +20,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_fejer_partial_identity, verify_identities,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
+from dyadlab.walsh import _numerators_fit_int64
 
 
 class TestQSeq:
@@ -215,10 +217,31 @@ class TestLemma2:
         assert report.passed
         assert report.witness["min_slack"] > 0
 
-    def test_jobs_deterministic(self):
-        a = verify_lemma2(4, jobs=1)
-        b = verify_lemma2(4, jobs=3)
+    def test_rows_deterministic(self):
+        a = verify_lemma2(4)
+        b = verify_lemma2(4)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("A", range(3, 8))
+    def test_cells_match_first_minimum_scan(self, A):
+        T = dirichlet_prefix(q_seq(A - 1), 2 * A)
+        for row in verify_lemma2(A).rows:
+            m, s = row["m"], row["s"]
+            anchor = (1 << (2 * m)) | (1 << (2 * s))
+            best = None
+            for t in range(row["points"]):
+                x = anchor | (t << (2 * s + 1))
+                slack = abs(int(T[x])) - row["bound"]
+                if best is None or slack < best[0]:
+                    best = (slack, x)
+            assert (row["min_slack"], row["argmin_index"]) == best
+            assert type(row["min_slack"]) is int and type(row["argmin_index"]) is int
+
+    def test_a10_passes(self):
+        report = verify_lemma2(10)
+        assert report.passed
+        assert report.parameters["cells"] == 36
+        assert report.witness["min_slack"] > 0
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -228,6 +251,44 @@ class TestLemma2:
         T = dirichlet_prefix(9, 4)
         K = fejer("paley", 9, 4)
         assert [Fraction(int(v), 9) for v in T] == list(K.values)
+
+
+def prefix_by_loop(n, N):
+    """Reference n * K_n: accumulate D_k and their running sum, k = 1..n."""
+    idx = np.arange(1 << N, dtype=np.int64)
+    D = np.zeros(1 << N, dtype=np.int64)
+    T = np.zeros(1 << N, dtype=np.int64)
+    for k in range(1, n + 1):
+        D += 1 - 2 * (np.bitwise_count(idx & (k - 1)).astype(np.int64) & 1)
+        T += D
+    return T
+
+
+class TestDirichletPrefix:
+    def test_matches_loop_for_every_order(self):
+        for N in range(7):
+            for n in range((1 << N) + 1):
+                T = dirichlet_prefix(n, N)
+                assert T.dtype == np.int64
+                assert np.array_equal(T, prefix_by_loop(n, N)), (n, N)
+
+    @pytest.mark.parametrize("A", range(3, 9))
+    def test_matches_loop_at_lacunary_orders(self, A):
+        q = q_seq(A - 1)
+        assert np.array_equal(dirichlet_prefix(q, 2 * A), prefix_by_loop(q, 2 * A))
+
+    def test_int64_guard_edge(self):
+        # partial butterfly values are bounded by n(n+1)/2, reached at x = 0
+        assert _numerators_fit_int64(2**32 - 1)
+        assert not _numerators_fit_int64(2**32)
+
+    def test_guard_runs_before_allocation(self):
+        with pytest.raises(ValueError, match="int64"):
+            dirichlet_prefix(2**32, 32)
+
+    def test_order_overflow(self):
+        with pytest.raises(ValueError):
+            dirichlet_prefix(17, 4)
 
 
 class TestDivergenceT1:

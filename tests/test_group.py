@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (DyadicInterval, GroupPoint, JInterval, group_add,
-                     interval_indices, msb, rademacher, tau, tau_index)
+                     interval_indices, msb, rademacher, tau, tau_index, tau_permutation)
 
 
 class TestGroupPoint:
@@ -90,6 +90,16 @@ class TestTau:
     def test_involution_exhaustive_feel(self, j, A):
         x = GroupPoint(12, j)
         assert tau(A, tau(A, x)) == x
+
+    def test_permutation_matches_index_form(self):
+        for N in range(7):
+            for A in range(N + 1):
+                perm = tau_permutation(A, N)
+                assert perm.tolist() == [tau_index(A, j) for j in range(1 << N)]
+
+    def test_permutation_width_error(self):
+        with pytest.raises(ValueError):
+            tau_permutation(4, 3)
 
     def test_involution_exhaustive_small(self):
         for A in range(7):

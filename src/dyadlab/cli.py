@@ -231,8 +231,9 @@ def run_verify(config: RunConfig) -> list[VerificationReport]:
         return [experiments.verify_yano(config.n_max, config.resolution)]
     if config.target == "lemma2":
         return [experiments.verify_lemma2(config.A)]
+    config.resolution = min(config.resolution, 8)  # echo the resolution that runs
     return experiments.verify_identities(
-        resolution=min(config.resolution, 8), depth=config.depth,
+        resolution=config.resolution, depth=config.depth,
         seed=config.seed, count=config.count)
 
 

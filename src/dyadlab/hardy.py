@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, fwht,
-                    inverse_fwht, truncate_paley)
+from .walsh import (CoefficientSequence, SampledFunction, System, _quotient, _zeroed,
+                    fwht, inverse_fwht, truncate_paley)
 
 
 class DyadicMartingale:
@@ -63,19 +63,9 @@ class DyadicMartingale:
             raise ValueError(f"level {n} outside 0..{self.depth}")
         cached = self._level_cache.get(n)
         if cached is None:
-            cached = self._truncated(1 << n if n < self.depth else len(self.terminal))
+            cached = inverse_fwht(_zeroed(self.terminal, slice(1 << n, None)))
             self._level_cache[n] = cached
         return cached
-
-    def _truncated(self, count: int) -> SampledFunction:
-        coeffs = self.terminal.coeffs
-        if self.terminal.is_exact:
-            kept = list(coeffs[:count]) + [0] * (len(self.terminal) - count)
-            return inverse_fwht(
-                CoefficientSequence(self.depth, System.PALEY, kept))
-        arr = np.asarray(coeffs).copy()
-        arr[count:] = 0.0
-        return inverse_fwht(CoefficientSequence(self.depth, System.PALEY, arr))
 
     def terminal_function(self) -> SampledFunction:
         return self.level(self.depth)
@@ -87,14 +77,7 @@ class DyadicMartingale:
         """The martingale of f - S_{2^n}f: levels <= n vanish."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"tail level {n} outside 0..{self.depth}")
-        count = 1 << n
-        coeffs = self.terminal.coeffs
-        if self.terminal.is_exact:
-            cut: Sequence | np.ndarray = [0] * count + list(coeffs[count:])
-        else:
-            cut = np.asarray(coeffs).copy()
-            cut[:count] = 0.0
-        return DyadicMartingale(CoefficientSequence(self.depth, System.PALEY, cut))
+        return DyadicMartingale(_zeroed(self.terminal, slice(None, 1 << n)))
 
     def __repr__(self) -> str:
         mode = "exact" if self.is_exact else "float"
@@ -114,50 +97,30 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
     """S_{2^n} f by averaging over each rank-n cell (independent route)."""
     if not 0 <= n <= f.resolution:
         raise ValueError(f"partial-sum level {n} outside 0..{f.resolution}")
-    N = f.resolution
     cells = 1 << n
-    reps = 1 << (N - n)
-    if f.is_exact:
-        vals = f.values
-        means = [Fraction(sum(vals[c + (t << n)] for t in range(reps)), reps)
-                 for c in range(cells)]
-        return SampledFunction(N, [means[j & (cells - 1)] for j in range(1 << N)])
-    arr = np.asarray(f.values).reshape(reps, cells)
-    means = arr.mean(axis=0)
-    return SampledFunction(N, np.tile(means, reps))
+    reps = 1 << (f.resolution - n)
+    means = _quotient(f.values.reshape(reps, cells).sum(axis=0), reps)
+    return SampledFunction._of(f.resolution, np.tile(means, reps))
+
+
+def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
+    """Pointwise max of |g| over the levels; a tie keeps the earlier cell."""
+    levels = iter(levels)
+    first = next(levels)
+    acc = np.abs(first.values)
+    for g in levels:
+        acc = np.maximum(acc, np.abs(g.values))
+    return SampledFunction._of(first.resolution, acc)
 
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
     """f* = max_n |f^(n)| pointwise over all levels 0..M."""
-    if f.is_exact:
-        best = [abs(v) for v in f.level(0).values]
-        for n in range(1, f.depth + 1):
-            for j, v in enumerate(f.level(n).values):
-                a = abs(v)
-                if a > best[j]:
-                    best[j] = a
-        return SampledFunction(f.depth, best)
-    acc = np.abs(np.asarray(f.level(0).values))
-    for n in range(1, f.depth + 1):
-        acc = np.maximum(acc, np.abs(np.asarray(f.level(n).values)))
-    return SampledFunction(f.depth, acc)
+    return _sup_abs(f.level(n) for n in range(f.depth + 1))
 
 
 def maximal_by_averages(f: SampledFunction) -> SampledFunction:
     """sup_n |mean of f over the rank-n cell through x| (integral form)."""
-    out = s2n_by_averaging(f, 0)
-    if f.is_exact:
-        best = [abs(v) for v in out.values]
-        for n in range(1, f.resolution + 1):
-            for j, v in enumerate(s2n_by_averaging(f, n).values):
-                a = abs(v)
-                if a > best[j]:
-                    best[j] = a
-        return SampledFunction(f.resolution, best)
-    acc = np.abs(np.asarray(out.values))
-    for n in range(1, f.resolution + 1):
-        acc = np.maximum(acc, np.abs(np.asarray(s2n_by_averaging(f, n).values)))
-    return SampledFunction(f.resolution, acc)
+    return _sup_abs(s2n_by_averaging(f, n) for n in range(f.resolution + 1))
 
 
 def hardy_quasinorm(f: DyadicMartingale, p: PLike) -> QuasiNormValue:
@@ -212,24 +175,25 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
     if not 0 < p <= 1:
         raise ValueError(f"atoms are defined for 0 < p <= 1, got {p}")
     N = a.resolution
-    inside = set(interval.indices(N))
+    inside = np.zeros(len(a), dtype=bool)
+    inside[interval.indices(N)] = True
     violated = None
 
-    support_ok = all(a[j] == 0 for j in range(len(a)) if j not in inside)
-    if not support_ok:
+    if np.any(a.values[~inside] != 0):
         violated = "support"
 
     cell = Fraction(1, 1 << N)
+    total = np.sum(a.values[inside])
     if a.is_exact:
-        integral = Fraction(sum(a[j] for j in inside)) * cell
+        integral = Fraction(total) * cell
         mean_ok = integral == 0
     else:
-        integral = float(np.sum(np.asarray(a.values)[sorted(inside)])) * float(cell)
+        integral = float(total) * float(cell)
         mean_ok = abs(integral) < 1e-12
     if violated is None and not mean_ok:
         violated = "mean"
 
-    sup_value = max(abs(a[j]) for j in range(len(a)))
+    sup_value = np.max(np.abs(a.values))
     rank = interval.rank
     bound = 2.0 ** (rank / float(p))
     if a.is_exact and isinstance(p, Fraction):
@@ -272,24 +236,12 @@ def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    signs = [rademacher(n, t) for n in range(M + 1)]
-    coeffs = f.terminal.coeffs
-    if f.is_exact:
-        out = list(coeffs)
-        if signs[0] < 0:
-            out[0] = -out[0]
-        for n in range(1, M + 1):
-            if signs[n] < 0:
-                for i in range(1 << (n - 1), 1 << n):
-                    out[i] = -out[i]
-        return DyadicMartingale(CoefficientSequence(M, System.PALEY, out))
-    arr = np.asarray(coeffs).copy()
-    if signs[0] < 0:
-        arr[0] = -arr[0]
-    for n in range(1, M + 1):
-        if signs[n] < 0:
-            arr[1 << (n - 1):1 << n] *= -1.0
-    return DyadicMartingale(CoefficientSequence(M, System.PALEY, arr))
+    out = f.terminal.coeffs.copy()
+    for n in range(M + 1):
+        if rademacher(n, t) < 0:
+            block = slice((1 << n) >> 1, 1 << n)  # [0, 1) for n = 0
+            out[block] = -out[block]
+    return DyadicMartingale(CoefficientSequence._of(M, System.PALEY, out))
 
 
 def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .group import GroupPoint
-from .walsh import SampledFunction, fwht, truncate_paley
+from .walsh import SampledFunction, _scalar, fwht, truncate_paley
 
 PLike = Union[int, float, Fraction, str]
 
@@ -88,7 +88,7 @@ def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     _check_p_positive(p)
     size = 1 << f.resolution
     if f.is_exact:
-        magnitudes = sorted((abs(v) for v in f.values), reverse=True)
+        magnitudes = sorted(np.abs(f.values).tolist(), reverse=True)
         inv_int = isinstance(p, Fraction) and p.numerator == 1
         best: Fraction | float = Fraction(0) if inv_int else 0.0
         if inv_int:
@@ -122,11 +122,23 @@ def translate(f: SampledFunction, h: GroupPoint) -> SampledFunction:
             f"resolution mismatch: function {f.resolution} vs point {h.resolution}")
     if h.index == 0:
         return f
-    if f.is_exact:
-        vals = f.values
-        return SampledFunction(f.resolution, [vals[j ^ h.index] for j in range(len(f))])
-    idx = np.arange(len(f)) ^ h.index
-    return SampledFunction(f.resolution, np.asarray(f.values)[idx])
+    return SampledFunction._of(f.resolution, f.values[np.arange(len(f)) ^ h.index])
+
+
+def _shift_power_sums(arr: np.ndarray, shifts: np.ndarray, p: float) -> np.ndarray:
+    """sum_j |arr[j XOR h] - arr[j]|^p for every h in `shifts`, one float64 gather.
+
+    The gather runs in row chunks so its matrix stays near 4e6 cells.
+    """
+    size = arr.size
+    idx = np.arange(size)
+    out = np.empty(shifts.size)
+    chunk = max(1, 4_000_000 // size)
+    for start in range(0, shifts.size, chunk):
+        hs = shifts[start:start + chunk]
+        gathered = arr[hs[:, None] ^ idx[None, :]]
+        out[start:start + chunk] = np.sum(np.abs(gathered - arr[None, :]) ** p, axis=1)
+    return out
 
 
 def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
@@ -143,17 +155,8 @@ def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
     size = 1 << N
     reps = 1 << (N - n)
     if not f.is_exact:
-        arr = np.asarray(f.values)
-        idx = np.arange(size)
-        all_h = np.arange(reps) << n
-        chunk = max(1, 4_000_000 // size)  # keep the gather matrix small
-        best_power = 0.0
-        for start in range(0, reps, chunk):
-            hs = all_h[start:start + chunk]
-            shifts = hs[:, None] ^ idx[None, :]
-            diffs = np.abs(arr[shifts] - arr[None, :]) ** float(p)
-            best_power = max(best_power, float(np.max(np.sum(diffs, axis=1))))
-        best_power /= size
+        shifts = np.arange(reps) << n
+        best_power = float(np.max(_shift_power_sums(f.values, shifts, float(p)))) / size
         return QuasiNormValue(p, best_power ** (1.0 / float(p)), best_power, False)
     best: QuasiNormValue | None = None
     for t in range(reps):
@@ -173,18 +176,8 @@ def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
     """
     p = normalize_p(p)
     _check_p_positive(p)
-    size = 1 << f.resolution
-    arr = (np.array([float(v) for v in f.values])
-           if f.is_exact else np.asarray(f.values))
-    idx = np.arange(size)
-    out = np.empty(size)
-    chunk = max(1, 4_000_000 // size)
-    for start in range(0, size, chunk):
-        hs = idx[start:start + chunk]
-        gathered = arr[hs[:, None] ^ idx[None, :]]
-        out[start:start + chunk] = np.sum(
-            np.abs(gathered - arr[None, :]) ** float(p), axis=1)
-    return out / size
+    arr = np.asarray(f.values, dtype=np.float64)
+    return _shift_power_sums(arr, np.arange(len(f)), float(p)) / len(f)
 
 
 @dataclass(frozen=True)
@@ -215,11 +208,7 @@ def approx_bracket(f: SampledFunction, n: int, p: PLike) -> ApproxBracket:
     l2_value = None
     l2_energy = None
     if p == 2:
-        spec = fwht(f)
-        if spec.is_exact:
-            l2_energy = sum(c * c for c in spec.coeffs[1 << n:])
-        else:
-            l2_energy = float(np.sum(np.square(np.asarray(spec.coeffs)[1 << n:])))
+        l2_energy = _scalar(np.sum(np.square(fwht(f).coeffs[1 << n:])))
         l2_value = math.sqrt(float(l2_energy))
     return ApproxBracket(float(t) / 2.0, float(t), t, l2_value, l2_energy)
 

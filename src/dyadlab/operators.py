@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
-from .walsh import (CoefficientSequence, SampledFunction, System, _butterfly_list,
-                    fwht, inverse_fwht, sigma_permutation)
+from .walsh import (CoefficientSequence, SampledFunction, System, _butterfly_array,
+                    _quotient, _zeroed, fwht, inverse_fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
@@ -39,6 +39,11 @@ def coefficients(f: Operand, system: System | str = System.PALEY) -> Coefficient
     return _paley_spectrum(f).to_ordering(system)
 
 
+def _system_index(system: System, N: int) -> np.ndarray:
+    """The index in `system` order of the function at each Paley position."""
+    return np.arange(1 << N) if system is System.PALEY else sigma_permutation(N)
+
+
 def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     """S_n f: keep coefficients 0..n-1 in the acting system's ordering."""
     system = System.coerce(system)
@@ -46,22 +51,7 @@ def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     size = 1 << N
     if not 0 <= n <= size:
         raise ValueError(f"partial-sum order {n} outside 0..{size}")
-    spec = _paley_spectrum(f)
-    sigma = sigma_permutation(N)
-    kept: Sequence | np.ndarray
-    if spec.is_exact:
-        if system is System.PALEY:
-            kept = [c if j < n else 0 for j, c in enumerate(spec.coeffs)]
-        else:
-            kept = [c if sigma[j] < n else 0 for j, c in enumerate(spec.coeffs)]
-    else:
-        arr = np.asarray(spec.coeffs).copy()
-        if system is System.PALEY:
-            arr[n:] = 0.0
-        else:
-            arr[np.array(sigma) >= n] = 0.0
-        kept = arr
-    return inverse_fwht(CoefficientSequence(N, System.PALEY, kept))
+    return inverse_fwht(_zeroed(_paley_spectrum(f), _system_index(system, N) >= n))
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -74,25 +64,13 @@ def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
     if n > size:
         raise ValueError(f"Fejer order {n} outside spectrum 0..{size}")
     spec = _paley_spectrum(f)
-    sigma = sigma_permutation(N)
+    pos = _system_index(system, N)
     if spec.is_exact:
-        if all(isinstance(c, int) for c in spec.coeffs):
-            # integer spectrum: butterfly the numerators, divide by n once
-            numer = []
-            for j, c in enumerate(spec.coeffs):
-                i = j if system is System.PALEY else sigma[j]
-                numer.append(c * (n - i) if i < n else 0)
-            return SampledFunction(
-                N, [Fraction(v, n) for v in _butterfly_list(numer)])
-        out = []
-        for j, c in enumerate(spec.coeffs):
-            i = j if system is System.PALEY else sigma[j]
-            out.append(c * Fraction(n - i, n) if i < n else 0)
-        return inverse_fwht(CoefficientSequence(N, System.PALEY, out))
-    pos = np.arange(size) if system is System.PALEY else np.array(sigma)
+        # butterfly the numerators c * (n - i), then divide by n once
+        numer = np.where(pos < n, spec.coeffs * (n - pos), 0)
+        return SampledFunction._of(N, _quotient(_butterfly_array(numer), n))
     weights = np.where(pos < n, (n - pos) / n, 0.0)
-    return inverse_fwht(
-        CoefficientSequence(N, System.PALEY, np.asarray(spec.coeffs) * weights))
+    return inverse_fwht(CoefficientSequence._of(N, System.PALEY, spec.coeffs * weights))
 
 
 def fejer_mean_by_average(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -102,9 +80,7 @@ def fejer_mean_by_average(f: Operand, system: System | str, n: int) -> SampledFu
     acc = partial_sum(f, system, 1)
     for j in range(2, n + 1):
         acc = acc + partial_sum(f, system, j)
-    if acc.is_exact:
-        return acc.scale(Fraction(1, n))
-    return acc.scale(1.0 / n)
+    return acc.scale(Fraction(1, n))  # float mode scales by float(1/n) = 1.0 / n
 
 
 def fejer_weight(p: Fraction | float, n: int) -> float:
@@ -134,8 +110,7 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     if not 1 <= n_max <= size:
         raise ValueError(f"n_max {n_max} outside 1..{size}")
     spec = _paley_spectrum(f)
-    coeffs = (np.array([float(c) for c in spec.coeffs])
-              if spec.is_exact else np.asarray(spec.coeffs))
+    coeffs = spec.coeffs.astype(np.float64)
     sigma = sigma_permutation(N)
     idx = np.arange(size)
     partial = np.full(size, coeffs[0])  # S_1 in either ordering

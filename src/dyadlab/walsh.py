@@ -13,10 +13,14 @@ itself and is an involution there.  `kaczmarz` and `kaczmarz_samples`
 deliberately evaluate the definitional product so they can serve as an
 independent oracle for the bit-reversal form.
 
-Sampled functions live on the 2^N rank-N cells.  Exact mode stores
-Fractions/ints; float mode stores a read-only float64 array and all
-reductions use numpy's pairwise (index-ascending tree) summation so
-results are reproducible.
+Sampled functions live on the 2^N rank-N cells.  Both modes store the
+cells (and spectra) as one read-only 1-D ndarray, so every operator runs
+the same numpy expression in both: float mode holds float64 and its
+reductions use numpy's pairwise (index-ascending tree) summation, so
+results are reproducible; exact mode holds dtype=object cells that are
+Python ints and Fractions, and numpy applies Python's exact arithmetic
+cell by cell.  Operators branch on the mode only where the arithmetic
+itself differs, such as an exact division by 2^N or by n.
 """
 
 from __future__ import annotations
@@ -93,9 +97,17 @@ def kaczmarz_paley_index(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def sigma_permutation(N: int) -> tuple[int, ...]:
-    """sigma(n) for all n < 2^N, as a tuple (involution on each block)."""
-    return tuple(kaczmarz_paley_index(n) for n in range(1 << N))
+def sigma_permutation(N: int) -> np.ndarray:
+    """sigma(n) for all n < 2^N, as an int64 index array (involution on each block).
+
+    Block [2^A, 2^{A+1}) maps n to 2^A + reverse_A(n - 2^A).  The cache
+    hands the same array to every caller, so it is read-only.
+    """
+    out = np.zeros(1 << N, dtype=np.int64)
+    for A in range(N):
+        out[1 << A:2 << A] = (1 << A) | tau_permutation(A, A)
+    out.flags.writeable = False
+    return out
 
 
 def walsh_paley_samples(n: int, N: int) -> list[int]:
@@ -140,53 +152,77 @@ def character_samples(system: System | str, n: int, N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # sampled functions
 
+def _locked(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
+           what: str) -> np.ndarray:
+    """Validate outside input as `size` read-only cells (float64, or exact objects).
+
+    A numeric ndarray is float data.  A sequence or an object ndarray is
+    exact unless `exact` is False, and then every cell must be an int or
+    a Fraction.
+    """
+    if isinstance(values, np.ndarray):
+        if values.shape != (size,):
+            raise ValueError(f"expected {size} {what}, got shape {values.shape}")
+        if values.dtype != object:
+            if exact:
+                raise ValueError("numpy storage is float mode; pass a sequence for exact")
+            return _locked(values.astype(np.float64))
+    vals = list(values)
+    if len(vals) != size:
+        raise ValueError(f"expected {size} {what}, got {len(vals)}")
+    if exact is False:
+        return _locked(np.array([float(v) for v in vals], dtype=np.float64))
+    if not all(isinstance(v, (int, Fraction)) for v in vals):
+        raise ValueError("exact mode holds ints/Fractions; pass an ndarray or "
+                         "exact=False for float data")
+    return _locked(np.array(vals, dtype=object))
+
+
+def _quotient(arr: np.ndarray, d: int) -> np.ndarray:
+    """arr / d cellwise: float64 divides; integer or exact cells become Fractions."""
+    if arr.dtype == np.float64:
+        return arr / d
+    return np.array([Fraction(v, d) for v in arr.tolist()], dtype=object)
+
+
+def _scalar(x) -> Scalar:
+    """A reduction's result as a Python number (exact results already are)."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 class SampledFunction:
     """Function constant on rank-N dyadic cells, stored as 2^N cell values.
 
-    Exact mode keeps ints/Fractions; float mode keeps a locked float64
-    array.  Cross-mode and cross-resolution arithmetic is an error rather
-    than an implicit promotion.
+    The cells are a read-only ndarray: float64 in float mode, Python
+    ints/Fractions under dtype=object in exact mode.  Cross-mode and
+    cross-resolution arithmetic is an error rather than an implicit
+    promotion.
     """
 
-    __slots__ = ("resolution", "_values", "_exact")
+    __slots__ = ("resolution", "_values")
 
     def __init__(self, resolution: int, values: Sequence[Scalar] | np.ndarray, *,
                  exact: bool | None = None):
-        size = 1 << resolution
-        if isinstance(values, np.ndarray):
-            if exact is True:
-                raise ValueError("numpy storage is float mode; pass a sequence for exact")
-            if values.shape != (size,):
-                raise ValueError(f"expected {size} values, got shape {values.shape}")
-            arr = np.asarray(values, dtype=np.float64)
-            arr = arr.copy() if arr is values else arr
-            arr.flags.writeable = False
-            self._values: object = arr
-            self._exact = False
-        else:
-            vals = tuple(values)
-            if len(vals) != size:
-                raise ValueError(f"expected {size} values, got {len(vals)}")
-            if exact is False:
-                arr = np.array([float(v) for v in vals], dtype=np.float64)
-                arr.flags.writeable = False
-                self._values = arr
-                self._exact = False
-            else:
-                if not all(isinstance(v, (int, Fraction)) for v in vals):
-                    raise ValueError(
-                        "exact mode holds ints/Fractions; pass an ndarray or "
-                        "exact=False for float data")
-                self._values = vals
-                self._exact = True
+        self._values = _cells(values, 1 << resolution, exact, "values")
         self.resolution = resolution
+
+    @classmethod
+    def _of(cls, resolution: int, cells: np.ndarray) -> "SampledFunction":
+        """Wrap the cells an operator computed; they need no per-cell re-check."""
+        self = cls.__new__(cls)
+        self._values = _locked(cells)
+        self.resolution = resolution
+        return self
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, c: Scalar, resolution: int, *, exact: bool = True) -> "SampledFunction":
-        if exact:
-            return cls(resolution, [c] * (1 << resolution))
-        return cls(resolution, np.full(1 << resolution, float(c)))
+        return cls(resolution, [c] * (1 << resolution), exact=exact)
 
     @classmethod
     def indicator(cls, interval: DyadicInterval, resolution: int,
@@ -199,15 +235,15 @@ class SampledFunction:
     # -- basics ----------------------------------------------------------
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._values.dtype == object
 
     @property
     def mode(self) -> str:
-        return "exact" if self._exact else "float"
+        return "exact" if self.is_exact else "float"
 
     @property
-    def values(self):
-        """Cell values (tuple in exact mode, locked ndarray in float mode)."""
+    def values(self) -> np.ndarray:
+        """Cell values: a read-only float64 or object (int/Fraction) ndarray."""
         return self._values
 
     def __len__(self) -> int:
@@ -223,73 +259,56 @@ class SampledFunction:
 
     def integral(self) -> Scalar:
         """Mean value: integral over the group of a cell-constant function."""
-        if self._exact:
-            return Fraction(sum(self._values)) / (1 << self.resolution)
-        return float(np.sum(self._values)) / (1 << self.resolution)
+        total = np.sum(self._values)
+        if self.is_exact:
+            return Fraction(total) / (1 << self.resolution)
+        return float(total) / (1 << self.resolution)
 
     def to_float(self) -> "SampledFunction":
-        if not self._exact:
-            return self
-        return SampledFunction(self.resolution,
-                               np.array([float(v) for v in self._values]))
+        return SampledFunction._of(self.resolution,
+                                   self._values.astype(np.float64, copy=False))
 
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "SampledFunction") -> None:
         if self.resolution != other.resolution:
             raise ValueError(
                 f"resolution mismatch: {self.resolution} vs {other.resolution}")
-        if self._exact != other._exact:
+        if self.is_exact != other.is_exact:
             raise ValueError("mode mismatch: convert with to_float() first")
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
-        if self._exact:
-            return SampledFunction(
-                self.resolution,
-                [a + b for a, b in zip(self._values, other._values)])
-        return SampledFunction(self.resolution, self._values + other._values)
+        return SampledFunction._of(self.resolution, self._values + other._values)
 
     def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
-        if self._exact:
-            return SampledFunction(
-                self.resolution,
-                [a - b for a, b in zip(self._values, other._values)])
-        return SampledFunction(self.resolution, self._values - other._values)
+        return SampledFunction._of(self.resolution, self._values - other._values)
 
     def __neg__(self) -> "SampledFunction":
-        if self._exact:
-            return SampledFunction(self.resolution, [-a for a in self._values])
-        return SampledFunction(self.resolution, -self._values)
+        return SampledFunction._of(self.resolution, -self._values)
 
     def scale(self, c: Scalar) -> "SampledFunction":
-        if self._exact:
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(
-                    "float scalar on exact storage; convert with to_float() first")
-            return SampledFunction(self.resolution, [c * a for a in self._values])
-        return SampledFunction(self.resolution, float(c) * self._values)
+        if not self.is_exact:
+            c = float(c)
+        elif not isinstance(c, (int, Fraction)):
+            raise ValueError(
+                "float scalar on exact storage; convert with to_float() first")
+        return SampledFunction._of(self.resolution, c * self._values)
 
     def __mul__(self, other: "SampledFunction") -> "SampledFunction":
         """Pointwise product."""
         self._check_compatible(other)
-        if self._exact:
-            return SampledFunction(
-                self.resolution,
-                [a * b for a, b in zip(self._values, other._values)])
-        return SampledFunction(self.resolution, self._values * other._values)
+        return SampledFunction._of(self.resolution, self._values * other._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampledFunction):
             return NotImplemented
-        if self.resolution != other.resolution or self._exact != other._exact:
+        if self.resolution != other.resolution or self.is_exact != other.is_exact:
             return False
-        if self._exact:
-            return self._values == other._values
         return bool(np.array_equal(self._values, other._values))
 
     def __hash__(self):
-        return hash((self.resolution, self._exact))
+        return hash((self.resolution, self.is_exact))
 
     def __repr__(self) -> str:
         return (f"SampledFunction(N={self.resolution}, mode={self.mode}, "
@@ -297,36 +316,37 @@ class SampledFunction:
 
 
 class CoefficientSequence:
-    """Spectrum of a sampled function in one of the two orderings."""
+    """Spectrum of a sampled function in one of the two orderings.
 
-    __slots__ = ("resolution", "ordering", "_coeffs", "_exact")
+    Stored like `SampledFunction` cells: a read-only float64 or object
+    (int/Fraction) ndarray.
+    """
+
+    __slots__ = ("resolution", "ordering", "_coeffs")
 
     def __init__(self, resolution: int, ordering: System | str,
                  coeffs: Sequence[Scalar] | np.ndarray):
-        size = 1 << resolution
+        self._coeffs = _cells(coeffs, 1 << resolution, None, "coefficients")
         self.resolution = resolution
         self.ordering = System.coerce(ordering)
-        if isinstance(coeffs, np.ndarray):
-            if coeffs.shape != (size,):
-                raise ValueError(f"expected {size} coefficients, got {coeffs.shape}")
-            arr = np.asarray(coeffs, dtype=np.float64).copy()
-            arr.flags.writeable = False
-            self._coeffs: object = arr
-            self._exact = False
-        else:
-            vals = tuple(coeffs)
-            if len(vals) != size:
-                raise ValueError(f"expected {size} coefficients, got {len(vals)}")
-            self._coeffs = vals
-            self._exact = True
+
+    @classmethod
+    def _of(cls, resolution: int, ordering: System,
+            coeffs: np.ndarray) -> "CoefficientSequence":
+        """Wrap the coefficients an operator computed; no per-cell re-check."""
+        self = cls.__new__(cls)
+        self._coeffs = _locked(coeffs)
+        self.resolution = resolution
+        self.ordering = ordering
+        return self
 
     @property
-    def coeffs(self):
+    def coeffs(self) -> np.ndarray:
         return self._coeffs
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._coeffs.dtype == object
 
     def __len__(self) -> int:
         return 1 << self.resolution
@@ -339,53 +359,40 @@ class CoefficientSequence:
         system = System.coerce(system)
         if system is self.ordering:
             return self
-        sigma = sigma_permutation(self.resolution)
-        if self._exact:
-            permuted: Sequence | np.ndarray = [self._coeffs[s] for s in sigma]
-        else:
-            permuted = np.asarray(self._coeffs)[np.array(sigma)]
-        return CoefficientSequence(self.resolution, system, permuted)
+        return CoefficientSequence._of(
+            self.resolution, system, self._coeffs[sigma_permutation(self.resolution)])
 
     def energy(self) -> Scalar:
         """Sum of squared coefficients (ordering-independent)."""
-        if self._exact:
-            return sum(c * c for c in self._coeffs)
-        return float(np.sum(np.square(self._coeffs)))
+        return _scalar(np.sum(np.square(self._coeffs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientSequence):
             return NotImplemented
-        if (self.resolution, self.ordering, self._exact) != \
-           (other.resolution, other.ordering, other._exact):
+        if (self.resolution, self.ordering, self.is_exact) != \
+           (other.resolution, other.ordering, other.is_exact):
             return False
-        if self._exact:
-            return self._coeffs == other._coeffs
         return bool(np.array_equal(self._coeffs, other._coeffs))
 
     def __hash__(self):
-        return hash((self.resolution, self.ordering, self._exact))
+        return hash((self.resolution, self.ordering, self.is_exact))
+
+
+def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
+    """c with the cells a slice or mask selects set to 0, in c's ordering."""
+    kept = c.coeffs.copy()
+    kept[cells] = 0
+    return CoefficientSequence._of(c.resolution, c.ordering, kept)
 
 
 # ---------------------------------------------------------------------------
 # fast Walsh-Hadamard transform
 
-def _butterfly_list(vals: list) -> list:
-    """In-place FWHT butterflies on a Python list; returns the list."""
-    n = len(vals)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for j in range(start, start + h):
-                x = vals[j]
-                y = vals[j + h]
-                vals[j] = x + y
-                vals[j + h] = x - y
-        h <<= 1
-    return vals
-
-
 def _butterfly_array(arr: np.ndarray) -> np.ndarray:
-    """FWHT butterflies on a copy of the same dtype, vectorized stage by stage."""
+    """FWHT butterflies on a copy of the same dtype, vectorized stage by stage.
+
+    Serves float64, int64 and object (exact int/Fraction) cells alike.
+    """
     out = arr.copy()
     n = out.shape[0]
     h = 1
@@ -400,37 +407,22 @@ def _butterfly_array(arr: np.ndarray) -> np.ndarray:
 
 def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> CoefficientSequence:
     """Spectrum of f: coeffs[i] = 2^{-N} sum_j f(j) (-1)^{popcount(i AND j)}."""
-    ordering = System.coerce(ordering)
-    size = 1 << f.resolution
-    if f.is_exact:
-        raw = _butterfly_list(list(f.values))
-        paley = CoefficientSequence(
-            f.resolution, System.PALEY, [Fraction(v, size) for v in raw])
-    else:
-        paley = CoefficientSequence(
-            f.resolution, System.PALEY, _butterfly_array(f.values) / size)
+    raw = _butterfly_array(f.values)
+    paley = CoefficientSequence._of(f.resolution, System.PALEY, _quotient(raw, len(f)))
     return paley.to_ordering(ordering)
 
 
 def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
     """Reconstruct f = sum_i coeffs[i] * (system function i)."""
     paley = coeffs.to_ordering(System.PALEY)
-    if paley.is_exact:
-        return SampledFunction(coeffs.resolution, _butterfly_list(list(paley.coeffs)))
-    return SampledFunction(coeffs.resolution, _butterfly_array(paley.coeffs))
+    return SampledFunction._of(coeffs.resolution, _butterfly_array(paley.coeffs))
 
 
 def truncate_paley(f: SampledFunction, count: int) -> SampledFunction:
     """Zero all Paley coefficients with index >= count and resample."""
     if count < 0 or count > len(f):
         raise ValueError(f"truncation count {count} out of range 0..{len(f)}")
-    paley = fwht(f)
-    if f.is_exact:
-        kept = list(paley.coeffs[:count]) + [0] * (len(f) - count)
-        return inverse_fwht(CoefficientSequence(f.resolution, System.PALEY, kept))
-    kept_arr = np.asarray(paley.coeffs).copy()
-    kept_arr[count:] = 0.0
-    return inverse_fwht(CoefficientSequence(f.resolution, System.PALEY, kept_arr))
+    return inverse_fwht(_zeroed(fwht(f), slice(count, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +443,7 @@ def _placed(system: System, head: np.ndarray, N: int) -> np.ndarray:
     if system is System.PALEY:
         out[:head.size] = head
     else:
-        out[np.array(sigma_permutation(N)[:head.size], dtype=np.int64)] = head
+        out[sigma_permutation(N)[:head.size]] = head
     return out
 
 
@@ -475,49 +467,41 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
     ones = np.ones(n, dtype=np.int64)
-    return SampledFunction(N, _butterfly_array(_placed(system, ones, N)).tolist())
+    return SampledFunction._of(N, _butterfly_array(_placed(system, ones, N)).astype(object))
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:
     """K_n = (1/n) sum_{k=1..n} D_k; rational samples with denominator | n."""
     if n < 1:
         raise ValueError("Fejer kernel order must be >= 1")
-    raw = fejer_numerators(system, n, N).tolist()
-    return SampledFunction(N, [Fraction(v, n) for v in raw])
+    return SampledFunction._of(N, _quotient(fejer_numerators(system, n, N), n))
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Dyadic convolution (f * g)(x) = 2^{-N} sum_t f(x + t) g(t).
 
     Diagonalized by the characters: the Paley spectrum multiplies
-    pointwise, which is how Fejer means act as kernel convolutions.
+    pointwise, which is how Fejer means act as kernel convolutions.  One
+    forward transform per factor and one inverse cost O(N 2^N).
     """
-    if f.resolution != g.resolution:
-        raise ValueError(f"resolution mismatch: {f.resolution} vs {g.resolution}")
-    if f.is_exact != g.is_exact:
-        raise ValueError("mode mismatch: convert with to_float() first")
-    size = 1 << f.resolution
-    if f.is_exact:
-        fv, gv = f.values, g.values
-        out = []
-        for x in range(size):
-            out.append(Fraction(sum(fv[x ^ t] * gv[t] for t in range(size)), size))
-        return SampledFunction(f.resolution, out)
-    fa, ga = np.asarray(f.values), np.asarray(g.values)
-    idx = np.arange(size)
-    gathered = fa[idx[:, None] ^ idx[None, :]]
-    return SampledFunction(f.resolution, gathered @ ga / size)
+    f._check_compatible(g)
+    product = fwht(f).coeffs * fwht(g).coeffs
+    return inverse_fwht(CoefficientSequence._of(f.resolution, System.PALEY, product))
+
+
+def convolve_by_sum(f: SampledFunction, g: SampledFunction) -> SampledFunction:
+    """Definitional dyadic convolution by the direct O(4^N) sum (test oracle)."""
+    f._check_compatible(g)
+    idx = np.arange(len(f))
+    gathered = f.values[idx[:, None] ^ idx[None, :]]
+    return SampledFunction._of(f.resolution, _quotient(gathered @ g.values, len(f)))
 
 
 def compose_with_tau(f: SampledFunction, A: int) -> SampledFunction:
     """(f o tau_A)(x) = f(tau_A x): gather samples through the bit reversal."""
     if A > f.resolution:
         raise ValueError(f"reversal width {A} exceeds resolution {f.resolution}")
-    perm = tau_permutation(A, f.resolution)
-    if f.is_exact:
-        vals = f.values
-        return SampledFunction(f.resolution, [vals[j] for j in perm.tolist()])
-    return SampledFunction(f.resolution, np.asarray(f.values)[perm])
+    return SampledFunction._of(f.resolution, f.values[tau_permutation(A, f.resolution)])
 
 
 def fejer_by_average(system: System | str, n: int, N: int) -> SampledFunction:

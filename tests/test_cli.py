@@ -84,6 +84,15 @@ class TestVerifyCommand:
                         "--depth", "4", "--count", "2", "--seed", "1"])
         assert code == 0
 
+    def test_identities_header_echoes_resolution_that_ran(self, tmp_path):
+        out = tmp_path / "identities.json"
+        code = run_cli(["verify", "identities", "--depth", "2", "--count", "1",
+                        "--out", str(out)])  # --resolution defaults to 12
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["resolution"] == 8
+        assert payload["reports"][0]["parameters"]["resolution"] == 8
+
     def test_invalid_parameters(self, capsys):
         code = run_cli(["verify", "lemma2", "--A", "1"])
         assert code == 2

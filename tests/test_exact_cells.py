@@ -1,0 +1,103 @@
+"""Exact results hold Python ints and Fractions in every cell.
+
+Reports write an int as `8` and a Fraction as `"8/1"`, so an operator
+that let a numpy integer or a float into exact storage would change
+report bytes even with the right values.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dyadlab import (CoefficientSequence, DyadicInterval, DyadicMartingale, GroupPoint,
+                     SampledFunction, System, build_t1, build_t2, coefficients,
+                     compose_with_tau, conjugate, convolve, convolve_by_sum, dirichlet,
+                     fejer, fejer_by_average, fejer_mean, fejer_mean_by_average, fwht,
+                     inverse_fwht, maximal, maximal_by_averages, partial_sum,
+                     random_exact_martingale, random_lacunary_martingale, s2n,
+                     s2n_by_averaging,
+                     square_function_squared, translate, truncate_paley)
+
+N = 4
+F = SampledFunction(N, [Fraction(j - 7, 3) if j % 3 else j - 5 for j in range(1 << N)])
+G = SampledFunction(N, [(-1) ** j * (j % 5) for j in range(1 << N)])  # ints only
+M = random_exact_martingale(random.Random(3), N)
+T = GroupPoint(N + 1, 0b10110)
+
+OPERATORS = {
+    "constant": lambda: SampledFunction.constant(Fraction(7, 2), N),
+    "indicator": lambda: SampledFunction.indicator(DyadicInterval.at_zero(2, N), N, 4),
+    "add": lambda: F + G,
+    "sub": lambda: F - G,
+    "neg": lambda: -F,
+    "scale_int": lambda: G.scale(3),
+    "scale_fraction": lambda: G.scale(Fraction(1, 3)),
+    "mul": lambda: F * G,
+    "fwht_paley": lambda: fwht(G),
+    "fwht_kaczmarz": lambda: fwht(F, System.KACZMARZ),
+    "to_ordering": lambda: CoefficientSequence(N, "paley", list(range(16))).to_ordering(
+        System.KACZMARZ),
+    "inverse_fwht": lambda: inverse_fwht(fwht(F, System.KACZMARZ)),
+    "truncate_paley": lambda: truncate_paley(F, 5),
+    "dirichlet_paley": lambda: dirichlet(System.PALEY, 11, N),
+    "dirichlet_kaczmarz": lambda: dirichlet(System.KACZMARZ, 11, N),
+    "fejer_paley": lambda: fejer(System.PALEY, 11, N),
+    "fejer_kaczmarz": lambda: fejer(System.KACZMARZ, 11, N),
+    "fejer_by_average": lambda: fejer_by_average(System.KACZMARZ, 6, N),
+    "convolve": lambda: convolve(F, G),
+    "convolve_by_sum": lambda: convolve_by_sum(F, G),
+    "compose_with_tau": lambda: compose_with_tau(F, 3),
+    "translate": lambda: translate(F, GroupPoint(N, 5)),
+    "from_function": lambda: DyadicMartingale.from_function(F),
+    "from_paley_coeffs": lambda: DyadicMartingale.from_paley_coeffs(N, list(range(16))),
+    "level": lambda: M.level(2),
+    "terminal_function": lambda: M.terminal_function(),
+    "tail": lambda: M.tail(2),
+    "s2n_martingale": lambda: s2n(M, 3),
+    "s2n_function": lambda: s2n(F, 3),
+    "s2n_by_averaging": lambda: s2n_by_averaging(F, 2),
+    "maximal": lambda: maximal(DyadicMartingale.from_function(F)),
+    "maximal_by_averages": lambda: maximal_by_averages(F),
+    "square_function_squared": lambda: square_function_squared(M),
+    "conjugate": lambda: conjugate(M, T),
+    "coefficients": lambda: coefficients(M, System.KACZMARZ),
+    "partial_sum_paley": lambda: partial_sum(F, System.PALEY, 6),
+    "partial_sum_kaczmarz": lambda: partial_sum(M, System.KACZMARZ, 6),
+    "fejer_mean_integer_spectrum": lambda: fejer_mean(M, System.KACZMARZ, 7),
+    "fejer_mean_rational_spectrum": lambda: fejer_mean(F, System.PALEY, 7),
+    "fejer_mean_by_average": lambda: fejer_mean_by_average(M, System.KACZMARZ, 5),
+    "random_exact_martingale": lambda: random_exact_martingale(random.Random(4), N),
+    "random_lacunary_martingale": lambda: random_lacunary_martingale(random.Random(4), N),
+    "t1_terminal": lambda: build_t1(Fraction(1, 4), 3, 5).terminal(),
+    "t2_terminal": lambda: build_t2(2, 5).terminal(),
+    "t1_atom": lambda: build_t1(Fraction(1, 4), 3, 5).atoms[2][0],
+    "t2_atom": lambda: build_t2(2, 5).atoms[1][0],
+}
+
+
+def cells(result) -> np.ndarray:
+    if isinstance(result, DyadicMartingale):
+        result = result.terminal
+    if isinstance(result, CoefficientSequence):
+        return result.coeffs
+    return result.values
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_every_cell_is_int_or_fraction(name):
+    result = OPERATORS[name]()
+    assert result.is_exact
+    arr = cells(result)
+    assert arr.dtype == object and not arr.flags.writeable
+    assert {type(v) for v in arr.tolist()} <= {int, Fraction}
+
+
+def test_object_ndarray_input_is_checked():
+    ok = np.array([1, Fraction(1, 2)], dtype=object)
+    assert SampledFunction(1, ok).is_exact
+    with pytest.raises(ValueError):
+        SampledFunction(1, np.array([1, np.int64(2)], dtype=object))
+    with pytest.raises(ValueError):
+        CoefficientSequence(1, "paley", np.array([0.5, 1], dtype=object))

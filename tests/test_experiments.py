@@ -137,6 +137,17 @@ class TestAudit:
     def test_t2(self):
         assert audit_family(build_t2(2, 6)).passed
 
+    def test_float_atoms(self):
+        assert audit_family(build_t1(0.3, 6, 8)).witness["coefficients_match"]
+
+    @pytest.mark.parametrize("fam", [build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6),
+                                     build_t1(0.3, 6, 8)], ids=["t1", "t2", "t1-float"])
+    def test_perturbed_weight_fails(self, fam):
+        fam.weights[1] = fam.weights[1] * (1 + Fraction(1, 1 << 20))
+        report = audit_family(fam)
+        assert not report.passed
+        assert not report.witness["coefficients_match"]
+
 
 class TestAtomicDecomposition:
     @pytest.mark.parametrize("family", ["t1", "t2"])

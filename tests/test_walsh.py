@@ -1,5 +1,6 @@
 """Character systems, the block bit-reversal, transforms, and kernels."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (DyadicInterval, GroupPoint, SampledFunction, System,
-                     convolve, dirichlet, fejer, fejer_by_average, fwht,
+                     convolve, convolve_by_sum, dirichlet, fejer, fejer_by_average, fwht,
                      inverse_fwht, kaczmarz, kaczmarz_paley_index,
                      kaczmarz_samples, sigma_permutation, truncate_paley,
                      walsh_paley, walsh_paley_samples)
@@ -86,6 +87,12 @@ class TestSigma:
         for n in range(1 << N):
             assert kaczmarz_samples(n, N) == \
                 walsh_paley_samples(kaczmarz_paley_index(n), N)
+
+    def test_permutation_matches_index_form(self):
+        for N in range(11):
+            sigma = sigma_permutation(N)
+            assert sigma.dtype == np.int64 and not sigma.flags.writeable
+            assert sigma.tolist() == [kaczmarz_paley_index(n) for n in range(1 << N)]
 
     def test_block_involution(self):
         sigma = sigma_permutation(8)
@@ -256,3 +263,23 @@ class TestConvolve:
         fc, gc = fwht(f), fwht(g)
         for i in range(8):
             assert lhs[i] == fc[i] * gc[i]
+
+    def test_spectral_route_equals_direct_sum(self):
+        rng = random.Random(5)
+        for N in range(6):
+            f = SampledFunction(N, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                    for _ in range(1 << N)])
+            g = SampledFunction(N, [rng.randint(-9, 9) for _ in range(1 << N)])
+            assert convolve(f, g) == convolve_by_sum(f, g)
+            np.testing.assert_allclose(
+                convolve(f.to_float(), g.to_float()).values,
+                convolve_by_sum(f.to_float(), g.to_float()).values, rtol=0, atol=1e-12)
+
+    def test_float_at_resolution_16(self):
+        # the direct sum would gather 2^32 cells here
+        rng = np.random.default_rng(0)
+        f = SampledFunction(16, rng.uniform(-1, 1, 1 << 16))
+        g = SampledFunction(16, rng.uniform(-1, 1, 1 << 16))
+        conv = convolve(f, g)
+        assert not conv.is_exact
+        assert conv.integral() == pytest.approx(f.integral() * g.integral(), abs=1e-12)

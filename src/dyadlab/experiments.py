@@ -37,8 +37,8 @@ from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinor
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
 from .operators import fejer_mean
-from .walsh import (SampledFunction, System, character_samples, compose_with_tau,
-                    dirichlet, fejer_numerators, kaczmarz_paley_index,
+from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, character_samples,
+                    compose_with_tau, dirichlet, fejer_numerators, kaczmarz_paley_index,
                     kaczmarz_samples, walsh_paley_samples)
 
 
@@ -246,7 +246,7 @@ def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationR
     size = 1 << N
     if n_max > size:
         raise ValueError(f"n_max {n_max} overflows spectrum at resolution {N}")
-    if n_max * (n_max + 1) // 2 >= (1 << 62) // size:
+    if not _kernel_l1_fits_int64(n_max, N):
         raise ValueError("kernel sums would not fit int64; reduce n_max or resolution")
     idx = np.arange(size, dtype=np.int64)
     D = np.zeros(size, dtype=np.int64)   # Dirichlet kernel D_n
@@ -636,8 +636,10 @@ def verify_kernel_decomposition(N: int, i_values: Sequence[int] = (1, 2)) -> Ver
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
-def _maximal_value_multiset(f: DyadicMartingale):
-    return sorted(maximal(f).values)
+def _maximal_value_multiset(f: DyadicMartingale) -> tuple[int, list]:
+    """The sorted values of f* as (denominator, numerators), unique in lowest terms."""
+    g = maximal(f)
+    return g._den, np.sort(g._num).tolist()
 
 
 def verify_conjugate_translation(depth: int, count: int, seed: int,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, _quotient, _zeroed,
-                    fwht, inverse_fwht, truncate_paley)
+from .walsh import (CoefficientSequence, SampledFunction, System, _peak, _quotient, _times,
+                    _total, _widened, _zeroed, fwht, inverse_fwht, truncate_paley)
 
 
 class DyadicMartingale:
@@ -71,7 +71,7 @@ class DyadicMartingale:
         return self.level(self.depth)
 
     def coefficient(self, i: int) -> Union[int, Fraction, float]:
-        return self.terminal.coeffs[i]
+        return self.terminal[i]
 
     def tail(self, n: int) -> "DyadicMartingale":
         """The martingale of f - S_{2^n}f: levels <= n vanish."""
@@ -99,18 +99,28 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
         raise ValueError(f"partial-sum level {n} outside 0..{f.resolution}")
     cells = 1 << n
     reps = 1 << (f.resolution - n)
-    means = _quotient(f.values.reshape(reps, cells).sum(axis=0), reps)
-    return SampledFunction._of(f.resolution, np.tile(means, reps))
+    (num,) = _widened(lambda x: _peak(x) * reps, f._num)
+    means, den = _quotient(num.reshape(reps, cells).sum(axis=0), f._den, reps)
+    return SampledFunction._of(f.resolution, np.tile(means, reps), den, True)
 
 
 def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
-    """Pointwise max of |g| over the levels; a tie keeps the earlier cell."""
-    levels = iter(levels)
-    first = next(levels)
-    acc = np.abs(first.values)
+    """Pointwise max of |g| over the levels; a tie keeps the earlier cell.
+
+    Exact levels are compared over the lcm of their denominators.
+    """
+    levels = list(levels)
+    den = math.lcm(*(g._den for g in levels))
+    acc, frac = None, False
     for g in levels:
-        acc = np.maximum(acc, np.abs(g.values))
-    return SampledFunction._of(first.resolution, acc)
+        mag = np.abs(_times(g._num, den // g._den))
+        if acc is None:
+            acc, frac = mag, g._frac
+            continue
+        if g._frac is not frac:  # the cell read out is the level's that wins it
+            frac = np.where(mag > acc, g._frac, frac)
+        acc = np.maximum(acc, mag)
+    return SampledFunction._of(levels[0].resolution, acc, den, frac)
 
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
@@ -179,21 +189,20 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
     inside[interval.indices(N)] = True
     violated = None
 
-    if np.any(a.values[~inside] != 0):
+    if np.any(a._num[~inside] != 0):
         violated = "support"
 
     cell = Fraction(1, 1 << N)
-    total = np.sum(a.values[inside])
     if a.is_exact:
-        integral = Fraction(total) * cell
+        integral = Fraction(_total(a._num[inside]), a._den) * cell
         mean_ok = integral == 0
     else:
-        integral = float(total) * float(cell)
+        integral = float(np.sum(a._num[inside])) * float(cell)
         mean_ok = abs(integral) < 1e-12
     if violated is None and not mean_ok:
         violated = "mean"
 
-    sup_value = np.max(np.abs(a.values))
+    sup_value = abs(a[int(np.argmax(np.abs(a._num)))])  # the first largest cell
     rank = interval.rank
     bound = 2.0 ** (rank / float(p))
     if a.is_exact and isinstance(p, Fraction):
@@ -236,12 +245,13 @@ def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    out = f.terminal.coeffs.copy()
+    out = f.terminal._num.copy()
     for n in range(M + 1):
         if rademacher(n, t) < 0:
             block = slice((1 << n) >> 1, 1 << n)  # [0, 1) for n = 0
             out[block] = -out[block]
-    return DyadicMartingale(CoefficientSequence._of(M, System.PALEY, out))
+    return DyadicMartingale(CoefficientSequence._of(M, System.PALEY, out, f.terminal._den,
+                                                    f.terminal._frac))
 
 
 def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
@@ -258,11 +268,10 @@ def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    coeffs = f.terminal.coeffs
+    coeffs = f.terminal._num
 
     def occupied(i: int) -> bool:
-        c = coeffs[i]
-        return c != 0
+        return coeffs[i] != 0
 
     if occupied(0) and rademacher(0, t) < 0:
         return None  # no translation can flip the constant term

@@ -9,7 +9,11 @@ compare powers instead of extracting noisy roots.
 weak-L_p is sup_{lambda>0} lambda * mu{|f| > lambda}^{1/p}.  For a step
 function the supremum is attained as lambda increases to a value of |f|,
 so it equals the maximum of v * mu{|f| >= v}^{1/p} over the distinct
-values v; with 1/p an integer this is an exact rational.
+values v; with 1/p an integer this is an exact rational.  Exact mode
+sorts the integer |numerators| and forms v * count^{1/p} in Python ints
+only at the end of each run of equal values, over the common
+denominator.  Float exponents on exact cells round each cell's quotient
+once (as float(Fraction) does) before the float arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .group import GroupPoint
-from .walsh import SampledFunction, _scalar, fwht, truncate_paley
+from .walsh import SampledFunction, _energy, _float_cells, fwht, truncate_paley
 
 PLike = Union[int, float, Fraction, str]
 
@@ -69,14 +73,15 @@ def lp_quasinorm(f: SampledFunction, p: PLike) -> QuasiNormValue:
     size = 1 << f.resolution
     if f.is_exact and isinstance(p, Fraction) and p.denominator == 1:
         k = p.numerator
-        power_sum = Fraction(sum(abs(v) ** k for v in f.values), 1) / size
+        power_sum = Fraction(sum(abs(v) ** k for v in f._num.tolist()), f._den ** k * size)
         if k == 1:
             return QuasiNormValue(p, power_sum, power_sum, True)
         value = float(power_sum) ** (1.0 / k)
         return QuasiNormValue(p, value, power_sum, True)
     pf = float(p)
     if f.is_exact:
-        power_sum = math.fsum(abs(float(v)) ** pf for v in f.values) / size
+        cells = _float_cells(f._num, f._den).tolist()
+        power_sum = math.fsum(abs(v) ** pf for v in cells) / size
     else:
         power_sum = float(np.sum(np.abs(f.values) ** pf)) / size
     return QuasiNormValue(p, power_sum ** (1.0 / pf), power_sum, False)
@@ -88,23 +93,20 @@ def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     _check_p_positive(p)
     size = 1 << f.resolution
     if f.is_exact:
-        magnitudes = sorted(np.abs(f.values).tolist(), reverse=True)
-        inv_int = isinstance(p, Fraction) and p.numerator == 1
-        best: Fraction | float = Fraction(0) if inv_int else 0.0
-        if inv_int:
+        mags = np.sort(np.abs(f._num))[::-1]
+        if isinstance(p, Fraction) and p.numerator == 1:
+            # v * (count/size)^k peaks at the last (largest) count of each value
             k = p.denominator  # 1/p
-            for count, v in enumerate(magnitudes, start=1):
-                if v == 0:
-                    break
-                cand = v * Fraction(count, size) ** k
-                if cand > best:
-                    best = cand
-            return QuasiNormValue(p, best, None, True)
+            ends = np.flatnonzero(np.append(mags[:-1] != mags[1:], True) & (mags > 0))
+            best = max((v * (count + 1) ** k
+                        for v, count in zip(mags[ends].tolist(), ends.tolist())), default=0)
+            return QuasiNormValue(p, Fraction(best, f._den * size ** k), None, True)
         pf = float(p)
-        for count, v in enumerate(magnitudes, start=1):
+        best = 0.0
+        for count, v in enumerate(_float_cells(mags, f._den).tolist(), start=1):
             if v == 0:
                 break
-            cand = float(v) * (count / size) ** (1.0 / pf)
+            cand = v * (count / size) ** (1.0 / pf)
             if cand > best:
                 best = cand
         return QuasiNormValue(p, best, None, False)
@@ -122,7 +124,7 @@ def translate(f: SampledFunction, h: GroupPoint) -> SampledFunction:
             f"resolution mismatch: function {f.resolution} vs point {h.resolution}")
     if h.index == 0:
         return f
-    return SampledFunction._of(f.resolution, f.values[np.arange(len(f)) ^ h.index])
+    return SampledFunction._of(f.resolution, *f._gathered(np.arange(len(f)) ^ h.index))
 
 
 def _shift_power_sums(arr: np.ndarray, shifts: np.ndarray, p: float) -> np.ndarray:
@@ -176,7 +178,7 @@ def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
     """
     p = normalize_p(p)
     _check_p_positive(p)
-    arr = np.asarray(f.values, dtype=np.float64)
+    arr = _float_cells(f._num, f._den)
     return _shift_power_sums(arr, np.arange(len(f)), float(p)) / len(f)
 
 
@@ -208,7 +210,7 @@ def approx_bracket(f: SampledFunction, n: int, p: PLike) -> ApproxBracket:
     l2_value = None
     l2_energy = None
     if p == 2:
-        l2_energy = _scalar(np.sum(np.square(fwht(f).coeffs[1 << n:])))
+        l2_energy = _energy(fwht(f), slice(1 << n, None))
         l2_value = math.sqrt(float(l2_energy))
     return ApproxBracket(float(t) / 2.0, float(t), t, l2_value, l2_energy)
 

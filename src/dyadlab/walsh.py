@@ -13,19 +13,26 @@ itself and is an involution there.  `kaczmarz` and `kaczmarz_samples`
 deliberately evaluate the definitional product so they can serve as an
 independent oracle for the bit-reversal form.
 
-Sampled functions live on the 2^N rank-N cells.  Both modes store the
-cells (and spectra) as one read-only 1-D ndarray, so every operator runs
-the same numpy expression in both: float mode holds float64 and its
-reductions use numpy's pairwise (index-ascending tree) summation, so
-results are reproducible; exact mode holds dtype=object cells that are
-Python ints and Fractions, and numpy applies Python's exact arithmetic
-cell by cell.  Operators branch on the mode only where the arithmetic
-itself differs, such as an exact division by 2^N or by n.
+Sampled functions live on the 2^N rank-N cells.  Float mode stores
+the cells (and spectra) as one read-only float64 array and reduces with
+numpy's pairwise (index-ascending tree) summation, so results are
+reproducible.  Exact mode stores integer numerators over one positive
+denominator in lowest terms.  The numerators are int64; an operation
+whose bound, taken from its operands before it runs (max |numerator|
+for sums and products, sum |numerator| for a butterfly), passes
+2^63 - 1 works on Python ints under dtype=object instead, so nothing
+wraps around and every operator runs the same numpy expression on both.
+`values` and `coeffs` read exact cells out as Python ints and Fractions,
+typed as Python's own arithmetic would type them: a division gives a
+Fraction even where integral, integer-only routes give ints.  Operators
+branch on the mode only where the arithmetic itself differs, such as an
+exact division by 2^N or by n.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -152,14 +159,111 @@ def character_samples(system: System | str, n: int, N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # sampled functions
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def _locked(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
+def _int_dtype(bound: int) -> np.dtype:
+    """int64 when `bound` fits in it, else object (Python ints)."""
+    return np.dtype(np.int64) if bound <= _INT64_MAX else np.dtype(object)
+
+
+def _peak(num: np.ndarray) -> int:
+    """max |numerator| as a Python int (0 when there are no cells)."""
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _fit(num: np.ndarray, bound: int) -> np.ndarray:
+    """Integer numerators as int64 when `bound` fits in it, else as Python ints.
+
+    `bound` limits the size of every value the next operation forms, so
+    int64 arithmetic under it cannot wrap around.
+    """
+    dtype = _int_dtype(bound)
+    return num if num.dtype == dtype else num.astype(dtype)
+
+
+def _widened(bound, *nums: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Integer numerators `nums` in the dtype that holds `bound(*nums)`.
+
+    Float cells cannot wrap around, so they pass unchanged and their
+    bound is never computed.
+    """
+    if nums[0].dtype == np.float64:
+        return nums
+    limit = bound(*nums)
+    return tuple(_fit(num, limit) for num in nums)
+
+
+def _total(num: np.ndarray) -> int:
+    """Sum of integer numerators as a Python int, without int64 wraparound."""
+    return int(np.sum(_fit(num, _peak(num) * num.size)))
+
+
+def _times(num: np.ndarray, k: int) -> np.ndarray:
+    """num * k for a Python int k, widened first if a product could leave int64."""
+    if k == 1:
+        return num
+    (num,) = _widened(lambda n: max(_peak(n), 1) * abs(k), num)
+    return num * k
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cellwise a * b, widened first if a product could leave int64."""
+    a, b = _widened(lambda x, y: _peak(x) * _peak(y), a, b)
+    return a * b
+
+
+def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """num/den in lowest terms: gcd(den, every numerator) = 1, den = 1 for all zeros."""
+    if den == 1:
+        return num, 1
+    g = math.gcd(den, int(np.gcd.reduce(num)))
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def _quotient(num: np.ndarray, den: int, d: int) -> tuple[np.ndarray, int]:
+    """(num/den)/d: float cells divide, exact cells take d into the denominator."""
+    if num.dtype == np.float64:
+        return num / d, 1
+    return num, den * d
+
+
+def _tag(frac) -> bool | np.ndarray:
+    """A per-cell Fraction-readout mask, as one bool when every cell agrees."""
+    if frac is True or frac is False:
+        return frac
+    if isinstance(frac, np.ndarray) and frac.ndim:
+        if frac.all():
+            return True
+        if not frac.any():
+            return False
+        return _locked(frac)
+    return bool(frac)
+
+
+def _float_cells(num: np.ndarray, den: int) -> np.ndarray:
+    """float(cell) for every cell, each correctly rounded; float cells as they are.
+
+    When numerator and denominator are both exact in float64, one IEEE
+    division rounds once.  Larger numerators need Python's int true
+    division, because an int64 -> float64 cast would round first.
+    """
+    if num.dtype == np.float64:
+        return num
+    if den <= 1 << 53 and _peak(num) <= 1 << 53:
+        return num.astype(np.float64) / den
+    return np.array([n / den for n in num.tolist()], dtype=np.float64)
+
+
 def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
-           what: str) -> np.ndarray:
-    """Validate outside input as `size` read-only cells (float64, or exact objects).
+           what: str) -> tuple:
+    """Validate outside input as `_store` arguments: float64 cells, or exact
+    numerators, denominator, Fraction mask and the input cells as readout.
 
     A numeric ndarray is float data.  A sequence or an object ndarray is
     exact unless `exact` is False, and then every cell must be an int or
@@ -171,23 +275,22 @@ def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
         if values.dtype != object:
             if exact:
                 raise ValueError("numpy storage is float mode; pass a sequence for exact")
-            return _locked(values.astype(np.float64))
+            return (values.astype(np.float64),)
     vals = list(values)
     if len(vals) != size:
         raise ValueError(f"expected {size} {what}, got {len(vals)}")
     if exact is False:
-        return _locked(np.array([float(v) for v in vals], dtype=np.float64))
-    if not all(isinstance(v, (int, Fraction)) for v in vals):
+        return (np.array([float(v) for v in vals], dtype=np.float64),)
+    kinds = set(map(type, vals))
+    if not all(issubclass(t, (int, Fraction)) for t in kinds):
         raise ValueError("exact mode holds ints/Fractions; pass an ndarray or "
                          "exact=False for float data")
-    return _locked(np.array(vals, dtype=object))
-
-
-def _quotient(arr: np.ndarray, d: int) -> np.ndarray:
-    """arr / d cellwise: float64 divides; integer or exact cells become Fractions."""
-    if arr.dtype == np.float64:
-        return arr / d
-    return np.array([Fraction(v, d) for v in arr.tolist()], dtype=object)
+    fractions = {t for t in kinds if issubclass(t, Fraction)}
+    frac = np.array([type(v) in fractions for v in vals], dtype=bool) if fractions else False
+    den = math.lcm(*(v.denominator for v in vals if type(v) in fractions))
+    nums = [v.numerator * (den // v.denominator) for v in vals] if fractions else vals
+    num = np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
+    return num, den, frac, _locked(np.array(vals, dtype=object))
 
 
 def _scalar(x) -> Scalar:
@@ -195,29 +298,97 @@ def _scalar(x) -> Scalar:
     return x.item() if isinstance(x, np.generic) else x
 
 
-class SampledFunction:
-    """Function constant on rank-N dyadic cells, stored as 2^N cell values.
+class _Cells:
+    """Cell storage shared by sampled functions and their spectra.
 
-    The cells are a read-only ndarray: float64 in float mode, Python
-    ints/Fractions under dtype=object in exact mode.  Cross-mode and
-    cross-resolution arithmetic is an error rather than an implicit
-    promotion.
+    `_num` holds float64 cells, or exact numerators over the denominator
+    `_den` in lowest terms (gcd(den, every numerator) = 1, den = 1 when
+    every cell is 0; float mode keeps den = 1).  `_frac` marks the exact
+    cells that read out as Fraction, as one bool when every cell agrees,
+    and `_read` caches the readout, built on first use.
     """
 
-    __slots__ = ("resolution", "_values")
+    __slots__ = ("resolution", "_num", "_den", "_frac", "_read")
+
+    def _store(self, resolution: int, num: np.ndarray, den: int = 1, frac=False,
+               read: np.ndarray | None = None):
+        num, den = _reduced(num, den)
+        self.resolution = resolution
+        self._num = _locked(num)
+        self._den = den
+        if num.dtype == np.float64:
+            self._frac, self._read = False, self._num
+        else:
+            self._frac, self._read = _tag(frac), read
+        return self
+
+    @property
+    def is_exact(self) -> bool:
+        return self._num.dtype != np.float64
+
+    def _readout(self) -> np.ndarray:
+        """Exact cells as Python numbers: a Fraction where `_frac` marks the cell, else an int."""
+        if self._read is None:
+            nums, den, frac = self._num.tolist(), self._den, self._frac
+            if frac is True:
+                cells = [Fraction(n, den) for n in nums]
+            elif frac is False:
+                cells = nums  # den == 1, since int cells are integral
+            else:
+                cells = [Fraction(n, den) if t else n // den
+                         for n, t in zip(nums, frac.tolist())]
+            self._read = _locked(np.array(cells, dtype=object))
+        return self._read
+
+    def _gathered(self, idx: np.ndarray) -> tuple:
+        """Numerators, denominator and mask of the cells at `idx`."""
+        frac = self._frac[idx] if isinstance(self._frac, np.ndarray) else self._frac
+        return self._num[idx], self._den, frac
+
+    def __len__(self) -> int:
+        return 1 << self.resolution
+
+    def __getitem__(self, j: int) -> Scalar:
+        if self._read is not None or not isinstance(j, (int, np.integer)):
+            return self._readout()[j]
+        n = int(self._num[j])
+        frac = self._frac if isinstance(self._frac, bool) else self._frac[j]
+        return Fraction(n, self._den) if frac else n // self._den
+
+
+def _common(a: _Cells, b: _Cells) -> tuple[np.ndarray, np.ndarray, int]:
+    """a's and b's numerators over lcm(den_a, den_b), in a dtype that holds a +- b."""
+    den = math.lcm(a._den, b._den)
+    ka, kb = den // a._den, den // b._den
+    na, nb = _widened(lambda x, y: max(_peak(x), 1) * ka + max(_peak(y), 1) * kb,
+                      a._num, b._num)
+    if ka != 1:
+        na = na * ka
+    if kb != 1:
+        nb = nb * kb
+    return na, nb, den
+
+
+class SampledFunction(_Cells):
+    """Function constant on rank-N dyadic cells, stored as 2^N cell values.
+
+    Float mode stores float64 cells; exact mode stores integer numerators
+    over one denominator (see `_Cells`) and reads them out as Python
+    ints/Fractions.  Cross-mode and cross-resolution arithmetic is an
+    error rather than an implicit promotion.
+    """
+
+    __slots__ = ()
 
     def __init__(self, resolution: int, values: Sequence[Scalar] | np.ndarray, *,
                  exact: bool | None = None):
-        self._values = _cells(values, 1 << resolution, exact, "values")
-        self.resolution = resolution
+        self._store(resolution, *_cells(values, 1 << resolution, exact, "values"))
 
     @classmethod
-    def _of(cls, resolution: int, cells: np.ndarray) -> "SampledFunction":
+    def _of(cls, resolution: int, num: np.ndarray, den: int = 1,
+            frac=False) -> "SampledFunction":
         """Wrap the cells an operator computed; they need no per-cell re-check."""
-        self = cls.__new__(cls)
-        self._values = _locked(cells)
-        self.resolution = resolution
-        return self
+        return cls.__new__(cls)._store(resolution, num, den, frac)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -234,39 +405,27 @@ class SampledFunction:
 
     # -- basics ----------------------------------------------------------
     @property
-    def is_exact(self) -> bool:
-        return self._values.dtype == object
-
-    @property
     def mode(self) -> str:
         return "exact" if self.is_exact else "float"
 
     @property
     def values(self) -> np.ndarray:
         """Cell values: a read-only float64 or object (int/Fraction) ndarray."""
-        return self._values
-
-    def __len__(self) -> int:
-        return 1 << self.resolution
-
-    def __getitem__(self, j: int) -> Scalar:
-        return self._values[j]
+        return self._readout()
 
     def value_at(self, x: GroupPoint) -> Scalar:
         if x.resolution != self.resolution:
             raise ValueError("point resolution does not match function resolution")
-        return self._values[x.index]
+        return self[x.index]
 
     def integral(self) -> Scalar:
         """Mean value: integral over the group of a cell-constant function."""
-        total = np.sum(self._values)
         if self.is_exact:
-            return Fraction(total) / (1 << self.resolution)
-        return float(total) / (1 << self.resolution)
+            return Fraction(_total(self._num), self._den << self.resolution)
+        return float(np.sum(self._num)) / (1 << self.resolution)
 
     def to_float(self) -> "SampledFunction":
-        return SampledFunction._of(self.resolution,
-                                   self._values.astype(np.float64, copy=False))
+        return SampledFunction._of(self.resolution, _float_cells(self._num, self._den))
 
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "SampledFunction") -> None:
@@ -278,81 +437,74 @@ class SampledFunction:
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
-        return SampledFunction._of(self.resolution, self._values + other._values)
+        a, b, den = _common(self, other)
+        return SampledFunction._of(self.resolution, a + b, den, self._frac | other._frac)
 
     def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
-        return SampledFunction._of(self.resolution, self._values - other._values)
+        a, b, den = _common(self, other)
+        return SampledFunction._of(self.resolution, a - b, den, self._frac | other._frac)
 
     def __neg__(self) -> "SampledFunction":
-        return SampledFunction._of(self.resolution, -self._values)
+        return SampledFunction._of(self.resolution, -self._num, self._den, self._frac)
 
     def scale(self, c: Scalar) -> "SampledFunction":
         if not self.is_exact:
-            c = float(c)
-        elif not isinstance(c, (int, Fraction)):
+            return SampledFunction._of(self.resolution, float(c) * self._num)
+        if not isinstance(c, (int, Fraction)):
             raise ValueError(
                 "float scalar on exact storage; convert with to_float() first")
-        return SampledFunction._of(self.resolution, c * self._values)
+        return SampledFunction._of(self.resolution, _times(self._num, c.numerator),
+                                   self._den * c.denominator,
+                                   self._frac | isinstance(c, Fraction))
 
     def __mul__(self, other: "SampledFunction") -> "SampledFunction":
         """Pointwise product."""
         self._check_compatible(other)
-        return SampledFunction._of(self.resolution, self._values * other._values)
+        return SampledFunction._of(self.resolution, _product(self._num, other._num),
+                                   self._den * other._den, self._frac | other._frac)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampledFunction):
             return NotImplemented
         if self.resolution != other.resolution or self.is_exact != other.is_exact:
             return False
-        return bool(np.array_equal(self._values, other._values))
+        # lowest terms make (numerators, denominator) unique for given values
+        return self._den == other._den and bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
         return hash((self.resolution, self.is_exact))
 
     def __repr__(self) -> str:
         return (f"SampledFunction(N={self.resolution}, mode={self.mode}, "
-                f"values[:4]={list(self._values[:4])}...)")
+                f"values[:4]={list(self.values[:4])}...)")
 
 
-class CoefficientSequence:
+class CoefficientSequence(_Cells):
     """Spectrum of a sampled function in one of the two orderings.
 
-    Stored like `SampledFunction` cells: a read-only float64 or object
-    (int/Fraction) ndarray.
+    Stored like `SampledFunction` cells and read out through `coeffs`.
     """
 
-    __slots__ = ("resolution", "ordering", "_coeffs")
+    __slots__ = ("ordering",)
 
     def __init__(self, resolution: int, ordering: System | str,
                  coeffs: Sequence[Scalar] | np.ndarray):
-        self._coeffs = _cells(coeffs, 1 << resolution, None, "coefficients")
-        self.resolution = resolution
+        self._store(resolution, *_cells(coeffs, 1 << resolution, None, "coefficients"))
         self.ordering = System.coerce(ordering)
 
     @classmethod
-    def _of(cls, resolution: int, ordering: System,
-            coeffs: np.ndarray) -> "CoefficientSequence":
+    def _of(cls, resolution: int, ordering: System, num: np.ndarray, den: int = 1,
+            frac=False) -> "CoefficientSequence":
         """Wrap the coefficients an operator computed; no per-cell re-check."""
-        self = cls.__new__(cls)
-        self._coeffs = _locked(coeffs)
-        self.resolution = resolution
+        self = cls.__new__(cls)._store(resolution, num, den, frac)
         self.ordering = ordering
         return self
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return self._coeffs.dtype == object
-
-    def __len__(self) -> int:
-        return 1 << self.resolution
-
-    def __getitem__(self, i: int) -> Scalar:
-        return self._coeffs[i]
+        """Coefficients: a read-only float64 or object (int/Fraction) ndarray."""
+        return self._readout()
 
     def to_ordering(self, system: System | str) -> "CoefficientSequence":
         """Reindex between orderings: hat{f}^kappa(i) = hat{f}^w(sigma(i))."""
@@ -360,11 +512,11 @@ class CoefficientSequence:
         if system is self.ordering:
             return self
         return CoefficientSequence._of(
-            self.resolution, system, self._coeffs[sigma_permutation(self.resolution)])
+            self.resolution, system, *self._gathered(sigma_permutation(self.resolution)))
 
     def energy(self) -> Scalar:
         """Sum of squared coefficients (ordering-independent)."""
-        return _scalar(np.sum(np.square(self._coeffs)))
+        return _energy(self, slice(None))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientSequence):
@@ -372,17 +524,31 @@ class CoefficientSequence:
         if (self.resolution, self.ordering, self.is_exact) != \
            (other.resolution, other.ordering, other.is_exact):
             return False
-        return bool(np.array_equal(self._coeffs, other._coeffs))
+        return self._den == other._den and bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
         return hash((self.resolution, self.ordering, self.is_exact))
 
 
+def _energy(c: CoefficientSequence, cells) -> Scalar:
+    """Sum of squares of the cells a slice selects; an int when they all read as ints."""
+    num, den = _reduced(c._num[cells], c._den)
+    (num,) = _widened(lambda n: _peak(n) ** 2 * n.size, num)
+    total = _scalar(np.sum(np.square(num)))
+    if np.any(np.broadcast_to(c._frac, c._num.shape)[cells]):
+        return Fraction(total, den * den)
+    return total
+
+
 def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
-    """c with the cells a slice or mask selects set to 0, in c's ordering."""
-    kept = c.coeffs.copy()
-    kept[cells] = 0
-    return CoefficientSequence._of(c.resolution, c.ordering, kept)
+    """c with the cells a slice or mask selects set to int 0, in c's ordering."""
+    num = c._num.copy()
+    num[cells] = 0
+    frac = c._frac
+    if frac is not False:
+        frac = np.array(np.broadcast_to(frac, num.shape))
+        frac[cells] = False
+    return CoefficientSequence._of(c.resolution, c.ordering, num, c._den, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +571,33 @@ def _butterfly_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _butterflied(num: np.ndarray) -> np.ndarray:
+    """FWHT butterflies of cells or numerators, widened first if needed.
+
+    Every partial butterfly value is a signed sum of the inputs, so
+    sum |num| bounds them all.  When size * max|num| fits int64 the sum
+    does too, and it need not be formed.
+    """
+    def l1(n: np.ndarray) -> int:
+        cover = _peak(n) * n.size
+        return cover if cover <= _INT64_MAX else _total(np.abs(n))
+
+    (num,) = _widened(l1, num)
+    return _butterfly_array(num)
+
+
 def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> CoefficientSequence:
     """Spectrum of f: coeffs[i] = 2^{-N} sum_j f(j) (-1)^{popcount(i AND j)}."""
-    raw = _butterfly_array(f.values)
-    paley = CoefficientSequence._of(f.resolution, System.PALEY, _quotient(raw, len(f)))
+    num, den = _quotient(_butterflied(f._num), f._den, len(f))
+    paley = CoefficientSequence._of(f.resolution, System.PALEY, num, den, True)
     return paley.to_ordering(ordering)
 
 
 def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
     """Reconstruct f = sum_i coeffs[i] * (system function i)."""
     paley = coeffs.to_ordering(System.PALEY)
-    return SampledFunction._of(coeffs.resolution, _butterfly_array(paley.coeffs))
+    frac = paley._frac if isinstance(paley._frac, bool) else paley._frac.any()
+    return SampledFunction._of(coeffs.resolution, _butterflied(paley._num), paley._den, frac)
 
 
 def truncate_paley(f: SampledFunction, count: int) -> SampledFunction:
@@ -434,7 +616,16 @@ def _numerators_fit_int64(n: int) -> bool:
     Every partial butterfly value is a signed sum of the numerators, so
     it is bounded by their sum n(n+1)/2, which the x = 0 sample reaches.
     """
-    return n * (n + 1) // 2 <= (1 << 63) - 1
+    return n * (n + 1) // 2 <= _INT64_MAX
+
+
+def _kernel_l1_fits_int64(n: int, N: int) -> bool:
+    """Whether sum_x |n K_n(x)| over the 2^N cells stays in int64.
+
+    Each |n K_n(x)| is at most n(n+1)/2 (see `_numerators_fit_int64`),
+    so the sum over the cells is at most 2^N n(n+1)/2.
+    """
+    return (n * (n + 1) // 2) << N <= _INT64_MAX
 
 
 def _placed(system: System, head: np.ndarray, N: int) -> np.ndarray:
@@ -467,14 +658,14 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
     ones = np.ones(n, dtype=np.int64)
-    return SampledFunction._of(N, _butterfly_array(_placed(system, ones, N)).astype(object))
+    return SampledFunction._of(N, _butterfly_array(_placed(system, ones, N)))
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:
     """K_n = (1/n) sum_{k=1..n} D_k; rational samples with denominator | n."""
     if n < 1:
         raise ValueError("Fejer kernel order must be >= 1")
-    return SampledFunction._of(N, _quotient(fejer_numerators(system, n, N), n))
+    return SampledFunction._of(N, fejer_numerators(system, n, N), n, True)
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -485,23 +676,32 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     forward transform per factor and one inverse cost O(N 2^N).
     """
     f._check_compatible(g)
-    product = fwht(f).coeffs * fwht(g).coeffs
-    return inverse_fwht(CoefficientSequence._of(f.resolution, System.PALEY, product))
+    cf, cg = fwht(f), fwht(g)
+    return inverse_fwht(CoefficientSequence._of(
+        f.resolution, System.PALEY, _product(cf._num, cg._num), cf._den * cg._den, True))
 
 
 def convolve_by_sum(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Definitional dyadic convolution by the direct O(4^N) sum (test oracle)."""
+    """Definitional dyadic convolution by the direct O(4^N) sum (test oracle).
+
+    The XOR gather runs in row chunks so its matrix stays near 4e6 cells.
+    """
     f._check_compatible(g)
-    idx = np.arange(len(f))
-    gathered = f.values[idx[:, None] ^ idx[None, :]]
-    return SampledFunction._of(f.resolution, _quotient(gathered @ g.values, len(f)))
+    size = len(f)
+    fn, gn = _widened(lambda x, y: _peak(x) * _peak(y) * size, f._num, g._num)
+    idx = np.arange(size)
+    chunk = max(1, 4_000_000 // size)
+    sums = np.concatenate([fn[idx[x:x + chunk, None] ^ idx[None, :]] @ gn
+                           for x in range(0, size, chunk)])
+    num, den = _quotient(sums, f._den * g._den, size)
+    return SampledFunction._of(f.resolution, num, den, True)
 
 
 def compose_with_tau(f: SampledFunction, A: int) -> SampledFunction:
     """(f o tau_A)(x) = f(tau_A x): gather samples through the bit reversal."""
     if A > f.resolution:
         raise ValueError(f"reversal width {A} exceeds resolution {f.resolution}")
-    return SampledFunction._of(f.resolution, f.values[tau_permutation(A, f.resolution)])
+    return SampledFunction._of(f.resolution, *f._gathered(tau_permutation(A, f.resolution)))
 
 
 def fejer_by_average(system: System | str, n: int, N: int) -> SampledFunction:

@@ -101,3 +101,120 @@ def test_object_ndarray_input_is_checked():
         SampledFunction(1, np.array([1, np.int64(2)], dtype=object))
     with pytest.raises(ValueError):
         CoefficientSequence(1, "paley", np.array([0.5, 1], dtype=object))
+
+
+def numerators(result) -> np.ndarray:
+    if isinstance(result, DyadicMartingale):
+        result = result.terminal
+    return result._num
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_numerators_are_int64(name):
+    # every operator here stays far below the int64 bound
+    assert numerators(OPERATORS[name]()).dtype == np.int64
+
+
+# Each result reads out as today: a division (fwht, a Fejer weight) gives
+# Fraction cells even where they are integral; integer-only routes give ints.
+READOUT = {
+    "fejer": (lambda: fejer(System.KACZMARZ, 11, N), Fraction),
+    "fejer_order_1": (lambda: fejer(System.PALEY, 1, N), Fraction),
+    "fwht": (lambda: fwht(G), Fraction),
+    "fwht_kaczmarz": (lambda: fwht(G, System.KACZMARZ), Fraction),
+    "fejer_mean": (lambda: fejer_mean(M, System.KACZMARZ, 7), Fraction),
+    "fejer_mean_full_order": (lambda: fejer_mean(M, System.PALEY, 1), Fraction),
+    "dirichlet": (lambda: dirichlet(System.KACZMARZ, 11, N), int),
+    "level": (lambda: M.level(2), int),
+    "add_ints": (lambda: G + G, int),
+    "sub_ints": (lambda: G - G, int),
+    "mul_ints": (lambda: G * G, int),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READOUT))
+def test_readout_rule(name):
+    build, kind = READOUT[name]
+    assert {type(v) for v in cells(build()).tolist()} == {kind}
+
+
+def test_mixed_cells_read_out_per_cell():
+    # F holds ints and Fractions; + keeps an int only where both cells are ints
+    got = (F + G).values.tolist()
+    want = [a + b for a, b in zip(F.values.tolist(), G.values.tolist())]
+    assert [type(v) for v in got] == [type(v) for v in want] and got == want
+
+
+def test_zeroed_cells_read_out_as_int():
+    tail = DyadicMartingale.from_function(F).tail(2)
+    assert [type(v) for v in tail.terminal.coeffs[:4]] == [int] * 4
+    assert {type(v) for v in tail.terminal.coeffs[4:]} == {Fraction}
+
+
+MAX = 2**63 - 1
+
+
+def read(result) -> list:
+    return cells(result).tolist()
+
+
+@pytest.mark.parametrize("excess, dtype", [(0, np.int64), (1, object)])
+class TestInt64Promotion:
+    """An operation whose bound passes 2^63 - 1 switches to Python-int numerators."""
+
+    def test_add_sub(self, excess, dtype):
+        x, y = 2**62, 2**62 - 1 + excess  # max|f| + max|g| = MAX + excess
+        f = SampledFunction(1, [x, -3])
+        total = f + SampledFunction(1, [y, 5])
+        diff = f - SampledFunction(1, [-y, 5])
+        assert numerators(total).dtype == numerators(diff).dtype == dtype
+        assert read(total) == [x + y, 2] and read(diff) == [x + y, -8]
+
+    def test_add_over_common_denominator(self, excess, dtype):
+        x, y = 2**62, 2**62 - 1 + excess  # both numerators over the denominator 5
+        total = SampledFunction(1, [Fraction(x, 5), 0]) + SampledFunction(1, [Fraction(y, 5), 1])
+        assert numerators(total).dtype == dtype
+        assert read(total) == [Fraction(x, 5) + Fraction(y, 5), 1]
+
+    def test_scale(self, excess, dtype):
+        x = MAX // 7 + excess  # 7 * (MAX // 7) = MAX
+        f = SampledFunction(1, [x, -1])
+        for c in (7, Fraction(7, 5)):
+            assert numerators(f.scale(c)).dtype == dtype
+            assert read(f.scale(c)) == [c * x, -c]
+
+    def test_pointwise_product(self, excess, dtype):
+        x = 3037000499 + excess  # 3037000499^2 < MAX < 3037000500^2
+        f = SampledFunction(1, [x, -2])
+        assert numerators(f * f).dtype == dtype
+        assert read(f * f) == [x * x, 4]
+
+    def test_fwht(self, excess, dtype):
+        a, b = 2**62, -(2**62 - 1 + excess)  # |a| + |b| = MAX + excess
+        spec = fwht(SampledFunction(1, [a, b]))
+        assert numerators(spec).dtype == dtype
+        assert read(spec) == [Fraction(a + b, 2), Fraction(a - b, 2)]
+
+    def test_inverse_fwht(self, excess, dtype):
+        a, b = 2**62, -(2**62 - 1 + excess)
+        f = inverse_fwht(CoefficientSequence(1, "paley", [a, b]))
+        assert numerators(f).dtype == dtype
+        assert read(f) == [a + b, a - b]
+
+    def test_fejer_mean(self, excess, dtype):
+        # numerators c * (n - i) = (2 c0, c1): the product stays below MAX,
+        # the butterfly's 2|c0| + |c1| is MAX + excess
+        c0, c1 = 2**62 - 1, 1 + excess
+        mean = fejer_mean(DyadicMartingale.from_paley_coeffs(1, [c0, c1]), System.PALEY, 2)
+        assert numerators(mean).dtype == dtype
+        assert read(mean) == [c0 + Fraction(c1, 2), c0 - Fraction(c1, 2)]
+
+
+def test_to_float_rounds_each_cell_once():
+    vals = [Fraction(2**53 + 1, 3), 2**53 + 1, -(2**60 + 3), Fraction(-(2**55) - 3, 7),
+            Fraction(1, 3), 0, 2**62, Fraction(5, 2**60)]
+    want = np.array([float(v) for v in vals])
+    assert SampledFunction(3, vals).to_float().values.tobytes() == want.tobytes()
+    small = [Fraction(v, 3) for v in range(-4, 4)]  # the vectorised division
+    want = np.array([float(v) for v in small])
+    assert SampledFunction(3, small).to_float().values.tobytes() == want.tobytes()

@@ -20,7 +20,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_fejer_partial_identity, verify_identities,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
-from dyadlab.walsh import _numerators_fit_int64
+from dyadlab.walsh import _kernel_l1_fits_int64, _numerators_fit_int64
 
 
 class TestQSeq:
@@ -203,6 +203,18 @@ class TestYano:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             verify_yano(64, 3)
+
+    @pytest.mark.parametrize("N", [0, 2, 10, 22])
+    def test_int64_guard_edge(self, N):
+        # sum_x |n K_n(x)| <= 2^N n(n+1)/2 straddles 2^63 at n = 2^{32 - N/2}:
+        # (n - 1) n 2^{N-1} = 2^63 - n 2^{N-1} and n (n + 1) 2^{N-1} = 2^63 + n 2^{N-1}
+        n = 2 ** (32 - N // 2)
+        assert _kernel_l1_fits_int64(n - 1, N)
+        assert not _kernel_l1_fits_int64(n, N)
+
+    def test_guard_runs_before_allocation(self):
+        with pytest.raises(ValueError, match="int64"):
+            verify_yano(2**22, 22)
 
 
 class TestLemma2:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import (DyadicInterval, GroupPoint, SampledFunction, approx_bracket,
-                     dirichlet, fwht, lp_quasinorm, modulus_lp,
-                     plancherel_power_sums, translate, translate_norm_profile,
+from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, SampledFunction,
+                     approx_bracket, dirichlet, fejer_mean, fwht, lp_quasinorm, modulus_lp,
+                     normalize_p, plancherel_power_sums, translate, translate_norm_profile,
                      truncate_paley, walsh_paley_samples, weak_lp)
 
 
@@ -111,6 +111,101 @@ class TestWeakLp:
             a = float(weak_lp(f, p))
             b = float(weak_lp(f.to_float(), p))
             assert math.isclose(a, b, rel_tol=1e-12)
+
+
+def weak_lp_by_fraction_scan(f, p):
+    """Exact weak-L_p as a scan of every sorted cell magnitude (reference).
+
+    With 1/p an integer each candidate is a Fraction; otherwise it is the
+    float of each cell times a float power.  Returns (value, exact).
+    """
+    p = normalize_p(p)
+    size = len(f)
+    magnitudes = sorted(np.abs(f.values).tolist(), reverse=True)
+    if isinstance(p, Fraction) and p.numerator == 1:
+        best = Fraction(0)
+        for count, v in enumerate(magnitudes, start=1):
+            if v == 0:
+                break
+            cand = v * Fraction(count, size) ** p.denominator
+            if cand > best:
+                best = cand
+        return best, True
+    best = 0.0
+    for count, v in enumerate(magnitudes, start=1):
+        if v == 0:
+            break
+        cand = float(v) * (count / size) ** (1.0 / float(p))
+        if cand > best:
+            best = cand
+    return best, False
+
+
+WEAK_P = (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3), 2)
+
+
+def weak_cases(rng):
+    """Seeded exact functions: ties, zeros, negatives, mixed denominators."""
+    yield SampledFunction.constant(0, 4)
+    for N in (0, 1, 3, 6):
+        size = 1 << N
+        yield SampledFunction(N, [rng.randint(-3, 3) for _ in range(size)])
+        yield SampledFunction(N, [rng.choice([0, 0, 0, -5, 5, 2]) for _ in range(size)])
+        yield SampledFunction(N, [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 5, 8]))
+                                  for _ in range(size)])
+        yield SampledFunction(N, [rng.choice([Fraction(-7, 3), Fraction(7, 3), 2, -2, 0])
+                                  for _ in range(size)])
+        yield SampledFunction(N, [rng.randint(-2**70, 2**70) // rng.choice([1, 3])
+                                  for _ in range(size)])
+
+
+class TestWeakLpOracle:
+    def test_matches_fraction_scan(self):
+        rng = random.Random(11)
+        for f in weak_cases(rng):
+            for p in WEAK_P:
+                got = weak_lp(f, p)
+                value, exact = weak_lp_by_fraction_scan(f, p)
+                assert got.exact is exact
+                assert type(got.value) is type(value)
+                assert got.value == value, (f, p)
+
+    def test_operator_outputs_match_fraction_scan(self):
+        f = DyadicMartingale.from_paley_coeffs(6, list(range(-32, 32)))
+        g = fejer_mean(f, "kaczmarz", 9) - f.terminal_function()
+        for p in WEAK_P:
+            assert weak_lp(g, p).value == weak_lp_by_fraction_scan(g, p)[0]
+
+
+# numerators above 2^53 whose float(Fraction) differs from float(num) / 3:
+# an int64 -> float64 cast would round before dividing
+WIDE = [Fraction(2**53 + 65, 3), Fraction(-(2**53) - 65, 3), Fraction(2**53 + 5, 3), 0,
+        Fraction(1, 3), Fraction(-(2**53) - 3, 3), 0, 7]
+
+
+class TestFloatReadout:
+    def test_per_cell_rounding_matters(self):
+        assert all(float(v) != float(v.numerator) / 3 for v in WIDE[:3])
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), 0.7, Fraction(3, 2)])
+    def test_lp_quasinorm_float_p(self, p):
+        f = SampledFunction(3, WIDE)
+        pf = float(p)
+        power_sum = math.fsum(abs(float(v)) ** pf for v in WIDE) / 8
+        got = lp_quasinorm(f, p)
+        assert got.power_sum == power_sum and not got.exact
+        assert got.value == power_sum ** (1.0 / pf)
+
+    @pytest.mark.parametrize("p", [Fraction(2, 3), 2, 0.7])
+    def test_weak_lp_float_p(self, p):
+        f = SampledFunction(3, WIDE)
+        got = weak_lp(f, p)
+        assert (got.value, got.exact) == weak_lp_by_fraction_scan(f, p)
+
+    def test_translate_norm_profile(self):
+        f = SampledFunction(3, WIDE)
+        g = SampledFunction(3, np.array([float(v) for v in WIDE]))
+        assert translate_norm_profile(f, 2).tobytes() == translate_norm_profile(g, 2).tobytes()
 
 
 class TestTranslate:

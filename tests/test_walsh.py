@@ -275,6 +275,13 @@ class TestConvolve:
                 convolve(f.to_float(), g.to_float()).values,
                 convolve_by_sum(f.to_float(), g.to_float()).values, rtol=0, atol=1e-12)
 
+    def test_direct_sum_over_several_chunks(self):
+        # 2^11 rows of 2^11 cells are gathered in two chunks of at most 4e6 cells
+        rng = np.random.default_rng(1)
+        f = SampledFunction(11, rng.integers(-9, 10, 1 << 11).tolist())
+        g = SampledFunction(11, rng.integers(-9, 10, 1 << 11).tolist())
+        assert convolve(f, g) == convolve_by_sum(f, g)
+
     def test_float_at_resolution_16(self):
         # the direct sum would gather 2^32 cells here
         rng = np.random.default_rng(0)

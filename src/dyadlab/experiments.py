@@ -126,6 +126,12 @@ class CounterexampleFamily:
         return self.martingale.terminal_function()
 
 
+def _block_kernel(m: int, M: int) -> SampledFunction:
+    """D_{2^{m+1}} - D_{2^m} at depth M, since D_{2^k} is 2^k on I_k and 0 elsewhere."""
+    return (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
+            - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+
+
 def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
     """Family with spectrum 2^i on block [2^i, 2^{i+1}), i <= L, at depth M.
 
@@ -152,7 +158,7 @@ def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
     atoms = []
     weights = []
     for i in range(L + 1):
-        block = dirichlet(System.PALEY, 1 << (i + 1), M) - dirichlet(System.PALEY, 1 << i, M)
+        block = _block_kernel(i, M)
         if exact_scale:
             atom = block.scale(1 << (i * (inv_p - 1)))
             weights.append(Fraction(1, 1 << ((inv_p - 2) * i)))
@@ -183,8 +189,7 @@ def build_t2(L: int, M: int) -> CounterexampleFamily:
     weights = []
     for i in range(1, L + 1):
         m = 1 << i
-        block = dirichlet(System.PALEY, 1 << (m + 1), M) - dirichlet(System.PALEY, 1 << m, M)
-        atoms.append((block.scale(1 << m), DyadicInterval.at_zero(m, M)))
+        atoms.append((_block_kernel(m, M).scale(1 << m), DyadicInterval.at_zero(m, M)))
         weights.append(Fraction(1, 1 << (2 * i)))
     return CounterexampleFamily("t2", Fraction(1, 2), L, M, mart, atoms, weights)
 
@@ -244,6 +249,8 @@ def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationR
     """Exact sweep of ||K_n^w||_1 for 1 <= n <= n_max; passes iff max <= 2."""
     start = time.perf_counter()
     size = 1 << N
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > size:
         raise ValueError(f"n_max {n_max} overflows spectrum at resolution {N}")
     if not _kernel_l1_fits_int64(n_max, N):
@@ -502,6 +509,9 @@ def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int],
     """
     p = normalize_p(p)
     system = System.coerce(system)
+    n_values = list(n_values)
+    if not n_values:
+        raise ValueError("convergence table needs at least one order n")
     term = f.terminal_function()
     moduli: dict[int, float] = {}
     rows = []
@@ -576,6 +586,8 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
     depth and every 2^m < n <= 2^{m+1}.
     """
     start = time.perf_counter()
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if m_max is None:
         m_max = depth - 1
     if m_max >= depth:
@@ -636,12 +648,6 @@ def verify_kernel_decomposition(N: int, i_values: Sequence[int] = (1, 2)) -> Ver
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
-def _maximal_value_multiset(f: DyadicMartingale) -> tuple[int, list]:
-    """The sorted values of f* as (denominator, numerators), unique in lowest terms."""
-    g = maximal(f)
-    return g._den, np.sort(g._num).tolist()
-
-
 def verify_conjugate_translation(depth: int, count: int, seed: int,
                                  p_values: Sequence[PLike] = (Fraction(1, 4),
                                                               Fraction(1, 2), 1),
@@ -657,6 +663,8 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
     quasi-norm ratios are reported, not asserted.
     """
     start = time.perf_counter()
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     failure = None
     shifts_found = 0
@@ -665,7 +673,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
     for trial in range(count):
         lac = random_lacunary_martingale(rng, depth)
         dense = random_exact_martingale(rng, depth)
-        lac_max = _maximal_value_multiset(lac)
+        lac_max = sorted(maximal(lac).values)
         dense_square = square_function_squared(dense)
         for t_index in range(1 << (depth + 1)):
             t = GroupPoint(depth + 1, t_index)
@@ -679,7 +687,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
             if translate(lac.terminal_function(), shift) != conj.terminal_function():
                 failure = {"trial": trial, "t": t_index, "kind": "shift-mismatch"}
                 break
-            if _maximal_value_multiset(conj) != lac_max:
+            if sorted(maximal(conj).values) != lac_max:
                 failure = {"trial": trial, "t": t_index, "kind": "lacunary-multiset"}
                 break
             dense_conj = conjugate(dense, t)
@@ -689,7 +697,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
         if failure:
             break
     norm_rows = []
-    if failure is None and count > 0:
+    if failure is None:
         f = random_exact_martingale(random.Random(seed + 1), depth)
         t = GroupPoint(depth + 1, (1 << (depth + 1)) - 1)
         g = conjugate(f, t)

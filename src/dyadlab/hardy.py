@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, _peak, _quotient, _times,
-                    _total, _widened, _zeroed, fwht, inverse_fwht, truncate_paley)
+from .walsh import (CoefficientSequence, SampledFunction, System, _sup_abs, _zeroed, fwht,
+                    inverse_fwht, truncate_paley)
 
 
 class DyadicMartingale:
@@ -80,8 +80,7 @@ class DyadicMartingale:
         return DyadicMartingale(_zeroed(self.terminal, slice(None, 1 << n)))
 
     def __repr__(self) -> str:
-        mode = "exact" if self.is_exact else "float"
-        return f"DyadicMartingale(depth={self.depth}, mode={mode})"
+        return f"DyadicMartingale(depth={self.depth}, mode={self.terminal.mode})"
 
 
 def s2n(f: "DyadicMartingale | SampledFunction", n: int) -> SampledFunction:
@@ -97,30 +96,7 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
     """S_{2^n} f by averaging over each rank-n cell (independent route)."""
     if not 0 <= n <= f.resolution:
         raise ValueError(f"partial-sum level {n} outside 0..{f.resolution}")
-    cells = 1 << n
-    reps = 1 << (f.resolution - n)
-    (num,) = _widened(lambda x: _peak(x) * reps, f._num)
-    means, den = _quotient(num.reshape(reps, cells).sum(axis=0), f._den, reps)
-    return SampledFunction._of(f.resolution, np.tile(means, reps), den, True)
-
-
-def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
-    """Pointwise max of |g| over the levels; a tie keeps the earlier cell.
-
-    Exact levels are compared over the lcm of their denominators.
-    """
-    levels = list(levels)
-    den = math.lcm(*(g._den for g in levels))
-    acc, frac = None, False
-    for g in levels:
-        mag = np.abs(_times(g._num, den // g._den))
-        if acc is None:
-            acc, frac = mag, g._frac
-            continue
-        if g._frac is not frac:  # the cell read out is the level's that wins it
-            frac = np.where(mag > acc, g._frac, frac)
-        acc = np.maximum(acc, mag)
-    return SampledFunction._of(levels[0].resolution, acc, den, frac)
+    return f._block_means(n)
 
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
@@ -185,24 +161,18 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
     if not 0 < p <= 1:
         raise ValueError(f"atoms are defined for 0 < p <= 1, got {p}")
     N = a.resolution
-    inside = np.zeros(len(a), dtype=bool)
-    inside[interval.indices(N)] = True
+    inside = SampledFunction.indicator(interval, N)._nonzero()
     violated = None
 
-    if np.any(a._num[~inside] != 0):
+    if np.any(a._nonzero()[~inside]):
         violated = "support"
 
-    cell = Fraction(1, 1 << N)
-    if a.is_exact:
-        integral = Fraction(_total(a._num[inside]), a._den) * cell
-        mean_ok = integral == 0
-    else:
-        integral = float(np.sum(a._num[inside])) * float(cell)
-        mean_ok = abs(integral) < 1e-12
+    integral = a._integral(inside)
+    mean_ok = integral == 0 if a.is_exact else abs(integral) < 1e-12
     if violated is None and not mean_ok:
         violated = "mean"
 
-    sup_value = abs(a[int(np.argmax(np.abs(a._num)))])  # the first largest cell
+    sup_value = a._sup()
     rank = interval.rank
     bound = 2.0 ** (rank / float(p))
     if a.is_exact and isinstance(p, Fraction):
@@ -245,13 +215,11 @@ def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    out = f.terminal._num.copy()
+    signs = np.ones(len(f.terminal), dtype=np.int64)
     for n in range(M + 1):
         if rademacher(n, t) < 0:
-            block = slice((1 << n) >> 1, 1 << n)  # [0, 1) for n = 0
-            out[block] = -out[block]
-    return DyadicMartingale(CoefficientSequence._of(M, System.PALEY, out, f.terminal._den,
-                                                    f.terminal._frac))
+            signs[(1 << n) >> 1:1 << n] = -1  # [0, 1) for n = 0
+    return DyadicMartingale(f.terminal._weighted(signs))
 
 
 def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
@@ -268,19 +236,10 @@ def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    coeffs = f.terminal._num
-
-    def occupied(i: int) -> bool:
-        return coeffs[i] != 0
-
-    if occupied(0) and rademacher(0, t) < 0:
+    occupied = np.flatnonzero(f.terminal._nonzero()).tolist()
+    if occupied[:1] == [0] and rademacher(0, t) < 0:
         return None  # no translation can flip the constant term
-
-    rows: list[tuple[int, int]] = []
-    for i in range(1, len(f.terminal)):
-        if occupied(i):
-            flip = 1 if rademacher(msb(i) + 1, t) < 0 else 0
-            rows.append((i, flip))
+    rows = [(i, int(rademacher(msb(i) + 1, t) < 0)) for i in occupied if i]
 
     # Gaussian elimination over GF(2); pivot on the highest set bit.
     pivots: dict[int, tuple[int, int]] = {}

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .group import GroupPoint
-from .walsh import SampledFunction, _energy, _float_cells, fwht, truncate_paley
+from .walsh import SampledFunction, _energy, fwht, truncate_paley
 
 PLike = Union[int, float, Fraction, str]
 
@@ -72,15 +72,12 @@ def lp_quasinorm(f: SampledFunction, p: PLike) -> QuasiNormValue:
     _check_p_positive(p)
     size = 1 << f.resolution
     if f.is_exact and isinstance(p, Fraction) and p.denominator == 1:
-        k = p.numerator
-        power_sum = Fraction(sum(abs(v) ** k for v in f._num.tolist()), f._den ** k * size)
-        if k == 1:
-            return QuasiNormValue(p, power_sum, power_sum, True)
-        value = float(power_sum) ** (1.0 / k)
+        power_sum = f._abs_power_sum(p.numerator) / size
+        value = power_sum if p == 1 else float(power_sum) ** (1.0 / p.numerator)
         return QuasiNormValue(p, value, power_sum, True)
     pf = float(p)
     if f.is_exact:
-        cells = _float_cells(f._num, f._den).tolist()
+        cells = f._floats().tolist()
         power_sum = math.fsum(abs(v) ** pf for v in cells) / size
     else:
         power_sum = float(np.sum(np.abs(f.values) ** pf)) / size
@@ -92,25 +89,15 @@ def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     p = normalize_p(p)
     _check_p_positive(p)
     size = 1 << f.resolution
-    if f.is_exact:
-        mags = np.sort(np.abs(f._num))[::-1]
-        if isinstance(p, Fraction) and p.numerator == 1:
-            # v * (count/size)^k peaks at the last (largest) count of each value
-            k = p.denominator  # 1/p
-            ends = np.flatnonzero(np.append(mags[:-1] != mags[1:], True) & (mags > 0))
-            best = max((v * (count + 1) ** k
-                        for v, count in zip(mags[ends].tolist(), ends.tolist())), default=0)
-            return QuasiNormValue(p, Fraction(best, f._den * size ** k), None, True)
-        pf = float(p)
-        best = 0.0
-        for count, v in enumerate(_float_cells(mags, f._den).tolist(), start=1):
-            if v == 0:
-                break
-            cand = v * (count / size) ** (1.0 / pf)
-            if cand > best:
-                best = cand
+    if f.is_exact and isinstance(p, Fraction) and p.numerator == 1:
+        k = p.denominator  # 1/p
+        return QuasiNormValue(p, f._weak_peak(k) / size ** k, None, True)
+    mags = np.sort(np.abs(f._floats()))[::-1]
+    if f.is_exact:  # Python's ** per cell: numpy's vectorised power differs in the last bits
+        e = 1.0 / float(p)
+        best = max((v * (count / size) ** e
+                    for count, v in enumerate(mags.tolist(), start=1) if v), default=0.0)
         return QuasiNormValue(p, best, None, False)
-    mags = np.sort(np.abs(f.values))[::-1]
     # nonboundary positions only underestimate their candidate, never the max
     tail = np.arange(1, size + 1, dtype=np.float64) / size
     cands = mags * tail ** (1.0 / float(p))
@@ -124,7 +111,7 @@ def translate(f: SampledFunction, h: GroupPoint) -> SampledFunction:
             f"resolution mismatch: function {f.resolution} vs point {h.resolution}")
     if h.index == 0:
         return f
-    return SampledFunction._of(f.resolution, *f._gathered(np.arange(len(f)) ^ h.index))
+    return f._gathered(np.arange(len(f)) ^ h.index)
 
 
 def _shift_power_sums(arr: np.ndarray, shifts: np.ndarray, p: float) -> np.ndarray:
@@ -160,14 +147,8 @@ def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
         shifts = np.arange(reps) << n
         best_power = float(np.max(_shift_power_sums(f.values, shifts, float(p)))) / size
         return QuasiNormValue(p, best_power ** (1.0 / float(p)), best_power, False)
-    best: QuasiNormValue | None = None
-    for t in range(reps):
-        h = GroupPoint(N, t << n)
-        cand = lp_quasinorm(translate(f, h) - f, p)
-        if best is None or cand.power_sum > best.power_sum:
-            best = cand
-    assert best is not None
-    return best
+    return max((lp_quasinorm(translate(f, GroupPoint(N, t << n)) - f, p) for t in range(reps)),
+               key=lambda q: q.power_sum)  # the first shift of largest power sum
 
 
 def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
@@ -178,8 +159,7 @@ def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
     """
     p = normalize_p(p)
     _check_p_positive(p)
-    arr = _float_cells(f._num, f._den)
-    return _shift_power_sums(arr, np.arange(len(f)), float(p)) / len(f)
+    return _shift_power_sums(f._floats(), np.arange(len(f)), float(p)) / len(f)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
-from .walsh import (CoefficientSequence, SampledFunction, System, _butterflied,
-                    _float_cells, _product, _zeroed, fwht, inverse_fwht, sigma_permutation)
+from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_weighted, _zeroed,
+                    fwht, inverse_fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
@@ -63,14 +63,8 @@ def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
         raise ValueError("Fejer mean order must be >= 1")
     if n > size:
         raise ValueError(f"Fejer order {n} outside spectrum 0..{size}")
-    spec = _paley_spectrum(f)
     pos = _system_index(system, N)
-    if spec.is_exact:
-        # butterfly the numerators c * (n - i), then divide by n once
-        numer = _product(spec._num, np.where(pos < n, n - pos, 0))
-        return SampledFunction._of(N, _butterflied(numer), spec._den * n, True)
-    weights = np.where(pos < n, (n - pos) / n, 0.0)
-    return inverse_fwht(CoefficientSequence._of(N, System.PALEY, spec._num * weights))
+    return _fejer_weighted(_paley_spectrum(f), np.where(pos < n, n - pos, 0), n)
 
 
 def fejer_mean_by_average(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -109,8 +103,7 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     size = 1 << N
     if not 1 <= n_max <= size:
         raise ValueError(f"n_max {n_max} outside 1..{size}")
-    spec = _paley_spectrum(f)
-    coeffs = _float_cells(spec._num, spec._den)
+    coeffs = _paley_spectrum(f)._floats()
     sigma = sigma_permutation(N)
     idx = np.arange(size)
     partial = np.full(size, coeffs[0])  # S_1 in either ordering

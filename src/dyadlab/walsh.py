@@ -24,9 +24,11 @@ for sums and products, sum |numerator| for a butterfly), passes
 wraps around and every operator runs the same numpy expression on both.
 `values` and `coeffs` read exact cells out as Python ints and Fractions,
 typed as Python's own arithmetic would type them: a division gives a
-Fraction even where integral, integer-only routes give ints.  Operators
-branch on the mode only where the arithmetic itself differs, such as an
-exact division by 2^N or by n.
+Fraction even where integral, integer-only routes give ints.  Only this
+module knows the format; the others use operations on whole objects:
+`_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
+`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_energy`,
+`_sup_abs` and `_fejer_weighted`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -246,20 +248,6 @@ def _tag(frac) -> bool | np.ndarray:
     return bool(frac)
 
 
-def _float_cells(num: np.ndarray, den: int) -> np.ndarray:
-    """float(cell) for every cell, each correctly rounded; float cells as they are.
-
-    When numerator and denominator are both exact in float64, one IEEE
-    division rounds once.  Larger numerators need Python's int true
-    division, because an int64 -> float64 cast would round first.
-    """
-    if num.dtype == np.float64:
-        return num
-    if den <= 1 << 53 and _peak(num) <= 1 << 53:
-        return num.astype(np.float64) / den
-    return np.array([n / den for n in num.tolist()], dtype=np.float64)
-
-
 def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
            what: str) -> tuple:
     """Validate outside input as `_store` arguments: float64 cells, or exact
@@ -305,7 +293,8 @@ class _Cells:
     `_den` in lowest terms (gcd(den, every numerator) = 1, den = 1 when
     every cell is 0; float mode keeps den = 1).  `_frac` marks the exact
     cells that read out as Fraction, as one bool when every cell agrees,
-    and `_read` caches the readout, built on first use.
+    and `_read` caches the readout, built on first use.  No other module
+    reads these fields: they use the operations below.
     """
 
     __slots__ = ("resolution", "_num", "_den", "_frac", "_read")
@@ -326,6 +315,10 @@ class _Cells:
     def is_exact(self) -> bool:
         return self._num.dtype != np.float64
 
+    @property
+    def mode(self) -> str:
+        return "exact" if self.is_exact else "float"
+
     def _readout(self) -> np.ndarray:
         """Exact cells as Python numbers: a Fraction where `_frac` marks the cell, else an int."""
         if self._read is None:
@@ -340,10 +333,47 @@ class _Cells:
             self._read = _locked(np.array(cells, dtype=object))
         return self._read
 
-    def _gathered(self, idx: np.ndarray) -> tuple:
-        """Numerators, denominator and mask of the cells at `idx`."""
+    def _gathered(self, idx: np.ndarray):
+        """The cells at `idx`, as an object of the same kind."""
         frac = self._frac[idx] if isinstance(self._frac, np.ndarray) else self._frac
-        return self._num[idx], self._den, frac
+        return self._like(self._num[idx], self._den, frac)
+
+    def _weighted(self, w: np.ndarray):
+        """Cellwise product with the integer weights `w`; each cell keeps its readout type."""
+        return self._like(_product(self._num, w), self._den, self._frac)
+
+    def _floats(self) -> np.ndarray:
+        """float(cell) for every cell, each correctly rounded; float cells as they are.
+
+        A numerator or denominator past 2^53 divides as Python ints, since an
+        int64 -> float64 cast would round first.
+        """
+        num, den = self._num, self._den
+        if num.dtype == np.float64:
+            return num
+        if den <= 1 << 53 and _peak(num) <= 1 << 53:
+            return num.astype(np.float64) / den
+        return np.array([n / den for n in num.tolist()], dtype=np.float64)
+
+    def _nonzero(self) -> np.ndarray:
+        """A bool mask of the cells that are not 0."""
+        return self._num != 0
+
+    def _sup(self) -> Scalar:
+        """|cell| of the first cell of largest magnitude, read out."""
+        return abs(self[int(np.argmax(np.abs(self._num)))])
+
+    def _abs_power_sum(self, k: int) -> Fraction:
+        """sum |cell|^k over exact cells, for an integer k >= 1."""
+        return Fraction(sum(abs(v) ** k for v in self._num.tolist()), self._den ** k)
+
+    def _weak_peak(self, k: int) -> Fraction:
+        """max over values v > 0 of |cell| of v * #{|cell| >= v}^k; exact cells, 0 if none."""
+        mags = np.sort(np.abs(self._num))[::-1]
+        ends = np.flatnonzero(np.append(mags[:-1] != mags[1:], True) & (mags > 0))
+        best = max((v * (count + 1) ** k
+                    for v, count in zip(mags[ends].tolist(), ends.tolist())), default=0)
+        return Fraction(best, self._den)
 
     def __len__(self) -> int:
         return 1 << self.resolution
@@ -354,6 +384,16 @@ class _Cells:
         n = int(self._num[j])
         frac = self._frac if isinstance(self._frac, bool) else self._frac[j]
         return Fraction(n, self._den) if frac else n // self._den
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # lowest terms make (numerators, denominator) unique for given values
+        return (self._key() == other._key() and self._den == other._den
+                and bool(np.array_equal(self._num, other._num)))
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _common(a: _Cells, b: _Cells) -> tuple[np.ndarray, np.ndarray, int]:
@@ -390,6 +430,12 @@ class SampledFunction(_Cells):
         """Wrap the cells an operator computed; they need no per-cell re-check."""
         return cls.__new__(cls)._store(resolution, num, den, frac)
 
+    def _like(self, num: np.ndarray, den: int = 1, frac=False) -> "SampledFunction":
+        return SampledFunction._of(self.resolution, num, den, frac)
+
+    def _key(self) -> tuple:
+        return self.resolution, self.is_exact
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, c: Scalar, resolution: int, *, exact: bool = True) -> "SampledFunction":
@@ -398,16 +444,16 @@ class SampledFunction(_Cells):
     @classmethod
     def indicator(cls, interval: DyadicInterval, resolution: int,
                   scale: Scalar = 1) -> "SampledFunction":
-        vals = [0] * (1 << resolution)
-        for j in interval.indices(resolution):
-            vals[j] = scale
-        return cls(resolution, vals)
+        """scale on the cells of `interval` and int 0 elsewhere; an int or Fraction scale."""
+        if interval.rank > resolution:
+            raise ValueError(f"interval rank {interval.rank} exceeds resolution {resolution}")
+        if not isinstance(scale, (int, Fraction)):
+            raise ValueError("an indicator's scale must be an int or a Fraction")
+        inside = (np.arange(1 << resolution) & ((1 << interval.rank) - 1)) == interval.anchor_bits
+        num = inside.astype(_int_dtype(abs(scale.numerator))) * scale.numerator
+        return cls._of(resolution, num, scale.denominator, isinstance(scale, Fraction) and inside)
 
     # -- basics ----------------------------------------------------------
-    @property
-    def mode(self) -> str:
-        return "exact" if self.is_exact else "float"
-
     @property
     def values(self) -> np.ndarray:
         """Cell values: a read-only float64 or object (int/Fraction) ndarray."""
@@ -420,12 +466,24 @@ class SampledFunction(_Cells):
 
     def integral(self) -> Scalar:
         """Mean value: integral over the group of a cell-constant function."""
+        return self._integral(slice(None))
+
+    def _integral(self, cells) -> Scalar:
+        """Integral of f times the indicator of the cells a slice or mask selects."""
         if self.is_exact:
-            return Fraction(_total(self._num), self._den << self.resolution)
-        return float(np.sum(self._num)) / (1 << self.resolution)
+            return Fraction(_total(self._num[cells]), self._den << self.resolution)
+        return float(np.sum(self._num[cells])) / (1 << self.resolution)
+
+    def _block_means(self, n: int) -> "SampledFunction":
+        """Every cell replaced by the mean of f over its rank-n cell."""
+        cells = 1 << n
+        reps = 1 << (self.resolution - n)
+        (num,) = _widened(lambda x: _peak(x) * reps, self._num)
+        means, den = _quotient(num.reshape(reps, cells).sum(axis=0), self._den, reps)
+        return self._like(np.tile(means, reps), den, True)
 
     def to_float(self) -> "SampledFunction":
-        return SampledFunction._of(self.resolution, _float_cells(self._num, self._den))
+        return self._like(self._floats())
 
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "SampledFunction") -> None:
@@ -438,42 +496,30 @@ class SampledFunction(_Cells):
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
         a, b, den = _common(self, other)
-        return SampledFunction._of(self.resolution, a + b, den, self._frac | other._frac)
+        return self._like(a + b, den, self._frac | other._frac)
 
     def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         self._check_compatible(other)
         a, b, den = _common(self, other)
-        return SampledFunction._of(self.resolution, a - b, den, self._frac | other._frac)
+        return self._like(a - b, den, self._frac | other._frac)
 
     def __neg__(self) -> "SampledFunction":
-        return SampledFunction._of(self.resolution, -self._num, self._den, self._frac)
+        return self._like(-self._num, self._den, self._frac)
 
     def scale(self, c: Scalar) -> "SampledFunction":
         if not self.is_exact:
-            return SampledFunction._of(self.resolution, float(c) * self._num)
+            return self._like(float(c) * self._num)
         if not isinstance(c, (int, Fraction)):
             raise ValueError(
                 "float scalar on exact storage; convert with to_float() first")
-        return SampledFunction._of(self.resolution, _times(self._num, c.numerator),
-                                   self._den * c.denominator,
-                                   self._frac | isinstance(c, Fraction))
+        return self._like(_times(self._num, c.numerator), self._den * c.denominator,
+                          self._frac | isinstance(c, Fraction))
 
     def __mul__(self, other: "SampledFunction") -> "SampledFunction":
         """Pointwise product."""
         self._check_compatible(other)
-        return SampledFunction._of(self.resolution, _product(self._num, other._num),
-                                   self._den * other._den, self._frac | other._frac)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SampledFunction):
-            return NotImplemented
-        if self.resolution != other.resolution or self.is_exact != other.is_exact:
-            return False
-        # lowest terms make (numerators, denominator) unique for given values
-        return self._den == other._den and bool(np.array_equal(self._num, other._num))
-
-    def __hash__(self):
-        return hash((self.resolution, self.is_exact))
+        return self._like(_product(self._num, other._num), self._den * other._den,
+                          self._frac | other._frac)
 
     def __repr__(self) -> str:
         return (f"SampledFunction(N={self.resolution}, mode={self.mode}, "
@@ -501,6 +547,12 @@ class CoefficientSequence(_Cells):
         self.ordering = ordering
         return self
 
+    def _like(self, num: np.ndarray, den: int = 1, frac=False) -> "CoefficientSequence":
+        return CoefficientSequence._of(self.resolution, self.ordering, num, den, frac)
+
+    def _key(self) -> tuple:
+        return self.resolution, self.ordering, self.is_exact
+
     @property
     def coeffs(self) -> np.ndarray:
         """Coefficients: a read-only float64 or object (int/Fraction) ndarray."""
@@ -511,23 +563,13 @@ class CoefficientSequence(_Cells):
         system = System.coerce(system)
         if system is self.ordering:
             return self
-        return CoefficientSequence._of(
-            self.resolution, system, *self._gathered(sigma_permutation(self.resolution)))
+        out = self._gathered(sigma_permutation(self.resolution))
+        out.ordering = system
+        return out
 
     def energy(self) -> Scalar:
         """Sum of squared coefficients (ordering-independent)."""
         return _energy(self, slice(None))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoefficientSequence):
-            return NotImplemented
-        if (self.resolution, self.ordering, self.is_exact) != \
-           (other.resolution, other.ordering, other.is_exact):
-            return False
-        return self._den == other._den and bool(np.array_equal(self._num, other._num))
-
-    def __hash__(self):
-        return hash((self.resolution, self.ordering, self.is_exact))
 
 
 def _energy(c: CoefficientSequence, cells) -> Scalar:
@@ -548,7 +590,26 @@ def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
     if frac is not False:
         frac = np.array(np.broadcast_to(frac, num.shape))
         frac[cells] = False
-    return CoefficientSequence._of(c.resolution, c.ordering, num, c._den, frac)
+    return c._like(num, c._den, frac)
+
+
+def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
+    """Pointwise max of |g| over the levels; a tie keeps the earlier cell.
+
+    Exact levels are compared over the lcm of their denominators.
+    """
+    levels = list(levels)
+    den = math.lcm(*(g._den for g in levels))
+    acc, frac = None, False
+    for g in levels:
+        mag = np.abs(_times(g._num, den // g._den))
+        if acc is None:
+            acc, frac = mag, g._frac
+            continue
+        if g._frac is not frac:  # the cell read out is the level's that wins it
+            frac = np.where(mag > acc, g._frac, frac)
+        acc = np.maximum(acc, mag)
+    return SampledFunction._of(levels[0].resolution, acc, den, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +659,14 @@ def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
     paley = coeffs.to_ordering(System.PALEY)
     frac = paley._frac if isinstance(paley._frac, bool) else paley._frac.any()
     return SampledFunction._of(coeffs.resolution, _butterflied(paley._num), paley._den, frac)
+
+
+def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:
+    """The function with Paley spectrum `spec` * w / n; exact cells butterfly c * w, then / n."""
+    if spec.is_exact:
+        return SampledFunction._of(spec.resolution, _butterflied(_product(spec._num, w)),
+                                   spec._den * n, True)
+    return inverse_fwht(spec._like(spec._num * (w / n)))
 
 
 def truncate_paley(f: SampledFunction, count: int) -> SampledFunction:
@@ -677,8 +746,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """
     f._check_compatible(g)
     cf, cg = fwht(f), fwht(g)
-    return inverse_fwht(CoefficientSequence._of(
-        f.resolution, System.PALEY, _product(cf._num, cg._num), cf._den * cg._den, True))
+    return inverse_fwht(cf._like(_product(cf._num, cg._num), cf._den * cg._den, True))
 
 
 def convolve_by_sum(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -701,7 +769,7 @@ def compose_with_tau(f: SampledFunction, A: int) -> SampledFunction:
     """(f o tau_A)(x) = f(tau_A x): gather samples through the bit reversal."""
     if A > f.resolution:
         raise ValueError(f"reversal width {A} exceeds resolution {f.resolution}")
-    return SampledFunction._of(f.resolution, *f._gathered(tau_permutation(A, f.resolution)))
+    return f._gathered(tau_permutation(A, f.resolution))
 
 
 def fejer_by_average(system: System | str, n: int, N: int) -> SampledFunction:

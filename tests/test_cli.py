@@ -98,6 +98,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "yano", "--n-max", "0", "--resolution", "4"],
+        ["verify", "identities", "--count", "0", "--resolution", "4", "--depth", "3"],
+        ["converge", "--n-max", "0", "--depth", "3"]])
+    def test_nothing_to_check_is_an_error(self, argv, capsys):
+        # a verdict over no cases would be vacuous
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestCounterexampleCommand:
     def test_t1(self, tmp_path):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab import (SampledFunction, dirichlet_prefix, fejer, is_p_atom,
-                     modulus_hp, s2n)
+from dyadlab import (SampledFunction, System, dirichlet, dirichlet_prefix, fejer,
+                     is_p_atom, modulus_hp, s2n)
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2,
                                  kernel_half_integral, q_seq,
@@ -127,6 +127,32 @@ class TestBuildT2:
                 <= root_bound ** 2 + 1e-12
 
 
+def typed_cells(f):
+    return [(type(v), v) for v in f.values.tolist()]
+
+
+class TestBlockAtoms:
+    """Each atom is a scaled D_{2^{m+1}} - D_{2^m}, in value and readout type."""
+
+    @staticmethod
+    def dirichlet_block(m, M):
+        return dirichlet(System.PALEY, 2 << m, M) - dirichlet(System.PALEY, 1 << m, M)
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_t1(self, M):
+        fam = build_t1(Fraction(1, 4), M - 1, M)
+        for i, (atom, _) in enumerate(fam.atoms):
+            expected = self.dirichlet_block(i, M).scale(1 << (3 * i))  # 2^{i(1/p-1)}
+            assert typed_cells(atom) == typed_cells(expected)
+
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_t2(self, M):
+        fam = build_t2((M - 1).bit_length() - 1, M)  # every block with 2^L + 1 <= M
+        for i, (atom, _) in enumerate(fam.atoms, start=1):
+            expected = self.dirichlet_block(1 << i, M).scale(1 << (1 << i))
+            assert typed_cells(atom) == typed_cells(expected)
+
+
 class TestAudit:
     def test_t1(self):
         report = audit_family(build_t1(Fraction(1, 4), 5, 7))
@@ -215,6 +241,10 @@ class TestYano:
     def test_guard_runs_before_allocation(self):
         with pytest.raises(ValueError, match="int64"):
             verify_yano(2**22, 22)
+
+    def test_no_orders(self):
+        with pytest.raises(ValueError, match="n_max"):
+            verify_yano(0, 5)
 
 
 class TestLemma2:
@@ -413,8 +443,19 @@ class TestConvergenceTable:
         rows_one = convergence_table(f, 1, [4])
         assert rows_one[0]["threshold"] is None
 
+    def test_no_orders(self):
+        f = random_decaying_martingale(random.Random(1), 4)
+        with pytest.raises(ValueError, match="order"):
+            convergence_table(f, Fraction(1, 2), iter([]))
+
 
 class TestIdentitySuite:
+    @pytest.mark.parametrize("verify", [verify_fejer_partial_identity,
+                                        verify_conjugate_translation])
+    def test_no_martingales(self, verify):
+        with pytest.raises(ValueError, match="count"):
+            verify(4, 0, 1)
+
     def test_all_pass(self):
         reports = verify_identities(resolution=6, depth=4, seed=3, count=3)
         assert [r.claim for r in reports] == [

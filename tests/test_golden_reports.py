@@ -33,6 +33,8 @@ CASES = {
         "--format", "csv", "--float"],
     "counterexample_t1.json": [
         "counterexample", "t1", "--p", "1/4", "--depth", "8", "--n-list", "4,5,6"],
+    "counterexample_t1_float_p.json": [
+        "counterexample", "t1", "--p", "2/5", "--depth", "8", "--n-list", "4,5,6"],
     "counterexample_t2.json": [
         "counterexample", "t2", "--depth", "9", "--i-list", "2,3"],
     "verify_identities.json": [
@@ -41,6 +43,9 @@ CASES = {
     "converge_random.json": [
         "converge", "--family", "random", "--p", "1/2", "--depth", "6",
         "--n-max", "16", "--seed", "3"],
+    "converge_t1.json": [
+        "converge", "--family", "t1", "--p", "1/4", "--depth", "7", "--n-list",
+        "4,8,16"],
 }
 
 

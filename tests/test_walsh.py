@@ -290,3 +290,26 @@ class TestConvolve:
         conv = convolve(f, g)
         assert not conv.is_exact
         assert conv.integral() == pytest.approx(f.integral() * g.integral(), abs=1e-12)
+
+
+class TestIndicator:
+    """The masked indicator reads out as the per-cell list it is defined by."""
+
+    @pytest.mark.parametrize("scale", [1, 4, -(1 << 70), Fraction(3, 2), Fraction(4),
+                                       Fraction(0)])
+    def test_matches_cell_list(self, scale):
+        N = 5
+        for rank in range(N + 1):
+            for anchor in (0, 3, 31):
+                interval = DyadicInterval(rank, GroupPoint(N, anchor))
+                cells = [0] * (1 << N)
+                for j in interval.indices(N):
+                    cells[j] = scale
+                got = SampledFunction.indicator(interval, N, scale).values.tolist()
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in cells]
+
+    def test_rejects_float_scale_and_rank_above_resolution(self):
+        with pytest.raises(ValueError):
+            SampledFunction.indicator(DyadicInterval.at_zero(1, 3), 3, 0.5)
+        with pytest.raises(ValueError):
+            SampledFunction.indicator(DyadicInterval.at_zero(4, 4), 3)

@@ -47,7 +47,7 @@ class RunConfig:
     levels: Optional[int] = None
     count: Optional[int] = None
     family: Optional[str] = None
-    exact: bool = True
+    exact: Optional[bool] = None
     format: str = "json"
     out: Optional[str] = None
     seed: int = 0
@@ -82,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--seed", type=int, default=0)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", dest="exact", action="store_true", default=True)
-        mode.add_argument("--float", dest="exact", action="store_false")
 
     k = sub.add_parser("kernel", help="dump kernel samples")
     k.add_argument("--kind", choices=("dirichlet", "fejer"), required=True)
@@ -92,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--resolution", type=int, required=True)
     add_io_flags(k)
+    mode = k.add_mutually_exclusive_group()  # only run_kernel reads config.exact
+    mode.add_argument("--exact", dest="exact", action="store_true", default=True)
+    mode.add_argument("--float", dest="exact", action="store_false")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("target", choices=("yano", "lemma2", "identities"))
@@ -243,17 +243,12 @@ def run_counterexample(config: RunConfig) -> list[VerificationReport]:
         levels = config.levels if config.levels is not None else depth - 1
         n_list = config.n_list or [4, 5, 6, 7, 8]
         fam = experiments.build_t1(Fraction(config.p), levels, depth)
-        audit = experiments.audit_family(fam)
-        table = experiments.divergence_t1(Fraction(config.p), n_list,
-                                          L=levels, M=depth)
-        return [audit, table]
+        return [experiments.audit_family(fam), experiments.divergence_t1(fam, n_list)]
     depth = config.depth
     levels = config.levels if config.levels is not None else 3
     i_list = config.i_list or [2, 3]
     fam = experiments.build_t2(levels, depth)
-    audit = experiments.audit_family(fam)
-    table = experiments.divergence_t2(i_list, L=levels, M=depth)
-    return [audit, table]
+    return [experiments.audit_family(fam), experiments.divergence_t2(fam, i_list)]
 
 
 def run_converge(config: RunConfig) -> list[VerificationReport]:

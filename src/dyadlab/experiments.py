@@ -238,7 +238,7 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
     return VerificationReport(
         claim=f"family-{family.kind}-audit",
         parameters={"p": family.p, "levels": family.levels, "depth": family.depth},
-        passed=passed, witness=witness, mode=family.terminal().mode,
+        passed=passed, witness=witness, mode=family.martingale.terminal.mode,
         rows=atom_results, runtime_s=time.perf_counter() - start)
 
 
@@ -318,9 +318,8 @@ def verify_lemma2(A: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # divergence tables
 
-def divergence_t1(p: PLike, n_list: Sequence[int], L: Optional[int] = None,
-                  M: Optional[int] = None, depth_check: bool = True) -> VerificationReport:
-    """weak-L_p distance ||sigma_{2^n+1} f - f^(M)|| for the t1 family.
+def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> VerificationReport:
+    """weak-L_p distance ||sigma_{2^n+1} f - f^(M)|| for a built t1 family.
 
     Also tabulates the decomposition pieces: the unimodular character
     norm (always 1), the Fejer error at 2^n, the partial-sum error, and
@@ -328,43 +327,33 @@ def divergence_t1(p: PLike, n_list: Sequence[int], L: Optional[int] = None,
     truncation-stability check.
     """
     start = time.perf_counter()
-    p = normalize_p(p)
-    if M is None:
-        M = max(n_list) + 2
-    if L is None:
-        L = M - 1
+    p, L, M = fam.p, fam.levels, fam.depth
     if max(n_list) >= M:
         raise ValueError(f"depth {M} insufficient for n up to {max(n_list)}")
-    fam = build_t1(p, L, M)
-    fam_deep = build_t1(p, L + 1, M + 1) if depth_check else None
+    fam_deep = build_t1(p, L + 1, M + 1)
+    term, term_deep = fam.terminal(), fam_deep.terminal()
+    tail_norm = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p).value
 
-    def table_value(family: CounterexampleFamily, n: int):
-        order = (1 << n) + 1
-        sigma = fejer_mean(family.martingale, System.KACZMARZ, order)
-        return weak_lp(sigma - family.terminal(), p).value
+    def table_value(family: CounterexampleFamily, terminal: SampledFunction, n: int):
+        sigma = fejer_mean(family.martingale, System.KACZMARZ, (1 << n) + 1)
+        return weak_lp(sigma - terminal, p).value
 
     rows = []
     for n in n_list:
         order = (1 << n) + 1
-        term = fam.terminal()
-        value = table_value(fam, n)
         kappa_row = SampledFunction(M, character_samples(System.KACZMARZ, 1 << n, M))
         sigma_err = weak_lp(fejer_mean(fam.martingale, System.KACZMARZ, 1 << n) - term, p)
         partial_err = weak_lp(s2n(fam.martingale, n) - term, p)
-        row = {
+        rows.append({
             "n": n, "order": order,
-            "weak_norm": value,
+            "weak_norm": table_value(fam, term, n),
             "kappa_weak_norm": weak_lp(kappa_row, p).value,
             "fejer_error_2n": sigma_err.value,
             "partial_error_2n": partial_err.value,
             "weight": Fraction(1 << n, order),
-        }
-        if fam_deep is not None:
-            deep = table_value(fam_deep, n)
-            row["weak_norm_depth_plus_1"] = deep
-            row["truncation_tail_norm"] = weak_lp(
-                fam_deep.martingale.tail(M).terminal_function(), p).value
-        rows.append(row)
+            "weak_norm_depth_plus_1": table_value(fam_deep, term_deep, n),
+            "truncation_tail_norm": tail_norm,
+        })
     min_value = min(float(r["weak_norm"]) for r in rows)
     return VerificationReport(
         claim="t1-weak-divergence",
@@ -388,9 +377,8 @@ def kernel_half_integral(order: int, tau_width: int, N: int) -> float:
     return total / (1 << N)
 
 
-def divergence_t2(i_list: Sequence[int], L: int = 3, M: int = 10,
-                  depth_check: bool = True) -> VerificationReport:
-    """L_{1/2} distance ||sigma_{q_{2^{i-1}}} f - f^(M)|| for the t2 family.
+def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> VerificationReport:
+    """L_{1/2} distance ||sigma_{q_{2^{i-1}}} f - f^(M)|| for a built t2 family.
 
     Reports the half-power integral of the lacunary kernel through the
     coordinate reversal, under both readings of the kernel order
@@ -398,8 +386,9 @@ def divergence_t2(i_list: Sequence[int], L: int = 3, M: int = 10,
     """
     start = time.perf_counter()
     half = Fraction(1, 2)
-    fam = build_t2(L, M)
-    fam_deep = build_t2(L, M + 1) if depth_check else None
+    L, M = fam.levels, fam.depth
+    fam_deep = build_t2(L, M + 1)
+    term, term_deep = fam.terminal(), fam_deep.terminal()
     rows = []
     for i in i_list:
         A = 1 << (i - 1)
@@ -407,7 +396,7 @@ def divergence_t2(i_list: Sequence[int], L: int = 3, M: int = 10,
         if order > (1 << M):
             raise ValueError(f"q_{A} = {order} overflows depth {M}")
         sigma = fejer_mean(fam.martingale, System.KACZMARZ, order)
-        qn = lp_quasinorm(sigma - fam.terminal(), half)
+        qn = lp_quasinorm(sigma - term, half)
         row = {
             "i": i, "q_index": A, "order": order,
             "half_power_integral": qn.power_sum,
@@ -418,12 +407,11 @@ def divergence_t2(i_list: Sequence[int], L: int = 3, M: int = 10,
                 order - 1, 1 << i, M),
         }
         row["kernel_ratio_vs_2i"] = row["kernel_half_integral_inner_minus_1"] / (1 << i)
-        if fam_deep is not None:
-            sigma_d = fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
-            qn_d = lp_quasinorm(sigma_d - fam_deep.terminal(), half)
-            row["quasi_norm_depth_plus_1"] = qn_d.value
-            base = qn.value if qn.value else 1.0
-            row["depth_drift"] = abs(qn_d.value - qn.value) / base
+        sigma_d = fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
+        qn_d = lp_quasinorm(sigma_d - term_deep, half)
+        row["quasi_norm_depth_plus_1"] = qn_d.value
+        base = qn.value if qn.value else 1.0
+        row["depth_drift"] = abs(qn_d.value - qn.value) / base
         rows.append(row)
     growth = {}
     for a, b in zip(rows, rows[1:]):
@@ -673,6 +661,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
     for trial in range(count):
         lac = random_lacunary_martingale(rng, depth)
         dense = random_exact_martingale(rng, depth)
+        lac_term = lac.terminal_function()
         lac_max = sorted(maximal(lac).values)
         dense_square = square_function_squared(dense)
         for t_index in range(1 << (depth + 1)):
@@ -684,7 +673,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
                 break
             shifts_found += 1
             conj = conjugate(lac, t)
-            if translate(lac.terminal_function(), shift) != conj.terminal_function():
+            if translate(lac_term, shift) != conj.terminal_function():
                 failure = {"trial": trial, "t": t_index, "kind": "shift-mismatch"}
                 break
             if sorted(maximal(conj).values) != lac_max:

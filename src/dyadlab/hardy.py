@@ -2,9 +2,10 @@
 
 A depth-M martingale is stored through its terminal level only: the
 Paley spectrum of f^(M) on 2^M cells.  Level n is the conditional
-expectation onto the rank-n cells, which for the Paley system is the
-same as zeroing every coefficient with index >= 2^n; both routes are
-implemented and cross-checked.
+expectation onto the rank-n cells, which for the Paley system keeps the
+coefficients below 2^n.  It depends only on the coordinates below n, so
+`level` transforms those 2^n coefficients at resolution n and tiles the
+result; `s2n_by_averaging` (block means) is the independent oracle.
 
 The maximal function is f* = max_{0<=n<=M} |f^(n)| and
 ||f||_{H_p} = ||f*||_p.  For 0 < p <= 1 a p-atom on an interval I has
@@ -28,19 +29,18 @@ import numpy as np
 
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, _sup_abs, _zeroed, fwht,
-                    inverse_fwht, truncate_paley)
+from .walsh import (CoefficientSequence, SampledFunction, System, _level, _sup_abs, _zeroed,
+                    fwht, truncate_paley)
 
 
 class DyadicMartingale:
     """Finite dyadic martingale (f^(n))_{n<=M} determined by its terminal level."""
 
-    __slots__ = ("depth", "terminal", "_level_cache")
+    __slots__ = ("depth", "terminal")
 
     def __init__(self, terminal: CoefficientSequence):
         self.depth = terminal.resolution
         self.terminal = terminal.to_ordering(System.PALEY)
-        self._level_cache: dict[int, SampledFunction] = {}
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -61,11 +61,7 @@ class DyadicMartingale:
         """f^(n) = S_{2^n} f^(M), sampled on the 2^M cells."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} outside 0..{self.depth}")
-        cached = self._level_cache.get(n)
-        if cached is None:
-            cached = inverse_fwht(_zeroed(self.terminal, slice(1 << n, None)))
-            self._level_cache[n] = cached
-        return cached
+        return _level(self.terminal, n)
 
     def terminal_function(self) -> SampledFunction:
         return self.level(self.depth)

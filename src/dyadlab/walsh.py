@@ -28,7 +28,7 @@ Fraction even where integral, integer-only routes give ints.  Only this
 module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_energy`,
-`_sup_abs` and `_fejer_weighted`.
+`_sup_abs`, `_level` and `_fejer_weighted`.
 """
 
 from __future__ import annotations
@@ -659,6 +659,20 @@ def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
     paley = coeffs.to_ordering(System.PALEY)
     frac = paley._frac if isinstance(paley._frac, bool) else paley._frac.any()
     return SampledFunction._of(coeffs.resolution, _butterflied(paley._num), paley._den, frac)
+
+
+def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
+    """The function whose Paley spectrum is the Paley `spec`'s first 2^n cells.
+
+    It depends only on the coordinates below n, so it is the butterfly of
+    those cells at resolution n, tiled: the cells, readout types and
+    numerator dtype of `inverse_fwht(_zeroed(spec, slice(2**n, None)))`.
+    """
+    head = slice(1 << n)
+    num, den = _reduced(spec._num[head], spec._den)
+    frac = spec._frac if isinstance(spec._frac, bool) else spec._frac[head].any()
+    cells = np.tile(_butterflied(num), 1 << (spec.resolution - n))
+    return SampledFunction._of(spec.resolution, cells, den, frac)
 
 
 def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:

@@ -200,7 +200,7 @@ def test_c11_t1_weak_divergence():
     with the 2^n/(2^n+1) weight: pinned as >= 0.5 everywhere and
     non-decreasing from the minimum on.
     """
-    r = ex.divergence_t1(QUARTER, [4, 5, 6, 7, 8], L=9, M=10, depth_check=True)
+    r = ex.divergence_t1(ex.build_t1(QUARTER, 9, 10), [4, 5, 6, 7, 8])
     values = [float(row["weak_norm"]) for row in r.rows]
     assert all(v >= 0.5 for v in values), values
     turn = values.index(min(values))
@@ -215,7 +215,7 @@ def test_c11_t1_weak_divergence():
 def test_c12_t2_half_norm_divergence():
     """||sigma_{q_{2^{i-1}}} f - f^(M)||_{1/2} non-vanishing, i in {2,3}, M=10;
     kernel half-integral grows by >= 1.5 from i=2 to i=3."""
-    r = ex.divergence_t2([2, 3], L=3, M=10, depth_check=True)
+    r = ex.divergence_t2(ex.build_t2(3, 10), [2, 3])
     values = [row["quasi_norm"] for row in r.rows]
     assert all(v > 0.01 for v in values), values
     growth = r.witness["kernel_growth_2_to_3"]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import dyadlab
+from dyadlab import experiments
 from dyadlab.cli import build_parser, main
 
 # the package under test, for subprocesses that start with a bare environment
@@ -129,6 +130,28 @@ class TestCounterexampleCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["counterexample", "t1", "--p", "abc"])
 
+    @pytest.mark.parametrize("family, argv", [
+        ("t1", ["--p", "1/4", "--depth", "7", "--n-list", "4,5,6"]),
+        ("t2", ["--levels", "2", "--depth", "6", "--i-list", "2"])])
+    def test_builds_each_depth_once(self, family, argv, tmp_path, monkeypatch):
+        # one family at the requested depth for the audit and the table,
+        # one a level deeper for the truncation check
+        builder = getattr(experiments, f"build_{family}")
+        depths = []
+
+        def counting(*args):
+            depths.append(args[-1])
+            return builder(*args)
+
+        monkeypatch.setattr(experiments, f"build_{family}", counting)
+        out = tmp_path / "r.json"
+        assert run_cli(["counterexample", family, *argv, "--out", str(out)]) == 0
+        depth = int(argv[argv.index("--depth") + 1])
+        assert depths == [depth, depth + 1]
+        rows = json.loads(out.read_text())["reports"][1]["rows"]
+        if family == "t1":
+            assert len({row["truncation_tail_norm"] for row in rows}) == 1
+
 
 class TestConvergeCommand:
     def test_random_family_csv_schema(self, tmp_path):
@@ -202,6 +225,14 @@ class TestConfigEcho:
         assert config["n_max"] == 32
         assert config["resolution"] == 6
         assert config["seed"] == 3
+
+    @pytest.mark.parametrize("flag", ["--float", "--exact"])
+    def test_mode_flags_only_on_kernel(self, flag, capsys):
+        # no other runner reads the mode, so it must not be accepted and echoed
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "yano", "--n-max", "8", "--resolution", "4", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_csv_header_comments(self, tmp_path):
         out = tmp_path / "r.csv"

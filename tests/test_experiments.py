@@ -346,7 +346,7 @@ class TestDirichletPrefix:
 
 class TestDivergenceT1:
     def test_table(self):
-        report = divergence_t1(Fraction(1, 4), [4, 5], L=7, M=8, depth_check=True)
+        report = divergence_t1(build_t1(Fraction(1, 4), 7, 8), [4, 5])
         assert report.passed
         for row in report.rows:
             assert row["kappa_weak_norm"] == 1
@@ -355,18 +355,18 @@ class TestDivergenceT1:
             assert float(row["truncation_tail_norm"]) < 1e-3
 
     def test_exact_mode_rationals(self):
-        report = divergence_t1(Fraction(1, 4), [4], L=6, M=7, depth_check=False)
+        report = divergence_t1(build_t1(Fraction(1, 4), 6, 7), [4])
         assert report.mode == "exact"
         assert isinstance(report.rows[0]["weak_norm"], Fraction)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            divergence_t1(Fraction(1, 4), [8], L=6, M=7)
+            divergence_t1(build_t1(Fraction(1, 4), 6, 7), [8])
 
 
 class TestDivergenceT2:
     def test_table(self):
-        report = divergence_t2([2], L=2, M=6, depth_check=False)
+        report = divergence_t2(build_t2(2, 6), [2])
         row = report.rows[0]
         assert row["order"] == 21
         assert row["quasi_norm"] > 0
@@ -374,13 +374,13 @@ class TestDivergenceT2:
             kernel_half_integral(5, 4, 6))
 
     def test_orders(self):
-        report = divergence_t2([2, 3], L=3, M=10, depth_check=False)
+        report = divergence_t2(build_t2(3, 10), [2, 3])
         assert [row["order"] for row in report.rows] == [21, 341]
         assert report.witness["kernel_growth_2_to_3"] > 1.5
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            divergence_t2([3], L=3, M=8)
+            divergence_t2(build_t2(3, 8), [3])
 
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel

@@ -4,15 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, PAtomCertificate,
                      SampledFunction, atomic_norm_bound, conjugate, conjugate_shift,
-                     dirichlet, hardy_quasinorm, is_p_atom, lp_quasinorm, maximal,
-                     maximal_by_averages, modulus_hp, s2n, s2n_by_averaging,
+                     dirichlet, hardy_quasinorm, inverse_fwht, is_p_atom, lp_quasinorm,
+                     maximal, maximal_by_averages, modulus_hp, s2n, s2n_by_averaging,
                      square_function_squared, translate, walsh_paley_samples)
-from dyadlab.experiments import (random_exact_martingale,
+from dyadlab.experiments import (random_decaying_martingale, random_exact_martingale,
                                  random_lacunary_martingale)
+from dyadlab.walsh import _sup_abs, _zeroed
 
 
 class TestMartingaleStructure:
@@ -42,6 +44,81 @@ class TestMartingaleStructure:
         for k in range(3):
             assert tail.level(k) == SampledFunction.constant(0, 5)
         assert tail.level(5) == f.level(5) - f.level(2)
+
+
+def level_by_full_transform(f: DyadicMartingale, n: int) -> SampledFunction:
+    """f^(n) by the full-size inverse transform of the spectrum zeroed from 2^n on."""
+    return inverse_fwht(_zeroed(f.terminal, slice(1 << n, None)))
+
+
+def maximal_by_full_transforms(f: DyadicMartingale) -> SampledFunction:
+    return _sup_abs(level_by_full_transform(f, n) for n in range(f.depth + 1))
+
+
+def square_function_by_full_transforms(f: DyadicMartingale) -> SampledFunction:
+    levels = [level_by_full_transform(f, n) for n in range(f.depth + 1)]
+    diffs = [levels[0]] + [b - a for a, b in zip(levels, levels[1:])]
+    return sum((d * d for d in diffs[1:]), diffs[0] * diffs[0])
+
+
+def same_cells(got: SampledFunction, want: SampledFunction) -> bool:
+    """Equal numerator dtype, and float cells bitwise or exact cells equal in value and type."""
+    if got._num.dtype != want._num.dtype:
+        return False
+    if not got.is_exact:
+        return got.values.tobytes() == want.values.tobytes()
+    a, b = got.values.tolist(), want.values.tolist()
+    return a == b and [type(v) for v in a] == [type(v) for v in b]
+
+
+EXACT_SPECTRA = {
+    "integer": lambda: random_exact_martingale(random.Random(11), 6),
+    "from_function": lambda: DyadicMartingale.from_function(
+        SampledFunction(5, [Fraction(k * k - 40, 1 + k % 3) for k in range(32)])),
+    "mixed": lambda: DyadicMartingale.from_paley_coeffs(
+        5, [3, Fraction(1, 2)] + [Fraction(k, 3) if k % 2 else k for k in range(30)]),
+    "int64_edge": lambda: DyadicMartingale.from_paley_coeffs(3, [2**62, 2**62] + [0] * 6),
+    # numerators 2^62 over the denominator 2 that a Fraction above level 1 forces
+    "int64_edge_over_den": lambda: DyadicMartingale.from_paley_coeffs(
+        2, [2**61, 2**61, Fraction(1, 2), 0]),
+}
+
+
+class TestLevelOracle:
+    """`level` tiles a transform of 2^n cells; the full-size transform is the oracle."""
+
+    def test_float_bitwise(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            f = random_decaying_martingale(rng, 10)
+            for n in range(11):
+                assert same_cells(f.level(n), level_by_full_transform(f, n))
+            assert same_cells(maximal(f), maximal_by_full_transforms(f))
+            assert same_cells(square_function_squared(f),
+                              square_function_by_full_transforms(f))
+
+    @pytest.mark.parametrize("name", sorted(EXACT_SPECTRA))
+    def test_exact_value_type_and_dtype(self, name):
+        f = EXACT_SPECTRA[name]()
+        for n in range(f.depth + 1):
+            assert same_cells(f.level(n), level_by_full_transform(f, n))
+        assert same_cells(maximal(f), maximal_by_full_transforms(f))
+        assert same_cells(square_function_squared(f), square_function_by_full_transforms(f))
+
+    def test_readout_follows_the_low_coefficients(self):
+        f = EXACT_SPECTRA["mixed"]()
+        assert {type(v) for v in f.level(0).values} == {int}
+        for n in range(1, 6):
+            assert {type(v) for v in f.level(n).values} == {Fraction}
+        assert {type(v) for v in EXACT_SPECTRA["from_function"]().level(3).values} == {Fraction}
+
+    def test_int64_edge_promotes_at_level_1(self):
+        f = EXACT_SPECTRA["int64_edge"]()
+        assert f.level(0)._num.dtype == np.int64  # |2^62| fits
+        assert f.level(1)._num.dtype == object    # 2^62 + 2^62 does not
+        assert f.level(1).values.tolist() == [2**63, 0] * 4
+        # in lowest terms the low coefficients are 2^61 again, and fit
+        assert EXACT_SPECTRA["int64_edge_over_den"]().level(1)._num.dtype == np.int64
 
 
 class TestS2n:

@@ -5,21 +5,27 @@ readout mask.  That format is private to `walsh`: the other modules use
 its operations on whole `SampledFunction`/`CoefficientSequence` objects,
 so a change of storage touches one module.  This test parses them and
 fails on any reach into the storage fields, on wrapping raw cells with
-`._of(...)`, and on importing a numerator helper from `walsh`.
+`._of(...)`, `._like(...)` or `._store(...)`, and on importing from
+`walsh` any private name but the operations its docstring lists.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import dyadlab
+from dyadlab import walsh
 
 PACKAGE = Path(dyadlab.__file__).resolve().parent
 MODULES = ("group", "norms", "hardy", "operators", "experiments", "cli")
 FIELDS = {"_num", "_den", "_frac", "_read"}
-HELPERS = {"_peak", "_fit", "_int_dtype", "_widened", "_total", "_times", "_product",
-           "_quotient", "_reduced", "_butterflied", "_float_cells", "_tag"}
+WRAPPERS = {"_of", "_like", "_store"}
+# the documented operations on whole objects, plus one int64 bound check
+ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
+           "_block_means", "_abs_power_sum", "_weak_peak", "_energy", "_sup_abs", "_level",
+           "_fejer_weighted", "_kernel_l1_fits_int64"}
 
 
 def storage_reaches(source: str) -> list[str]:
@@ -28,11 +34,11 @@ def storage_reaches(source: str) -> list[str]:
         if isinstance(node, ast.Attribute) and node.attr in FIELDS:
             reaches.append(f"line {node.lineno}: .{node.attr}")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "_of"):
-            reaches.append(f"line {node.lineno}: ._of(...)")
+              and node.func.attr in WRAPPERS):
+            reaches.append(f"line {node.lineno}: .{node.func.attr}(...)")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("walsh"):
-            reaches += [f"line {node.lineno}: import {alias.name}"
-                        for alias in node.names if alias.name in HELPERS]
+            reaches += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and alias.name not in ALLOWED]
     return reaches
 
 
@@ -41,10 +47,18 @@ def test_no_storage_reach_outside_walsh(module):
     assert storage_reaches((PACKAGE / f"{module}.py").read_text()) == []
 
 
+def test_allowlist_is_the_documented_operations():
+    documented = set(re.findall(r"`(_\w+)`", walsh.__doc__))
+    assert ALLOWED == documented | {"_kernel_l1_fits_int64"}
+    assert all(hasattr(walsh, name) or hasattr(walsh.SampledFunction, name)
+               or hasattr(walsh.CoefficientSequence, name) for name in ALLOWED)
+
+
 def test_guard_sees_every_kind_of_reach():
-    source = ("from .walsh import _peak, fwht\n"
-              "from dyadlab.walsh import _float_cells\n"
+    source = ("from .walsh import _peak, _level, fwht\n"
+              "from dyadlab.walsh import _butterfly_array, _common, _cells, _locked\n"
               "f._num + g._den\n"
               "h._frac[0], h._read\n"
-              "SampledFunction._of(3, x)\n")
-    assert len(storage_reaches(source)) == 7
+              "SampledFunction._of(3, x)\n"
+              "f._like(x, 1, True), f._store(3, x)\n")
+    assert len(storage_reaches(source)) == 12

@@ -7,9 +7,10 @@ verify          yano | lemma2 | identities
 counterexample  t1 | t2  (build + audit + divergence table)
 converge        rate/convergence tables for a chosen martingale family
 
-Reports are written as JSON or CSV.  The parsed configuration is echoed
-into every report header and identical configurations (same seed)
-produce byte-identical files; wall-clock timings go to stdout only.
+Each target and family has its own parser holding only the flags its
+runner reads.  Reports are written as JSON or CSV.  Reports echo the
+flags the run read in their header, and identical configurations (same
+seed) produce byte-identical files; wall-clock timings go to stdout only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import experiments
 from .experiments import VerificationReport, jsonable
@@ -30,7 +31,7 @@ from .walsh import System, dirichlet, fejer
 
 @dataclasses.dataclass
 class RunConfig:
-    """Echo of the parsed command line; part of every report header."""
+    """Echo of the flags the run read; field order is the header's key order."""
 
     command: str
     target: Optional[str] = None
@@ -50,7 +51,7 @@ class RunConfig:
     exact: Optional[bool] = None
     format: str = "json"
     out: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -78,49 +79,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hardy-space tables, and exhaustive verifications.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io_flags(p: argparse.ArgumentParser) -> None:
+    def leaf(parent, name: str, runner, help: str) -> argparse.ArgumentParser:
+        """A parser that runs `runner`; it takes the report flags plus those added."""
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(run=runner)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    k = sub.add_parser("kernel", help="dump kernel samples")
+    k = leaf(sub, "kernel", run_kernel, "dump kernel samples")
     k.add_argument("--kind", choices=("dirichlet", "fejer"), required=True)
     k.add_argument("--system", choices=("paley", "kaczmarz"), default="paley")
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--resolution", type=int, required=True)
-    add_io_flags(k)
-    mode = k.add_mutually_exclusive_group()  # only run_kernel reads config.exact
+    mode = k.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true", default=True)
     mode.add_argument("--float", dest="exact", action="store_false")
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("target", choices=("yano", "lemma2", "identities"))
-    v.add_argument("--n-max", type=int, default=512)
-    v.add_argument("--resolution", type=int, default=12)
-    v.add_argument("--A", type=int, default=3)
-    v.add_argument("--depth", type=int, default=5)
-    v.add_argument("--count", type=int, default=5)
-    add_io_flags(v)
+    targets = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="target", required=True)
+    y = leaf(targets, "yano", run_yano, "exact sweep of max_n ||K_n||_1 <= 2")
+    y.add_argument("--n-max", type=int, default=512)
+    y.add_argument("--resolution", type=int, default=12)
+    leaf(targets, "lemma2", run_lemma2, "lacunary kernel lower bound").add_argument(
+        "--A", type=int, default=3)
+    i = leaf(targets, "identities", run_identities, "bundled exact cross-checks")
+    i.add_argument("--resolution", type=int, default=12)
+    i.add_argument("--depth", type=int, default=5)
+    i.add_argument("--count", type=int, default=5)
+    i.add_argument("--seed", type=int, default=0)
 
-    c = sub.add_parser("counterexample", help="build a family, audit it, tabulate divergence")
-    c.add_argument("family", choices=("t1", "t2"))
-    c.add_argument("--p", type=_parse_p, default="1/4")
-    c.add_argument("--levels", type=int, default=None)
-    c.add_argument("--depth", type=int, default=10)
-    c.add_argument("--n-list", type=_parse_int_list, default=None,
-                   help="t1: exponents n for orders 2^n+1")
-    c.add_argument("--i-list", type=_parse_int_list, default=None,
-                   help="t2: indices i for orders q_{2^{i-1}}")
-    add_io_flags(c)
+    families = sub.add_parser(
+        "counterexample", help="build a family, audit it, tabulate divergence"
+    ).add_subparsers(dest="family", required=True)
+    t1 = leaf(families, "t1", run_t1, "the p < 1/2 family")
+    t1.add_argument("--p", type=_parse_p, default="1/4")
+    t1.add_argument("--n-list", type=_parse_int_list, default=None,
+                    help="exponents n for orders 2^n+1")
+    t2 = leaf(families, "t2", run_t2, "the p = 1/2 family")
+    t2.add_argument("--i-list", type=_parse_int_list, default=None,
+                    help="indices i for orders q_{2^{i-1}}")
+    for c in (t1, t2):
+        c.add_argument("--levels", type=int, default=None)
+        c.add_argument("--depth", type=int, default=10)
 
-    g = sub.add_parser("converge", help="modulus/threshold/error tables")
+    g = leaf(sub, "converge", run_converge, "modulus/threshold/error tables")
     g.add_argument("--family", choices=("random", "t1", "t2"), default="random")
     g.add_argument("--p", type=_parse_p, default="1/2")
     g.add_argument("--depth", type=int, default=8)
-    g.add_argument("--n-max", type=int, default=64)
-    g.add_argument("--n-list", type=_parse_int_list, default=None)
-    g.add_argument("--levels", type=int, default=None)
-    add_io_flags(g)
+    orders = g.add_mutually_exclusive_group()
+    orders.add_argument("--n-max", type=int, default=None, help="sweep 1..n-max (default 64)")
+    orders.add_argument("--n-list", type=_parse_int_list, default=None)
+    g.add_argument("--levels", type=int, default=None, help="t1 and t2 only")
+    g.add_argument("--seed", type=int, default=None, help="random only (default 0)")
 
     return parser
 
@@ -226,46 +237,58 @@ def run_kernel(config: RunConfig) -> list[VerificationReport]:
     return [report]
 
 
-def run_verify(config: RunConfig) -> list[VerificationReport]:
-    if config.target == "yano":
-        return [experiments.verify_yano(config.n_max, config.resolution)]
-    if config.target == "lemma2":
-        return [experiments.verify_lemma2(config.A)]
+def run_yano(config: RunConfig) -> list[VerificationReport]:
+    return [experiments.verify_yano(config.n_max, config.resolution)]
+
+
+def run_lemma2(config: RunConfig) -> list[VerificationReport]:
+    return [experiments.verify_lemma2(config.A)]
+
+
+def run_identities(config: RunConfig) -> list[VerificationReport]:
     config.resolution = min(config.resolution, 8)  # echo the resolution that runs
     return experiments.verify_identities(
         resolution=config.resolution, depth=config.depth,
         seed=config.seed, count=config.count)
 
 
-def run_counterexample(config: RunConfig) -> list[VerificationReport]:
-    if config.family == "t1":
-        depth = config.depth
-        levels = config.levels if config.levels is not None else depth - 1
-        n_list = config.n_list or [4, 5, 6, 7, 8]
-        fam = experiments.build_t1(Fraction(config.p), levels, depth)
-        return [experiments.audit_family(fam), experiments.divergence_t1(fam, n_list)]
-    depth = config.depth
+def run_t1(config: RunConfig) -> list[VerificationReport]:
+    levels = config.levels if config.levels is not None else config.depth - 1
+    fam = experiments.build_t1(Fraction(config.p), levels, config.depth)
+    return [experiments.audit_family(fam),
+            experiments.divergence_t1(fam, config.n_list or [4, 5, 6, 7, 8])]
+
+
+def run_t2(config: RunConfig) -> list[VerificationReport]:
     levels = config.levels if config.levels is not None else 3
-    i_list = config.i_list or [2, 3]
-    fam = experiments.build_t2(levels, depth)
-    return [experiments.audit_family(fam), experiments.divergence_t2(fam, i_list)]
+    fam = experiments.build_t2(levels, config.depth)
+    return [experiments.audit_family(fam),
+            experiments.divergence_t2(fam, config.i_list or [2, 3])]
 
 
 def run_converge(config: RunConfig) -> list[VerificationReport]:
     import random as _random
     p = Fraction(config.p)
     depth = config.depth
-    if config.family == "t1":
+    parameters = {"family": config.family, "p": config.p, "depth": depth}
+    if config.family == "random":
+        if config.levels is not None:
+            raise ValueError("--levels is read by --family t1 and t2 only")
+        config.seed = config.seed or 0
+        parameters["seed"] = config.seed
+        mart = experiments.random_decaying_martingale(_random.Random(config.seed), depth)
+    elif config.seed is not None:
+        raise ValueError("--seed is read by --family random only")
+    elif config.family == "t1":
         levels = config.levels if config.levels is not None else depth - 1
         mart = experiments.build_t1(p, levels, depth).martingale
-    elif config.family == "t2":
+    else:
         levels = config.levels if config.levels is not None else 3
         mart = experiments.build_t2(levels, depth).martingale
-    else:
-        mart = experiments.random_decaying_martingale(_random.Random(config.seed), depth)
     if config.n_list:
         n_values = config.n_list
     else:
+        config.n_max = 64 if config.n_max is None else config.n_max
         n_max = min(config.n_max, 1 << depth)
         if n_max <= 64:
             n_values = list(range(1, n_max + 1))
@@ -277,29 +300,17 @@ def run_converge(config: RunConfig) -> list[VerificationReport]:
     rows = experiments.convergence_table(mart, p, n_values)
     final = rows[-1]
     report = VerificationReport(
-        claim="fejer-convergence-table",
-        parameters={"family": config.family, "p": config.p, "depth": depth,
-                    "seed": config.seed},
+        claim="fejer-convergence-table", parameters=parameters,
         passed=all(r["error_norm"] >= 0 for r in rows),
         witness={"final_n": final["n"], "final_error": final["error_norm"]},
         mode="float", rows=rows)
     return [report]
 
 
-def run(config: RunConfig) -> int:
+def run(config: RunConfig, runner: Callable[[RunConfig], list[VerificationReport]]) -> int:
     """Execute one configured command; 0 iff everything in scope passed."""
     try:
-        if config.command == "kernel":
-            reports = run_kernel(config)
-        elif config.command == "verify":
-            reports = run_verify(config)
-        elif config.command == "counterexample":
-            reports = run_counterexample(config)
-        elif config.command == "converge":
-            reports = run_converge(config)
-        else:
-            print(f"error: unknown command {config.command}", file=sys.stderr)
-            return 2
+        reports = runner(config)
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -312,7 +323,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(config_from_args(args), args.run)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 from .group import DyadicInterval, GroupPoint, tau_permutation
 from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
+from .norms import PLike, lp_quasinorm, normalize_p, weak_lp
 from .operators import fejer_mean
 from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, character_samples,
                     compose_with_tau, dirichlet, fejer_numerators, kaczmarz_paley_index,
@@ -74,7 +74,7 @@ class VerificationReport:
     rows: Optional[list[dict]] = None
     runtime_s: Optional[float] = None
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "claim": self.claim,
             "parameters": jsonable(self.parameters),
@@ -84,8 +84,6 @@ class VerificationReport:
         }
         if self.rows is not None:
             out["rows"] = jsonable(self.rows)
-        if include_runtime and self.runtime_s is not None:
-            out["runtime_s"] = self.runtime_s
         return out
 
 
@@ -588,9 +586,10 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
         term = f.terminal_function()
         for m in range(m_max + 1):
             smf = s2n(f, m)
+            smf_spectrum = DyadicMartingale.from_function(smf)  # one transform for every n
             inner = s2n(fejer_mean(f, System.KACZMARZ, 1 << m) - term, m)
             for n in range((1 << m) + 1, (1 << (m + 1)) + 1):
-                lhs = fejer_mean(smf, System.KACZMARZ, n) - smf
+                lhs = fejer_mean(smf_spectrum, System.KACZMARZ, n) - smf
                 rhs = inner.scale(Fraction(1 << m, n))
                 checked += 1
                 if lhs != rhs:
@@ -643,10 +642,11 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
     """Conjugation by every sign point: translation match and norm equality.
 
     For block-lacunary martingales the conjugate terminal must equal the
-    translate by the solved shift, exactly; translations commute with the
-    partial sums, so the whole maximal function transports and every H_p
-    quasi-norm is preserved with zero tolerance (checked as value
-    multisets).  For dense martingales the exactly preserved pointwise
+    translate by the solved shift, exactly; `conjugate_shift` returns a
+    shift only once they match, so a mismatch fails as `no-shift`.
+    Translations commute with the partial sums, so the whole maximal
+    function transports and every H_p quasi-norm is preserved with zero
+    tolerance (checked as value multisets).  For dense martingales the exactly preserved pointwise
     quantity is the squared square function; their maximal-function
     quasi-norm ratios are reported, not asserted.
     """
@@ -661,7 +661,6 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
     for trial in range(count):
         lac = random_lacunary_martingale(rng, depth)
         dense = random_exact_martingale(rng, depth)
-        lac_term = lac.terminal_function()
         lac_max = sorted(maximal(lac).values)
         dense_square = square_function_squared(dense)
         for t_index in range(1 << (depth + 1)):
@@ -673,9 +672,6 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
                 break
             shifts_found += 1
             conj = conjugate(lac, t)
-            if translate(lac_term, shift) != conj.terminal_function():
-                failure = {"trial": trial, "t": t_index, "kind": "shift-mismatch"}
-                break
             if sorted(maximal(conj).values) != lac_max:
                 failure = {"trial": trial, "t": t_index, "kind": "lacunary-multiset"}
                 break

@@ -1,15 +1,18 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import dyadlab
 from dyadlab import experiments
-from dyadlab.cli import build_parser, main
+from dyadlab.cli import build_parser, config_from_args, main
 
 # the package under test, for subprocesses that start with a bare environment
 SRC = os.path.dirname(os.path.dirname(dyadlab.__file__))
@@ -220,10 +223,13 @@ class TestConfigEcho:
     def test_config_in_header(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli(["verify", "yano", "--n-max", "32", "--resolution", "6",
-                 "--seed", "3", "--out", str(out)])
+                 "--out", str(out)])
         config = json.loads(out.read_text())["config"]
         assert config["n_max"] == 32
         assert config["resolution"] == 6
+        run_cli(["verify", "identities", "--depth", "2", "--count", "1",
+                 "--seed", "3", "--out", str(out)])
+        config = json.loads(out.read_text())["config"]
         assert config["seed"] == 3
 
     @pytest.mark.parametrize("flag", ["--float", "--exact"])
@@ -241,3 +247,117 @@ class TestConfigEcho:
         text = out.read_text()
         assert "# n_max=32" in text
         assert "# claim=fejer-kernel-l1-bound verdict=pass mode=exact" in text
+
+
+def exit_status(argv) -> int:
+    """main's return value, or the status of the SystemExit a parse error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a minimal valid argv for every leaf parser; converge once for random, once for t1
+LEAVES = [
+    ["kernel", "--kind", "dirichlet", "--n", "2", "--resolution", "2"],
+    ["verify", "yano", "--n-max", "4", "--resolution", "3"],
+    ["verify", "lemma2", "--A", "3"],
+    ["verify", "identities", "--depth", "2", "--count", "1"],
+    ["counterexample", "t1", "--depth", "5", "--n-list", "2"],
+    ["counterexample", "t2", "--levels", "2", "--depth", "6", "--i-list", "2"],
+    ["converge", "--depth", "4", "--n-max", "4"],
+    ["converge", "--family", "t1", "--p", "1/4", "--depth", "5", "--n-list", "2,4"],
+]
+
+
+def leaf_parser(argv):
+    """The parser that reads the options of `argv`, and the dests of the names before them."""
+    parser, names = build_parser(), set()
+    for name in argv:
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers or name.startswith("--"):
+            break
+        names.add(subparsers[0].dest)
+        parser = subparsers[0].choices[name]
+    return parser, names
+
+
+class TestFlagsPerLeaf:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--kind", "fejer", "--n", "3", "--resolution", "3", "--seed", "1"],
+        ["verify", "yano", "--n-max", "8", "--resolution", "4", "--seed", "3"],
+        ["verify", "lemma2", "--A", "3", "--resolution", "20"],
+        ["verify", "identities", "--n-max", "5"],
+        ["counterexample", "t1", "--depth", "6", "--n-list", "2", "--i-list", "2"],
+        ["counterexample", "t2", "--depth", "6", "--i-list", "2", "--p", "1/3"],
+        ["converge", "--family", "t1", "--p", "1/4", "--depth", "5", "--seed", "2"],
+        ["converge", "--family", "random", "--depth", "5", "--levels", "3"],
+        ["converge", "--depth", "5", "--n-max", "8", "--n-list", "4"]], ids=" ".join)
+    def test_unread_flag_exits_2(self, argv, capsys):
+        assert exit_status(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and argv[-2] in err  # names the flag it refuses
+        if argv[0] == "converge" and "--n-list" not in argv:  # the runner rejects it
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", LEAVES, ids=lambda argv: " ".join(argv[:3]))
+    def test_header_names_only_registered_flags(self, argv, tmp_path):
+        # every echoed key is the command, the leaf's name or a flag the leaf
+        # registers, so no default of another leaf can leak into a header
+        parser, allowed = leaf_parser(argv)
+        allowed |= {a.dest for a in parser._actions if a.option_strings}
+        config = config_from_args(build_parser().parse_args(argv))
+        assert set(config.to_dict()) <= allowed
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]) <= allowed
+
+    def test_lemma2_header_has_no_resolution(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "lemma2", "--A", "3", "--out", str(out)]) == 0
+        assert "resolution" not in json.loads(out.read_text())["config"]
+
+    def test_t2_header_has_no_p(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "t2", "--levels", "2", "--depth", "6",
+                     "--i-list", "2", "--out", str(out)]) == 0
+        assert "p" not in json.loads(out.read_text())["config"]
+
+    def test_converge_echoes_n_max_and_seed_only_when_read(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*LEAVES[-1], "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert not {"n_max", "seed"} & set(payload["config"])
+        assert "seed" not in payload["reports"][0]["parameters"]
+        assert main(["converge", "--depth", "6", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["n_max"] == 64 and payload["config"]["seed"] == 0
+        assert payload["reports"][0]["parameters"]["seed"] == 0
+
+
+README = Path(SRC).parent / "README.md"
+
+
+def readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("dyadlab ")]
+
+
+BENCHMARK_ARGVS = [
+    ["verify", "lemma2", "--A", "8"],
+    ["verify", "yano", "--n-max", "4096", "--resolution", "14"],
+    ["counterexample", "t2", "--depth", "12", "--i-list", "2,3"],
+    ["counterexample", "t1", "--p", "1/4", "--depth", "14", "--n-list", "4,5,6,7,8"],
+    ["verify", "identities", "--resolution", "8", "--depth", "5", "--seed", "1"],
+    ["converge", "--family", "random", "--p", "1/2", "--depth", "12", "--n-max", "64",
+     "--seed", "1"],
+    ["converge", "--depth", "6", "--n-max", "8", "--seed", "3"],
+]
+
+
+def test_documented_and_benchmark_argvs_parse():
+    readme = readme_commands()
+    assert len(readme) == 7
+    for argv in readme + BENCHMARK_ARGVS:
+        assert callable(build_parser().parse_args(argv).run), argv

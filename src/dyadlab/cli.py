@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -59,9 +60,12 @@ class RunConfig:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        values = []
+    if not values:  # an empty list would run the default orders under an echo of []
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _parse_p(text: str) -> str:
@@ -72,7 +76,9 @@ def _parse_p(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dyadlab",
         description="Dyadic-group harmonic analysis laboratory: kernels, "
@@ -288,8 +294,8 @@ def run_converge(config: RunConfig) -> list[VerificationReport]:
     if config.n_list:
         n_values = config.n_list
     else:
-        config.n_max = 64 if config.n_max is None else config.n_max
-        n_max = min(config.n_max, 1 << depth)
+        n_max = 64 if config.n_max is None else config.n_max
+        config.n_max = n_max = min(n_max, 1 << depth)  # echo the n_max that runs
         if n_max <= 64:
             n_values = list(range(1, n_max + 1))
         else:  # powers of two and midpoints keep long sweeps readable

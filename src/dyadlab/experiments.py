@@ -36,7 +36,7 @@ from .group import DyadicInterval, GroupPoint, tau_permutation
 from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, weak_lp
-from .operators import fejer_mean
+from .operators import _fejer_sums, fejer_mean
 from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, character_samples,
                     compose_with_tau, dirichlet, fejer_numerators, kaczmarz_paley_index,
                     kaczmarz_samples, walsh_paley_samples)
@@ -253,15 +253,11 @@ def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationR
         raise ValueError(f"n_max {n_max} overflows spectrum at resolution {N}")
     if not _kernel_l1_fits_int64(n_max, N):
         raise ValueError("kernel sums would not fit int64; reduce n_max or resolution")
-    idx = np.arange(size, dtype=np.int64)
-    D = np.zeros(size, dtype=np.int64)   # Dirichlet kernel D_n
-    T = np.zeros(size, dtype=np.int64)   # sum_{k<=n} D_k = n * K_n
     best = Fraction(0)
     best_n = 0
     rows = [] if include_rows else None
-    for n in range(1, n_max + 1):
-        D += 1 - 2 * (np.bitwise_count(idx & (n - 1)).astype(np.int64) & 1)
-        T += D
+    # the Paley spectrum of 2^N 1_{I_N} is all ones, so n sigma_n of it is n K_n
+    for n, T in _fejer_sums(np.ones(size, dtype=np.int64), System.PALEY, n_max):
         norm = Fraction(int(np.sum(np.abs(T))), n << N)
         if norm > best:
             best, best_n = norm, n
@@ -472,29 +468,24 @@ def t2_radial_modulus(n: int, blocks: int, depth: int) -> float:
     return power_sum * power_sum
 
 
-def rate_table_t2(n_values: Sequence[int] = range(4, 10), blocks: int = 5,
-                  depth: Optional[int] = None) -> list[dict]:
+def rate_table_t2(n_values: Sequence[int] = range(4, 10), blocks: int = 5) -> list[dict]:
     """(n, omega_{H_{1/2}}(1/2^n), 1/n^2, omega * n^2) rows for the t2 family."""
-    if depth is None:
-        depth = (1 << blocks) + 1
     rows = []
     for n in n_values:
-        omega = t2_radial_modulus(n, blocks, depth)
+        omega = t2_radial_modulus(n, blocks, (1 << blocks) + 1)  # the least depth it allows
         rows.append({"n": n, "modulus": omega, "threshold": 1.0 / (n * n),
                      "scaled": omega * n * n})
     return rows
 
 
-def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int],
-                      system: System | str = System.KACZMARZ) -> list[dict]:
-    """Rows (n, omega_{H_p}(1/2^k), rate threshold, ||sigma_n f - f^(M)||_{H_p}).
+def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int]) -> list[dict]:
+    """Rows (n, omega_{H_p}(1/2^k), rate threshold, ||sigma^kappa_n f - f^(M)||_{H_p}).
 
     k = floor(log2 n).  The threshold column is 2^{-k(1/p-2)} for
     p < 1/2 and 1/k^2 for p = 1/2; for p > 1/2 no rate is claimed and
     the column is None.
     """
     p = normalize_p(p)
-    system = System.coerce(system)
     n_values = list(n_values)
     if not n_values:
         raise ValueError("convergence table needs at least one order n")
@@ -514,7 +505,7 @@ def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int],
         else:
             threshold = None
         err = hardy_quasinorm(
-            DyadicMartingale.from_function(fejer_mean(f, system, n) - term), p)
+            DyadicMartingale.from_function(fejer_mean(f, System.KACZMARZ, n) - term), p)
         rows.append({"n": n, "log2_floor": k, "modulus": moduli[k],
                      "threshold": threshold, "error_norm": float(err)})
     return rows
@@ -523,16 +514,12 @@ def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int],
 # ---------------------------------------------------------------------------
 # cross-checked identities
 
-def verify_closed_form(N: int, m_max: Optional[int] = None) -> VerificationReport:
-    """D_{2^m} = 2^m on I_m and 0 elsewhere, both orderings, exact."""
+def verify_closed_form(N: int) -> VerificationReport:
+    """D_{2^m} = 2^m on I_m and 0 elsewhere for m <= N, both orderings, exact."""
     start = time.perf_counter()
-    if m_max is None:
-        m_max = N
-    if m_max > N:
-        raise ValueError(f"m_max {m_max} exceeds resolution {N}")
     failures = []
     for system in (System.PALEY, System.KACZMARZ):
-        for m in range(m_max + 1):
+        for m in range(N + 1):
             expected = SampledFunction.indicator(
                 DyadicInterval.at_zero(m, N), N, scale=1 << m)
             got = dirichlet(system, 1 << m, N)
@@ -540,9 +527,9 @@ def verify_closed_form(N: int, m_max: Optional[int] = None) -> VerificationRepor
                 failures.append({"system": system.value, "m": m})
     return VerificationReport(
         claim="block-dirichlet-closed-form",
-        parameters={"resolution": N, "m_max": m_max},
+        parameters={"resolution": N, "m_max": N},
         passed=not failures,
-        witness={"failures": failures, "checked": 2 * (m_max + 1)},
+        witness={"failures": failures, "checked": 2 * (N + 1)},
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
@@ -635,10 +622,7 @@ def verify_kernel_decomposition(N: int, i_values: Sequence[int] = (1, 2)) -> Ver
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
-def verify_conjugate_translation(depth: int, count: int, seed: int,
-                                 p_values: Sequence[PLike] = (Fraction(1, 4),
-                                                              Fraction(1, 2), 1),
-                                 ) -> VerificationReport:
+def verify_conjugate_translation(depth: int, count: int, seed: int) -> VerificationReport:
     """Conjugation by every sign point: translation match and norm equality.
 
     For block-lacunary martingales the conjugate terminal must equal the
@@ -686,7 +670,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int,
         f = random_exact_martingale(random.Random(seed + 1), depth)
         t = GroupPoint(depth + 1, (1 << (depth + 1)) - 1)
         g = conjugate(f, t)
-        for p in p_values:
+        for p in (Fraction(1, 4), Fraction(1, 2), 1):
             a = float(hardy_quasinorm(f, p))
             b = float(hardy_quasinorm(g, p))
             ratio = b / a if a else 1.0
@@ -721,16 +705,14 @@ def verify_identities(resolution: int = 8, depth: int = 5, seed: int = 0,
 # ---------------------------------------------------------------------------
 # seeded generators for property sweeps
 
-def random_exact_martingale(rng: random.Random, depth: int,
-                            coeff_range: int = 9) -> DyadicMartingale:
-    """Integer Paley coefficients uniform in [-coeff_range, coeff_range]."""
-    coeffs = [rng.randint(-coeff_range, coeff_range) for _ in range(1 << depth)]
+def random_exact_martingale(rng: random.Random, depth: int) -> DyadicMartingale:
+    """Integer Paley coefficients uniform in [-9, 9]."""
+    coeffs = [rng.randint(-9, 9) for _ in range(1 << depth)]
     return DyadicMartingale.from_paley_coeffs(depth, coeffs)
 
 
-def random_decaying_martingale(rng: random.Random, depth: int,
-                               base: float = 8.0) -> DyadicMartingale:
-    """Float coefficients damped by base^{-bit_length(i)} per spectral block.
+def random_decaying_martingale(rng: random.Random, depth: int) -> DyadicMartingale:
+    """Float coefficients damped by 8^{-bit_length(i)} per spectral block.
 
     The block decay keeps the finite-depth Fejer approximation error
     visible: a flat random spectrum at desk depths is dominated by its
@@ -739,23 +721,21 @@ def random_decaying_martingale(rng: random.Random, depth: int,
     coeffs = np.empty(1 << depth)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     for i in range(1, 1 << depth):
-        coeffs[i] = rng.uniform(-1.0, 1.0) * base ** (-i.bit_length())
+        coeffs[i] = rng.uniform(-1.0, 1.0) * 8.0 ** (-i.bit_length())
     return DyadicMartingale.from_paley_coeffs(depth, coeffs)
 
 
-def random_lacunary_martingale(rng: random.Random, depth: int,
-                               coeff_range: int = 3) -> DyadicMartingale:
-    """One nonzero integer coefficient per block [2^b, 2^{b+1}), none at 0.
+def random_lacunary_martingale(rng: random.Random, depth: int) -> DyadicMartingale:
+    """One nonzero integer coefficient in -3..3 per block [2^b, 2^{b+1}), none at 0.
 
     With at most one occupied index per martingale difference (and a
     vanishing constant term) the conjugate transform always matches a
     group translation; see `conjugate_shift`.
     """
     coeffs = [0] * (1 << depth)
-    choices = [v for v in range(-coeff_range, coeff_range + 1) if v != 0]
     for b in range(depth):
         j = rng.randrange(1 << b, 1 << (b + 1))
-        coeffs[j] = rng.choice(choices)
+        coeffs[j] = rng.choice((-3, -2, -1, 1, 2, 3))
     return DyadicMartingale.from_paley_coeffs(depth, coeffs)
 
 

@@ -5,21 +5,24 @@ Averaging the partial sums weights coefficient i by (n - i)/n for i < n,
 so both operators are diagonal in the acting system's ordering.  In the
 Kaczmarz ordering the diagonal acts through the block bit-reversal
 sigma: the Paley coefficient at j carries weight (n - sigma(j))/n when
-sigma(j) < n.  The definitional averages are kept as test oracles.
+sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i.
+`_fejer_sums` builds n sigma_n f for n = 1, 2, ... by one running sum
+for the weighted maximal sweep and `verify_yano`.  The definitional
+averages are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
-from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_weighted, _zeroed,
-                    fwht, inverse_fwht, sigma_permutation)
+from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_spectrum,
+                    _fejer_weighted, _zeroed, fwht, inverse_fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
@@ -39,11 +42,6 @@ def coefficients(f: Operand, system: System | str = System.PALEY) -> Coefficient
     return _paley_spectrum(f).to_ordering(system)
 
 
-def _system_index(system: System, N: int) -> np.ndarray:
-    """The index in `system` order of the function at each Paley position."""
-    return np.arange(1 << N) if system is System.PALEY else sigma_permutation(N)
-
-
 def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     """S_n f: keep coefficients 0..n-1 in the acting system's ordering."""
     system = System.coerce(system)
@@ -51,7 +49,7 @@ def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     size = 1 << N
     if not 0 <= n <= size:
         raise ValueError(f"partial-sum order {n} outside 0..{size}")
-    return inverse_fwht(_zeroed(_paley_spectrum(f), _system_index(system, N) >= n))
+    return inverse_fwht(_zeroed(_paley_spectrum(f), _fejer_spectrum(system, n, N) == 0))
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -63,8 +61,31 @@ def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
         raise ValueError("Fejer mean order must be >= 1")
     if n > size:
         raise ValueError(f"Fejer order {n} outside spectrum 0..{size}")
-    pos = _system_index(system, N)
-    return _fejer_weighted(_paley_spectrum(f), np.where(pos < n, n - pos, 0), n)
+    return _fejer_weighted(_paley_spectrum(f), _fejer_spectrum(system, n, N), n)
+
+
+def _fejer_sums(coeffs: np.ndarray, system: System,
+                n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, n sigma_n f = S_1 f + ... + S_n f) for n = 1..n_max.
+
+    `coeffs` is the Paley spectrum of f.  S_n f adds c w_j to S_{n-1} f,
+    where w_j is system function n - 1 and c its coefficient; the sum of
+    the partial sums then costs O(2^N) per order.  Every array keeps the
+    dtype of `coeffs`, so an int64 spectrum sums exactly.
+    """
+    idx = np.arange(coeffs.size)
+    if system is System.KACZMARZ:
+        paley_index = sigma_permutation(coeffs.size.bit_length() - 1)
+    else:
+        paley_index = idx
+    partial = acc = np.zeros_like(coeffs)  # S_0 f and its running sum
+    for n in range(1, n_max + 1):
+        j = paley_index[n - 1]
+        c = coeffs[j]
+        if c != 0:  # c w_j(x) = c - 2c [popcount(j AND x) odd]
+            partial = partial + (c - (2 * c) * (np.bitwise_count(idx & j) & 1))
+        acc = acc + partial
+        yield n, acc
 
 
 def fejer_mean_by_average(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -103,19 +124,7 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     size = 1 << N
     if not 1 <= n_max <= size:
         raise ValueError(f"n_max {n_max} outside 1..{size}")
-    coeffs = _paley_spectrum(f)._floats()
-    sigma = sigma_permutation(N)
-    idx = np.arange(size)
-    partial = np.full(size, coeffs[0])  # S_1 in either ordering
-    acc = partial.copy()                # sum of S_1..S_n
-    best = np.abs(acc) / fejer_weight(p, 1)
-    for n in range(2, n_max + 1):
-        j = sigma[n - 1]  # kappa_{n-1} = w_j
-        c = coeffs[j]
-        if c != 0.0:
-            row = 1.0 - 2.0 * (np.bitwise_count(idx & j) & 1).astype(np.float64)
-            partial = partial + c * row
-        acc = acc + partial
-        cand = np.abs(acc) / (n * fejer_weight(p, n))
-        best = np.maximum(best, cand)
+    best = np.zeros(size)
+    for n, acc in _fejer_sums(_paley_spectrum(f)._floats(), System.KACZMARZ, n_max):
+        best = np.maximum(best, np.abs(acc) / (n * fejer_weight(p, n)))
     return SampledFunction(N, best)

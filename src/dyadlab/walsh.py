@@ -28,7 +28,7 @@ Fraction even where integral, integer-only routes give ints.  Only this
 module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_energy`,
-`_sup_abs`, `_level` and `_fejer_weighted`.
+`_sup_abs`, `_level`, `_fejer_spectrum` and `_fejer_weighted`.
 """
 
 from __future__ import annotations
@@ -711,14 +711,15 @@ def _kernel_l1_fits_int64(n: int, N: int) -> bool:
     return (n * (n + 1) // 2) << N <= _INT64_MAX
 
 
-def _placed(system: System, head: np.ndarray, N: int) -> np.ndarray:
-    """int64 Paley spectrum holding head[i] at system index i, 0 elsewhere."""
-    out = np.zeros(1 << N, dtype=np.int64)
-    if system is System.PALEY:
-        out[:head.size] = head
-    else:
-        out[sigma_permutation(N)[:head.size]] = head
-    return out
+def _fejer_spectrum(system: System, n: int, N: int) -> np.ndarray:
+    """int64 Paley coefficients of n K_n: n - i at system index i < n, 0 elsewhere.
+
+    Their butterfly is n K_n = sum_{k=1..n} D_k, and D_n has coefficient
+    1 exactly where they are nonzero.  The Fejer mean of order n weights
+    a spectrum by them over n; the partial sum keeps their support.
+    """
+    pos = np.arange(1 << N, dtype=np.int64) if system is System.PALEY else sigma_permutation(N)
+    return np.maximum(n - pos, 0)
 
 
 def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
@@ -732,7 +733,7 @@ def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
         raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
     if not _numerators_fit_int64(n):
         raise ValueError(f"kernel order {n} would overflow int64 sums; reduce n")
-    return _butterfly_array(_placed(system, n - np.arange(n, dtype=np.int64), N))
+    return _butterfly_array(_fejer_spectrum(system, n, N))
 
 
 def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
@@ -740,8 +741,8 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     system = System.coerce(system)
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
-    ones = np.ones(n, dtype=np.int64)
-    return SampledFunction._of(N, _butterfly_array(_placed(system, ones, N)))
+    ones = np.minimum(_fejer_spectrum(system, n, N), 1)
+    return SampledFunction._of(N, _butterfly_array(ones))
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:

@@ -240,6 +240,20 @@ class TestConfigEcho:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "t1", "--depth", "9", "--n-list", ""],
+        ["converge", "--depth", "4", "--n-list", ","]], ids=" ".join)
+    def test_empty_order_list_exits_2(self, argv, capsys):
+        assert exit_status(argv) == 2
+        assert "expected comma-separated integers" in capsys.readouterr().err
+
+    def test_converge_echoes_n_max_that_ran(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["converge", "--depth", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["n_max"] == 16
+        assert [row["n"] for row in payload["reports"][0]["rows"]] == list(range(1, 17))
+
     def test_csv_header_comments(self, tmp_path):
         out = tmp_path / "r.csv"
         run_cli(["verify", "yano", "--n-max", "32", "--resolution", "6",

@@ -208,7 +208,27 @@ class TestAtomicDecomposition:
         assert all(b <= 0.9 * a for a, b in zip(increments, increments[1:]))
 
 
+def yano_rows_by_loop(n_max, N):
+    """The sweep's own Dirichlet and Fejer-numerator recursion (reference)."""
+    idx = np.arange(1 << N, dtype=np.int64)
+    D = np.zeros(1 << N, dtype=np.int64)   # Dirichlet kernel D_n
+    T = np.zeros(1 << N, dtype=np.int64)   # sum_{k<=n} D_k = n * K_n
+    rows = []
+    for n in range(1, n_max + 1):
+        D += 1 - 2 * (np.bitwise_count(idx & (n - 1)).astype(np.int64) & 1)
+        T += D
+        rows.append({"n": n, "l1_norm": Fraction(int(np.sum(np.abs(T))), n << N)})
+    return rows
+
+
 class TestYano:
+    @pytest.mark.parametrize("N", range(9))
+    def test_rows_match_loop(self, N):
+        for n_max in sorted({1, 2, 3, (1 << N) // 2 + 1, (1 << N) - 1, 1 << N}):
+            if 1 <= n_max <= 1 << N:
+                report = verify_yano(n_max, N, include_rows=True)
+                assert report.rows == yano_rows_by_loop(n_max, N)
+
     def test_small_norms(self):
         report = verify_yano(5, 4, include_rows=True)
         norms = {row["n"]: row["l1_norm"] for row in report.rows}

@@ -13,6 +13,8 @@ from dyadlab import (DyadicMartingale, SampledFunction, System, coefficients,
                      weighted_maximal)
 from dyadlab.experiments import (build_t2, q_seq, random_decaying_martingale,
                                  random_exact_martingale)
+from dyadlab.operators import _fejer_sums
+from dyadlab.walsh import sigma_permutation
 
 
 class TestCoefficients:
@@ -168,7 +170,65 @@ class TestConvergenceToTerminal:
         assert errs[-1] < 1e-2 * float(hardy_quasinorm(f, 1))
 
 
+class TestFejerSums:
+    @pytest.mark.parametrize("system", [System.PALEY, System.KACZMARZ])
+    def test_each_sum_is_n_times_the_mean(self, system):
+        for N in range(7):
+            exact = random_exact_martingale(random.Random(N), N)
+            ints = np.array(exact.terminal.coeffs, dtype=np.int64)
+            sums = list(_fejer_sums(ints, system, 1 << N))
+            assert [n for n, _ in sums] == list(range(1, (1 << N) + 1))
+            for n, acc in sums:
+                assert acc.dtype == np.int64
+                assert acc.tolist() == list(fejer_mean(exact, system, n).scale(n).values)
+
+            decaying = random_decaying_martingale(random.Random(N), N)
+            floats = np.array(decaying.terminal.coeffs, dtype=np.float64)
+            for n, acc in _fejer_sums(floats, system, 1 << N):
+                assert acc.dtype == np.float64
+                np.testing.assert_allclose(
+                    acc, fejer_mean(decaying, system, n).scale(n).values,
+                    rtol=1e-12, atol=1e-12)
+
+
+def weighted_maximal_by_loop(f, p, n_max):
+    """The sweep's own running sum of Kaczmarz partial sums (reference)."""
+    N = f.depth
+    coeffs = np.array(f.terminal.coeffs, dtype=np.float64)
+    sigma = sigma_permutation(N)
+    idx = np.arange(1 << N)
+    partial = np.full(1 << N, coeffs[0])
+    acc = partial.copy()
+    best = np.abs(acc) / fejer_weight(p, 1)
+    for n in range(2, n_max + 1):
+        j = sigma[n - 1]
+        c = coeffs[j]
+        if c != 0.0:
+            row = 1.0 - 2.0 * (np.bitwise_count(idx & j) & 1).astype(np.float64)
+            partial = partial + c * row
+        acc = acc + partial
+        best = np.maximum(best, np.abs(acc) / (n * fejer_weight(p, n)))
+    return best
+
+
 class TestWeightedMaximal:
+    @pytest.mark.parametrize("depth", [6, 9])
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2)])
+    def test_bitwise_equal_to_loop(self, depth, p):
+        rng = random.Random(depth)
+        cases = [random_decaying_martingale(rng, depth) for _ in range(2)]
+        cases.append(random_exact_martingale(rng, depth))
+        # top block only: the maximum sits where the two orderings differ
+        half = 1 << (depth - 1)
+        cases.append(DyadicMartingale.from_paley_coeffs(
+            depth, [0] * half + [rng.randint(-9, 9) for _ in range(half)]))
+        for f in cases:
+            for n_max in (1, 2, 7, 1 << depth):
+                got = np.asarray(weighted_maximal(f, p, n_max).values)
+                want = weighted_maximal_by_loop(f, p, n_max)
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+
     def test_weights(self):
         assert fejer_weight(Fraction(1, 4), 1) == 4.0   # (n+1)^{1/p-2}
         assert fejer_weight(Fraction(1, 4), 3) == 16.0

@@ -13,6 +13,7 @@ from dyadlab import (DyadicInterval, GroupPoint, SampledFunction, System,
                      inverse_fwht, kaczmarz, kaczmarz_paley_index,
                      kaczmarz_samples, sigma_permutation, truncate_paley,
                      walsh_paley, walsh_paley_samples)
+from dyadlab.walsh import _fejer_spectrum
 
 
 class TestPaley:
@@ -244,6 +245,21 @@ class TestFejer:
     def test_denominator_divides_order(self):
         for v in fejer("paley", 12, 4).values:
             assert 12 % v.denominator == 0
+
+
+class TestFejerSpectrum:
+    @pytest.mark.parametrize("system", [System.PALEY, System.KACZMARZ])
+    def test_matches_definition(self, system):
+        # coefficient n - i at the Paley index of system function i < n
+        for N in range(7):
+            for n in range((1 << N) + 1):
+                expected = np.zeros(1 << N, dtype=np.int64)
+                for i in range(n):
+                    j = i if system is System.PALEY else kaczmarz_paley_index(i)
+                    expected[j] = n - i
+                got = _fejer_spectrum(system, n, N)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
 
 
 class TestKernelDecomposition:

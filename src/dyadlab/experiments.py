@@ -322,8 +322,9 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
     """
     start = time.perf_counter()
     p, L, M = fam.p, fam.levels, fam.depth
-    if max(n_list) >= M:
-        raise ValueError(f"depth {M} insufficient for n up to {max(n_list)}")
+    for n in n_list:
+        if not 0 <= n < M:
+            raise ValueError(f"n_list value {n} outside 0..{M - 1} at depth {M}")
     fam_deep = build_t1(p, L + 1, M + 1)
     term, term_deep = fam.terminal(), fam_deep.terminal()
     tail_norm = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p).value
@@ -381,14 +382,15 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
     start = time.perf_counter()
     half = Fraction(1, 2)
     L, M = fam.levels, fam.depth
+    for i in i_list:  # i <= M keeps q_seq small
+        if not 1 <= i <= M or q_seq(1 << (i - 1)) > 1 << M:
+            raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
     fam_deep = build_t2(L, M + 1)
     term, term_deep = fam.terminal(), fam_deep.terminal()
     rows = []
     for i in i_list:
         A = 1 << (i - 1)
         order = q_seq(A)
-        if order > (1 << M):
-            raise ValueError(f"q_{A} = {order} overflows depth {M}")
         sigma = fejer_mean(fam.martingale, System.KACZMARZ, order)
         qn = lp_quasinorm(sigma - term, half)
         row = {

@@ -14,6 +14,15 @@ sorts the integer |numerators| and forms v * count^{1/p} in Python ints
 only at the end of each run of equal values, over the common
 denominator.  Float exponents on exact cells round each cell's quotient
 once (as float(Fraction) does) before the float arithmetic.
+
+The translation profile ||f(.+h) - f||_p^p over every shift h gives
+every modulus of continuity omega_p(1/2^n, f) as a masked maximum.  At
+even p it is exact: the float cells, scaled to integers over one power
+of two, give integer power sums for all shifts at once by dyadic
+correlation (`_translate_power_sums`), and each value is rounded once.
+Other p, and cells that are not finite, take a float64 XOR gather over
+all 4^N (shift, cell) pairs.  `modulus_lp` gathers only its 2^{N-n}
+shifts (float mode) or loops over as many exact translates.
 """
 
 from __future__ import annotations
@@ -151,15 +160,33 @@ def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
                key=lambda q: q.power_sum)  # the first shift of largest power sum
 
 
-def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
-    """||f(.+h) - f||_p^p for every shift h, as one float64 sweep.
+def _rounded(num: int, den: int) -> float:
+    """num / den for Python ints, correctly rounded; inf past the float maximum."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
-    Since I_n consists of the shifts whose low n bits vanish, a single
-    profile serves every modulus omega_p(1/2^n, f) as a masked maximum.
+
+def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
+    """||f(.+h) - f||_p^p for every shift h, on the float cells of f.
+
+    At even p, with finite cells, each value is the exact power sum of
+    `_translate_power_sums` rounded once.  Other p, and cells that are
+    not finite, take one float64 XOR gather over every (shift, cell)
+    pair.  Since I_n consists of the shifts whose low n bits vanish, a
+    single profile serves every modulus omega_p(1/2^n, f) as a masked
+    maximum.
     """
     p = normalize_p(p)
     _check_p_positive(p)
-    return _shift_power_sums(f._floats(), np.arange(len(f)), float(p)) / len(f)
+    cells = f._floats()
+    even = isinstance(p, Fraction) and p.denominator == 1 and p.numerator % 2 == 0
+    if not (even and np.all(np.isfinite(cells))):
+        return _shift_power_sums(cells, np.arange(len(f)), float(p)) / len(f)
+    sums, unit = f._translate_power_sums(p.numerator)
+    den = unit << f.resolution
+    return np.array([_rounded(s, den) for s in sums.tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,11 @@ Fraction even where integral, integer-only routes give ints.  Only this
 module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_energy`,
-`_sup_abs`, `_level`, `_fejer_spectrum` and `_fejer_weighted`.
+`_sup_abs`, `_level`, `_fejer_spectrum`, `_fejer_weighted` and
+`_translate_power_sums`.  The last gives sum_j (f(j XOR h) - f(j))^p of
+the float cells for every shift h at even p, exactly, as integers over
+one power of two: a signed sum of dyadic correlations, each a cellwise
+product under the butterfly.
 """
 
 from __future__ import annotations
@@ -281,6 +285,21 @@ def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
     return num, den, frac, _locked(np.array(vals, dtype=object))
 
 
+def _dyadic(cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """Finite float64 cells as Python ints over one power of two: cells = num / den.
+
+    Each cell is mant * 2^ex with an odd int64 mant; den = 2^-min(ex) (1 when
+    no ex is negative), so the shifts below are >= 0.
+    """
+    mant, ex = np.frexp(cells)
+    mant = np.ldexp(mant, 53).astype(np.int64)       # exact: |mant| < 2^53
+    zeros = np.frexp(mant & -mant)[1] - 1            # trailing zero bits; -1 at 0
+    mant, ex = mant >> np.maximum(zeros, 0), ex - 53 + zeros
+    nz = mant != 0
+    low = min(int(ex[nz].min()), 0) if nz.any() else 0
+    return mant.astype(object) << np.where(nz, ex - low, 0).astype(object), 1 << -low
+
+
 def _scalar(x) -> Scalar:
     """A reduction's result as a Python number (exact results already are)."""
     return x.item() if isinstance(x, np.generic) else x
@@ -484,6 +503,31 @@ class SampledFunction(_Cells):
 
     def to_float(self) -> "SampledFunction":
         return self._like(self._floats())
+
+    def _translate_power_sums(self, p: int) -> tuple[np.ndarray, int]:
+        """Integers S and den with sum_j (f(j XOR h) - f(j))^p = S[h] / den^p, exactly.
+
+        For even p >= 2 and finite float cells f.  With f = F / den, F the
+        cells scaled to integers over one power of two, the sum is
+        sum_k C(p,k) (-1)^k (F^(p-k) * F^k)(h), a signed sum of dyadic
+        correlations (a * b)(h) = sum_j a(j XOR h) b(j).  The butterfly
+        makes each one a cellwise product of spectra, so S costs p - 1
+        forward butterflies and one inverse.  The terms k = 0 and k = p
+        are the constant 2 sum F^p, which S[0] = 0 determines.
+        """
+        num, den = _dyadic(self._floats())
+        size = len(self)
+        # spectra of F^k are at most size max|F|^k, their products size^2 max|F|^p,
+        # the binomial sum 2^p times that and its butterfly size times more
+        num = _fit(num, (_peak(num) ** p << p) * size ** 3)
+        powers = [num]
+        while len(powers) < p - 1:
+            powers.append(powers[-1] * num)
+        spectra = [_butterfly_array(g) for g in powers]  # spectra[k - 1] is that of F^k
+        acc = sum(math.comb(p, k) * (-1) ** k * (spectra[p - k - 1] * spectra[k - 1])
+                  for k in range(1, p))
+        corr = _butterfly_array(acc) // size
+        return corr - corr[0], den ** p
 
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "SampledFunction") -> None:

@@ -133,6 +133,15 @@ class TestCounterexampleCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["counterexample", "t1", "--p", "abc"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["counterexample", "t1", "--depth", "6", "--n-list", "-1"],
+         "n_list value -1 outside 0..5 at depth 6"),
+        (["counterexample", "t2", "--depth", "6", "--levels", "2", "--i-list", "0"],
+         "i_list value 0 needs i >= 1 and q_(2^(i-1)) <= 2^6")], ids=["t1", "t2"])
+    def test_out_of_range_order_exits_2(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("family, argv", [
         ("t1", ["--p", "1/4", "--depth", "7", "--n-list", "4,5,6"]),
         ("t2", ["--levels", "2", "--depth", "6", "--i-list", "2"])])

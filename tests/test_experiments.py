@@ -383,6 +383,11 @@ class TestDivergenceT1:
         with pytest.raises(ValueError):
             divergence_t1(build_t1(Fraction(1, 4), 6, 7), [8])
 
+    @pytest.mark.parametrize("n", [7, -1])
+    def test_order_range_named(self, n):
+        with pytest.raises(ValueError, match=f"n_list value {n} outside 0..6 at depth 7"):
+            divergence_t1(build_t1(Fraction(1, 4), 6, 7), [4, n])
+
 
 class TestDivergenceT2:
     def test_table(self):
@@ -401,6 +406,11 @@ class TestDivergenceT2:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             divergence_t2(build_t2(3, 8), [3])
+
+    @pytest.mark.parametrize("i", [3, 0, -2, 10 ** 12])
+    def test_order_range_named(self, i):
+        with pytest.raises(ValueError, match=rf"i_list value {i} needs i >= 1 and .* <= 2\^6"):
+            divergence_t2(build_t2(2, 6), [2, i])
 
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel

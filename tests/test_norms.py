@@ -13,6 +13,7 @@ from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, SampledFuncti
                      approx_bracket, dirichlet, fejer_mean, fwht, lp_quasinorm, modulus_lp,
                      normalize_p, plancherel_power_sums, translate, translate_norm_profile,
                      truncate_paley, walsh_paley_samples, weak_lp)
+from dyadlab.norms import _shift_power_sums
 
 
 def random_exact(rng, N):
@@ -279,6 +280,69 @@ class TestModulus:
             best = max(profile[h] for h in mask)
             assert math.isclose(best, modulus_lp(f, n, p).power_sum,
                                 rel_tol=1e-12, abs_tol=1e-15)
+
+
+def profile_by_fractions(cells, p):
+    """||f(.+h) - f||_p^p of float cells as exact Fractions, each rounded once (reference)."""
+    x = [Fraction(v) for v in cells.tolist()]
+    size = len(x)
+    out = []
+    for h in range(size):
+        exact = Fraction(sum((x[j ^ h] - x[j]) ** p for j in range(size)), size)
+        try:
+            out.append(float(exact))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def gather_profile(cells, p):
+    return _shift_power_sums(cells, np.arange(cells.size), float(p)) / cells.size
+
+
+def profile_inputs(rng, N, p):
+    """Float cells a float64 correlation would get wrong, and plain ones."""
+    size = 1 << N
+    uniform = np.array([rng.uniform(-1, 1) for _ in range(size)])
+    yield "uniform", uniform
+    yield "nearly constant", 1.0 + 2.0 ** -40 * uniform  # cancels in a float correlation
+    yield "wide span", np.array([rng.choice([1, -1]) * rng.random() * 2.0 ** rng.randint(-1074, 250)
+                                 for _ in range(size)])
+    yield "subnormal cells", np.array([rng.choice([0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1022])
+                                       for _ in range(size)])
+    yield "subnormal sums", uniform * 2.0 ** (-1040 // p)
+    yield "zero", np.zeros(size)
+
+
+class TestProfileOracle:
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("N", [0, 1, 3, 6])
+    def test_matches_rounded_fraction_sum(self, N, p):
+        rng = random.Random(100 * N + p)
+        for name, cells in profile_inputs(rng, N, p):
+            got = translate_norm_profile(SampledFunction(N, cells), p)
+            assert got[0] == 0.0, name
+            assert got.tobytes() == profile_by_fractions(cells, p).tobytes(), name
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # in the gather
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_overflow_is_inf_like_the_gather(self, p):
+        rng = random.Random(p)
+        cells = np.array([rng.choice([-1e100, 0.0, 1e100, 3e99]) for _ in range(64)])
+        got = translate_norm_profile(SampledFunction(6, cells), p)
+        assert np.isinf(got).sum() > 0 and got[0] == 0.0
+        assert got.tobytes() == gather_profile(cells, p).tobytes()
+        assert got.tobytes() == profile_by_fractions(cells, p).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the gather
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cells_take_the_gather(self, bad, p):
+        rng = random.Random(3)
+        cells = np.array([rng.uniform(-1, 1) for _ in range(16)])
+        cells[5] = bad
+        got = translate_norm_profile(SampledFunction(4, cells), p)
+        assert got.tobytes() == gather_profile(cells, p).tobytes()
 
 
 class TestApproxBracket:

@@ -246,19 +246,22 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
 def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationReport:
     """Exact sweep of ||K_n^w||_1 for 1 <= n <= n_max; passes iff max <= 2."""
     start = time.perf_counter()
-    size = 1 << N
+    if N < 0:
+        raise ValueError(f"resolution must be >= 0, got {N}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > size:
+    R = (n_max - 1).bit_length()  # K_1..K_{n_max} live on the low R coordinates
+    if R > N:
         raise ValueError(f"n_max {n_max} overflows spectrum at resolution {N}")
-    if not _kernel_l1_fits_int64(n_max, N):
-        raise ValueError("kernel sums would not fit int64; reduce n_max or resolution")
+    if not _kernel_l1_fits_int64(n_max, R):
+        raise ValueError("kernel sums would not fit int64; reduce n_max")
     best = Fraction(0)
     best_n = 0
     rows = [] if include_rows else None
-    # the Paley spectrum of 2^N 1_{I_N} is all ones, so n sigma_n of it is n K_n
-    for n, T in _fejer_sums(np.ones(size, dtype=np.int64), System.PALEY, n_max):
-        norm = Fraction(int(np.sum(np.abs(T))), n << N)
+    # the Paley spectrum of 2^R 1_{I_R} is all ones, so n sigma_n of it is n K_n;
+    # ||n K_n||_1 is the mean of |n K_n| over whichever resolution it comes at
+    for n, T in _fejer_sums(np.ones(1 << R, dtype=np.int64), System.PALEY, n_max):
+        norm = Fraction(int(np.sum(np.abs(T))), n * T.size)
         if norm > best:
             best, best_n = norm, n
         if rows is not None:
@@ -694,6 +697,10 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
 def verify_identities(resolution: int = 8, depth: int = 5, seed: int = 0,
                       count: int = 5) -> list[VerificationReport]:
     """The bundled exact cross-checks exposed by the command line."""
+    if resolution < 0:
+        raise ValueError(f"resolution must be >= 0, got {resolution}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     return [
         verify_closed_form(resolution),
         verify_permutation_equivalence(min(resolution, 10)),
@@ -720,6 +727,8 @@ def random_decaying_martingale(rng: random.Random, depth: int) -> DyadicMartinga
     visible: a flat random spectrum at desk depths is dominated by its
     top block, which no Fejer order below 2^M can average away.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     coeffs = np.empty(1 << depth)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     for i in range(1, 1 << depth):

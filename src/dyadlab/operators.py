@@ -7,8 +7,9 @@ Kaczmarz ordering the diagonal acts through the block bit-reversal
 sigma: the Paley coefficient at j carries weight (n - sigma(j))/n when
 sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i.
 `_fejer_sums` builds n sigma_n f for n = 1, 2, ... by one running sum
-for the weighted maximal sweep and `verify_yano`.  The definitional
-averages are kept as test oracles.
+for the weighted maximal sweep and `verify_yano`; each sum comes at its
+own resolution (n-1).bit_length(), the coordinates system functions
+0..n-1 read.  The definitional averages are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -68,22 +69,29 @@ def _fejer_sums(coeffs: np.ndarray, system: System,
                 n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, n sigma_n f = S_1 f + ... + S_n f) for n = 1..n_max.
 
-    `coeffs` is the Paley spectrum of f.  S_n f adds c w_j to S_{n-1} f,
-    where w_j is system function n - 1 and c its coefficient; the sum of
-    the partial sums then costs O(2^N) per order.  Every array keeps the
+    `coeffs` is the Paley spectrum of f, read only where system functions
+    0..n_max-1 sit.  S_n f adds c w_j to S_{n-1} f, where w_j is system
+    function n - 1 and c its coefficient.  Functions 0..n-1 depend only
+    on the low r = (n-1).bit_length() coordinates in both orderings
+    (sigma keeps each block [2^k, 2^{k+1}) in place), so the sum of
+    order n comes on its own 2^r cells; tiling it 2^{N-r} times gives
+    its samples at the resolution N of `coeffs`.  The sums double when
+    n - 1 reaches 2^r, so order n costs O(2^r).  Every array keeps the
     dtype of `coeffs`, so an int64 spectrum sums exactly.
     """
-    idx = np.arange(coeffs.size)
-    if system is System.KACZMARZ:
-        paley_index = sigma_permutation(coeffs.size.bit_length() - 1)
-    else:
-        paley_index = idx
-    partial = acc = np.zeros_like(coeffs)  # S_0 f and its running sum
+    R = (n_max - 1).bit_length()  # the resolution of the last order
+    idx = np.arange(1 << R)
+    paley_index = sigma_permutation(R) if system is System.KACZMARZ else idx
+    r = 0
+    partial = acc = np.zeros(1, dtype=coeffs.dtype)  # S_0 f and its running sum
     for n in range(1, n_max + 1):
+        if n - 1 == 1 << r:
+            r += 1
+            partial, acc = np.tile(partial, 2), np.tile(acc, 2)
         j = paley_index[n - 1]
         c = coeffs[j]
         if c != 0:  # c w_j(x) = c - 2c [popcount(j AND x) odd]
-            partial = partial + (c - (2 * c) * (np.bitwise_count(idx & j) & 1))
+            partial = partial + (c - (2 * c) * (np.bitwise_count(idx[:1 << r] & j) & 1))
         acc = acc + partial
         yield n, acc
 
@@ -114,8 +122,9 @@ def fejer_weight(p: Fraction | float, n: int) -> float:
 def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     """max_{1<=n<=n_max} |sigma_n^kappa f| / fejer_weight(p, n), in float mode.
 
-    The sweep keeps a running sum of Kaczmarz partial sums, so the whole
-    range costs O(n_max 2^N) instead of n_max separate means.
+    The sweep keeps a running sum of Kaczmarz partial sums at each order's
+    own resolution, so the whole range costs O(n_max 2^R), with
+    R = (n_max-1).bit_length(), instead of n_max separate means.
     """
     p = normalize_p(p)
     if not 0 < p <= Fraction(1, 2):
@@ -124,7 +133,9 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     size = 1 << N
     if not 1 <= n_max <= size:
         raise ValueError(f"n_max {n_max} outside 1..{size}")
-    best = np.zeros(size)
+    best = np.zeros(1)  # at the sweep's resolution, tiled with it
     for n, acc in _fejer_sums(_paley_spectrum(f)._floats(), System.KACZMARZ, n_max):
+        if best.size < acc.size:
+            best = np.tile(best, 2)
         best = np.maximum(best, np.abs(acc) / (n * fejer_weight(p, n)))
-    return SampledFunction(N, best)
+    return SampledFunction(N, np.tile(best, size // best.size))

@@ -112,6 +112,28 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "yano", "--n-max", "4", "--resolution", "-1"],
+         "resolution must be >= 0, got -1"),
+        (["verify", "identities", "--resolution", "-2", "--depth", "3"],
+         "resolution must be >= 0, got -2"),
+        (["verify", "identities", "--resolution", "4", "--depth", "-1"],
+         "depth must be >= 0, got -1"),
+        (["converge", "--depth", "-1"], "depth must be >= 0, got -1")])
+    def test_negative_size_names_the_flag(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_yano_resolution_beyond_memory(self, tmp_path):
+        # K_1..K_4 live on 2^2 cells, so resolution 40 sums no more than resolution 2
+        witnesses = []
+        for resolution in ("40", "2"):
+            out = tmp_path / f"yano_{resolution}.json"
+            assert run_cli(["verify", "yano", "--n-max", "4", "--resolution", resolution,
+                            "--out", str(out)]) == 0
+            witnesses.append(json.loads(out.read_text())["reports"][0]["witness"])
+        assert witnesses[0] == witnesses[1]
+
 
 class TestCounterexampleCommand:
     def test_t1(self, tmp_path):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab import (SampledFunction, System, dirichlet, dirichlet_prefix, fejer,
-                     is_p_atom, modulus_hp, s2n)
+from dyadlab import (SampledFunction, System, dirichlet, dirichlet_prefix, experiments,
+                     fejer, is_p_atom, modulus_hp, s2n)
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2,
                                  kernel_half_integral, q_seq,
@@ -229,6 +229,13 @@ class TestYano:
                 report = verify_yano(n_max, N, include_rows=True)
                 assert report.rows == yano_rows_by_loop(n_max, N)
 
+    @pytest.mark.parametrize("N", [0, 3, 6])
+    def test_rows_independent_of_resolution(self, N):
+        # ||K_n||_1 is the same at every resolution that holds order n
+        n_max = 1 << N
+        assert (verify_yano(n_max, N, include_rows=True).rows
+                == verify_yano(n_max, N + 3, include_rows=True).rows)
+
     def test_small_norms(self):
         report = verify_yano(5, 4, include_rows=True)
         norms = {row["n"]: row["l1_norm"] for row in report.rows}
@@ -265,6 +272,22 @@ class TestYano:
     def test_no_orders(self):
         with pytest.raises(ValueError, match="n_max"):
             verify_yano(0, 5)
+
+    def test_guard_reads_the_summed_resolution(self, monkeypatch):
+        # n_max = 2^21 sums on 2^21 cells, 2^21 + 1 on 2^22: the int64 bound
+        # 2^R n(n+1)/2 <= 2^63 - 1 holds for the first and fails for the second
+        sizes = []
+
+        def no_sweep(coeffs, system, n_max):
+            sizes.append(coeffs.size)
+            return iter(())
+
+        monkeypatch.setattr(experiments, "_fejer_sums", no_sweep)
+        verify_yano(2**21, 40)
+        assert sizes == [2**21]
+        with pytest.raises(ValueError, match="int64"):
+            verify_yano(2**21 + 1, 40)
+        assert sizes == [2**21]
 
 
 class TestLemma2:

@@ -37,6 +37,8 @@ CASES = {
         "counterexample", "t1", "--p", "2/5", "--depth", "8", "--n-list", "4,5,6"],
     "counterexample_t2.json": [
         "counterexample", "t2", "--depth", "9", "--i-list", "2,3"],
+    "verify_yano.json": [
+        "verify", "yano", "--n-max", "512", "--resolution", "12"],
     "verify_identities.json": [
         "verify", "identities", "--resolution", "6", "--depth", "4", "--count", "2",
         "--seed", "1"],

@@ -179,15 +179,20 @@ class TestFejerSums:
             sums = list(_fejer_sums(ints, system, 1 << N))
             assert [n for n, _ in sums] == list(range(1, (1 << N) + 1))
             for n, acc in sums:
+                # order n comes on the 2^r cells its functions 0..n-1 depend on
+                assert acc.size == 1 << (n - 1).bit_length()
                 assert acc.dtype == np.int64
-                assert acc.tolist() == list(fejer_mean(exact, system, n).scale(n).values)
+                full = np.tile(acc, (1 << N) // acc.size)
+                assert full.tolist() == list(fejer_mean(exact, system, n).scale(n).values)
 
             decaying = random_decaying_martingale(random.Random(N), N)
             floats = np.array(decaying.terminal.coeffs, dtype=np.float64)
             for n, acc in _fejer_sums(floats, system, 1 << N):
+                assert acc.size == 1 << (n - 1).bit_length()
                 assert acc.dtype == np.float64
                 np.testing.assert_allclose(
-                    acc, fejer_mean(decaying, system, n).scale(n).values,
+                    np.tile(acc, (1 << N) // acc.size),
+                    fejer_mean(decaying, system, n).scale(n).values,
                     rtol=1e-12, atol=1e-12)
 
 
@@ -223,7 +228,8 @@ class TestWeightedMaximal:
         cases.append(DyadicMartingale.from_paley_coeffs(
             depth, [0] * half + [rng.randint(-9, 9) for _ in range(half)]))
         for f in cases:
-            for n_max in (1, 2, 7, 1 << depth):
+            # 2^k + 1 puts a doubling of the sweep's cells on the last order
+            for n_max in (1, 2, 7, 9, (1 << (depth - 1)) + 1, 1 << depth):
                 got = np.asarray(weighted_maximal(f, p, n_max).values)
                 want = weighted_maximal_by_loop(f, p, n_max)
                 assert got.dtype == want.dtype == np.float64

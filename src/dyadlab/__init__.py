@@ -12,7 +12,7 @@ from .walsh import (CoefficientSequence, SampledFunction, System, character_samp
                     compose_with_tau, convolve, convolve_by_sum, dirichlet, fejer,
                     fejer_by_average, fejer_numerators, fwht, inverse_fwht, kaczmarz,
                     kaczmarz_paley_index, kaczmarz_samples, sigma_permutation,
-                    truncate_paley, walsh_paley, walsh_paley_samples)
+                    walsh_paley, walsh_paley_samples)
 from .norms import (ApproxBracket, QuasiNormValue, approx_bracket, lp_quasinorm,
                     modulus_lp, normalize_p, plancherel_power_sums, translate,
                     translate_norm_profile, weak_lp)

@@ -130,41 +130,40 @@ def _block_kernel(m: int, M: int) -> SampledFunction:
             - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
 
 
-def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
-    """Family with spectrum 2^i on block [2^i, 2^{i+1}), i <= L, at depth M.
+def _lacunary(kind: str, p: Fraction | float, L: int, M: int,
+              blocks: list[tuple[int, int]]) -> CounterexampleFamily:
+    """Paley spectrum c on block [2^m, 2^{m+1}) for each (m, c) in `blocks`, at depth M.
 
-    The atom scale 2^{i(1/p-1)} is an integer exactly when 1/p is; other
-    p get float-mode atoms while the martingale itself stays exact (its
-    coefficients do not depend on p).
+    Block m carries the p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m
+    with weight 2^{(2-1/p)m} c / 2^m, so the weighted atoms sum to the
+    terminal level.  Atoms and weights are ints and Fractions when 1/p is
+    an integer; other p get float atoms and weights, while the martingale
+    itself stays exact (its coefficients do not depend on p).
     """
+    if M > 24:
+        raise ValueError(f"depth {M} would materialize 2^{M} cells; the limit is 24")
+    coeffs = [0] * (1 << M)
+    for m, c in blocks:
+        coeffs[1 << m:2 << m] = [c] * (1 << m)
+    mart = DyadicMartingale.from_paley_coeffs(M, coeffs)
+    exact = isinstance(p, Fraction) and p.numerator == 1
+    inv_p = p.denominator if exact else 1.0 / float(p)
+    atoms, weights = [], []
+    for m, c in blocks:
+        block = _block_kernel(m, M) if exact else _block_kernel(m, M).to_float()
+        atoms.append((block.scale(2 ** (m * (inv_p - 1))), DyadicInterval.at_zero(m, M)))
+        weights.append(Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m))
+    return CounterexampleFamily(kind, p, L, M, mart, atoms, weights)
+
+
+def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
+    """Family with spectrum 2^i on block [2^i, 2^{i+1}), i <= L, at depth M."""
     p = normalize_p(p)
     if not 0 < p < Fraction(1, 2):
         raise ValueError(f"family t1 needs 0 < p < 1/2, got {p}")
     if not 0 <= L < M:
         raise ValueError(f"need 0 <= L < M, got L={L}, M={M}")
-    if M > 24:
-        raise ValueError(f"depth {M} would materialize 2^{M} cells; use the radial path")
-    size = 1 << M
-    coeffs = [0] * size
-    for i in range(L + 1):
-        for j in range(1 << i, 1 << (i + 1)):
-            coeffs[j] = 1 << i
-    mart = DyadicMartingale.from_paley_coeffs(M, coeffs)
-
-    exact_scale = isinstance(p, Fraction) and p.numerator == 1
-    inv_p = p.denominator if exact_scale else 1.0 / float(p)
-    atoms = []
-    weights = []
-    for i in range(L + 1):
-        block = _block_kernel(i, M)
-        if exact_scale:
-            atom = block.scale(1 << (i * (inv_p - 1)))
-            weights.append(Fraction(1, 1 << ((inv_p - 2) * i)))
-        else:
-            atom = block.to_float().scale(2.0 ** (i * (inv_p - 1.0)))
-            weights.append(2.0 ** (-(inv_p - 2.0) * i))
-        atoms.append((atom, DyadicInterval.at_zero(i, M)))
-    return CounterexampleFamily("t1", p, L, M, mart, atoms, weights)
+    return _lacunary("t1", p, L, M, [(i, 1 << i) for i in range(L + 1)])
 
 
 def build_t2(L: int, M: int) -> CounterexampleFamily:
@@ -173,23 +172,9 @@ def build_t2(L: int, M: int) -> CounterexampleFamily:
         raise ValueError(f"family t2 needs at least one block, got L={L}")
     if (1 << L) + 1 > M:
         raise ValueError(f"block {L} needs depth >= {(1 << L) + 1}, got {M}")
-    if M > 24:
-        raise ValueError(f"depth {M} would materialize 2^{M} cells; use the radial path")
-    size = 1 << M
-    coeffs = [0] * size
-    for i in range(1, L + 1):
-        c = 1 << ((1 << i) - 2 * i)  # 2^{2^i} / 2^{2i}, an integer for i >= 1
-        for j in range(1 << (1 << i), 1 << ((1 << i) + 1)):
-            coeffs[j] = c
-    mart = DyadicMartingale.from_paley_coeffs(M, coeffs)
-
-    atoms = []
-    weights = []
-    for i in range(1, L + 1):
-        m = 1 << i
-        atoms.append((_block_kernel(m, M).scale(1 << m), DyadicInterval.at_zero(m, M)))
-        weights.append(Fraction(1, 1 << (2 * i)))
-    return CounterexampleFamily("t2", Fraction(1, 2), L, M, mart, atoms, weights)
+    # 2^{2^i} / 2^{2i} is an integer for i >= 1
+    blocks = [(1 << i, 1 << ((1 << i) - 2 * i)) for i in range(1, L + 1)]
+    return _lacunary("t2", Fraction(1, 2), L, M, blocks)
 
 
 def _reconstructs_terminal(family: CounterexampleFamily) -> bool:
@@ -729,6 +714,8 @@ def random_decaying_martingale(rng: random.Random, depth: int) -> DyadicMartinga
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth > 24:  # the limit of build_t1 and build_t2
+        raise ValueError(f"depth {depth} would materialize 2^{depth} cells; the limit is 24")
     coeffs = np.empty(1 << depth)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     for i in range(1, 1 << depth):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class GroupPoint:
     @property
     def coords(self) -> tuple[int, ...]:
         return tuple(self.index >> k & 1 for k in range(self.resolution))
-
-    def coord(self, k: int) -> int:
-        if not 0 <= k < self.resolution:
-            raise ValueError(f"coordinate {k} outside resolution {self.resolution}")
-        return self.index >> k & 1
 
     def __add__(self, other: "GroupPoint") -> "GroupPoint":
         return group_add(self, other)
@@ -168,10 +163,6 @@ class DyadicInterval:
 
     def indices(self, resolution: int) -> list[int]:
         return interval_indices(self, resolution)
-
-    def iter_points(self, resolution: int) -> Iterator[GroupPoint]:
-        for j in self.indices(resolution):
-            yield GroupPoint(resolution, j)
 
 
 def interval_indices(interval: DyadicInterval, resolution: int) -> list[int]:

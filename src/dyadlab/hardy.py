@@ -30,7 +30,7 @@ import numpy as np
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
 from .walsh import (CoefficientSequence, SampledFunction, System, _level, _sup_abs, _zeroed,
-                    fwht, truncate_paley)
+                    fwht)
 
 
 class DyadicMartingale:
@@ -85,7 +85,7 @@ def s2n(f: "DyadicMartingale | SampledFunction", n: int) -> SampledFunction:
         return f.level(n)
     if not 0 <= n <= f.resolution:
         raise ValueError(f"partial-sum level {n} outside 0..{f.resolution}")
-    return truncate_paley(f, 1 << n)
+    return _level(fwht(f), n)
 
 
 def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:

@@ -35,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .group import GroupPoint
-from .walsh import SampledFunction, _energy, fwht, truncate_paley
+from .walsh import SampledFunction, _level, _zeroed, fwht
 
 PLike = Union[int, float, Fraction, str]
 
@@ -212,12 +212,12 @@ def approx_bracket(f: SampledFunction, n: int, p: PLike) -> ApproxBracket:
         raise ValueError(f"approximation bracket requires p >= 1, got {p}")
     if n > f.resolution or n < 0:
         raise ValueError(f"spectral cut rank {n} out of range 0..{f.resolution}")
-    tail = f - truncate_paley(f, 1 << n)
-    t = lp_quasinorm(tail, p)
+    spec = fwht(f)
+    t = lp_quasinorm(f - _level(spec, n), p)
     l2_value = None
     l2_energy = None
     if p == 2:
-        l2_energy = _energy(fwht(f), slice(1 << n, None))
+        l2_energy = _zeroed(spec, slice(1 << n)).energy()
         l2_value = math.sqrt(float(l2_energy))
     return ApproxBracket(float(t) / 2.0, float(t), t, l2_value, l2_energy)
 

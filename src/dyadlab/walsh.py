@@ -27,12 +27,11 @@ typed as Python's own arithmetic would type them: a division gives a
 Fraction even where integral, integer-only routes give ints.  Only this
 module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
-`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_energy`,
-`_sup_abs`, `_level`, `_fejer_spectrum`, `_fejer_weighted` and
-`_translate_power_sums`.  The last gives sum_j (f(j XOR h) - f(j))^p of
-the float cells for every shift h at even p, exactly, as integers over
-one power of two: a signed sum of dyadic correlations, each a cellwise
-product under the butterfly.
+`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
+`_level`, `_fejer_spectrum`, `_fejer_weighted` and `_translate_power_sums`.
+The last gives sum_j (f(j XOR h) - f(j))^p of the float cells for every
+shift h at even p, exactly, as integers over one power of two: a signed
+sum of dyadic correlations, each a cellwise product under the butterfly.
 """
 
 from __future__ import annotations
@@ -252,31 +251,24 @@ def _tag(frac) -> bool | np.ndarray:
     return bool(frac)
 
 
-def _cells(values: Sequence[Scalar] | np.ndarray, size: int, exact: bool | None,
-           what: str) -> tuple:
+def _cells(values: Sequence[Scalar] | np.ndarray, size: int, what: str) -> tuple:
     """Validate outside input as `_store` arguments: float64 cells, or exact
     numerators, denominator, Fraction mask and the input cells as readout.
 
     A numeric ndarray is float data.  A sequence or an object ndarray is
-    exact unless `exact` is False, and then every cell must be an int or
-    a Fraction.
+    exact, and every cell must be an int or a Fraction.
     """
     if isinstance(values, np.ndarray):
         if values.shape != (size,):
             raise ValueError(f"expected {size} {what}, got shape {values.shape}")
         if values.dtype != object:
-            if exact:
-                raise ValueError("numpy storage is float mode; pass a sequence for exact")
             return (values.astype(np.float64),)
     vals = list(values)
     if len(vals) != size:
         raise ValueError(f"expected {size} {what}, got {len(vals)}")
-    if exact is False:
-        return (np.array([float(v) for v in vals], dtype=np.float64),)
     kinds = set(map(type, vals))
     if not all(issubclass(t, (int, Fraction)) for t in kinds):
-        raise ValueError("exact mode holds ints/Fractions; pass an ndarray or "
-                         "exact=False for float data")
+        raise ValueError("exact mode holds ints/Fractions; pass an ndarray for float data")
     fractions = {t for t in kinds if issubclass(t, Fraction)}
     frac = np.array([type(v) in fractions for v in vals], dtype=bool) if fractions else False
     den = math.lcm(*(v.denominator for v in vals if type(v) in fractions))
@@ -439,9 +431,8 @@ class SampledFunction(_Cells):
 
     __slots__ = ()
 
-    def __init__(self, resolution: int, values: Sequence[Scalar] | np.ndarray, *,
-                 exact: bool | None = None):
-        self._store(resolution, *_cells(values, 1 << resolution, exact, "values"))
+    def __init__(self, resolution: int, values: Sequence[Scalar] | np.ndarray):
+        self._store(resolution, *_cells(values, 1 << resolution, "values"))
 
     @classmethod
     def _of(cls, resolution: int, num: np.ndarray, den: int = 1,
@@ -457,8 +448,8 @@ class SampledFunction(_Cells):
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def constant(cls, c: Scalar, resolution: int, *, exact: bool = True) -> "SampledFunction":
-        return cls(resolution, [c] * (1 << resolution), exact=exact)
+    def constant(cls, c: Scalar, resolution: int) -> "SampledFunction":
+        return cls(resolution, [c] * (1 << resolution))
 
     @classmethod
     def indicator(cls, interval: DyadicInterval, resolution: int,
@@ -477,11 +468,6 @@ class SampledFunction(_Cells):
     def values(self) -> np.ndarray:
         """Cell values: a read-only float64 or object (int/Fraction) ndarray."""
         return self._readout()
-
-    def value_at(self, x: GroupPoint) -> Scalar:
-        if x.resolution != self.resolution:
-            raise ValueError("point resolution does not match function resolution")
-        return self[x.index]
 
     def integral(self) -> Scalar:
         """Mean value: integral over the group of a cell-constant function."""
@@ -580,7 +566,7 @@ class CoefficientSequence(_Cells):
 
     def __init__(self, resolution: int, ordering: System | str,
                  coeffs: Sequence[Scalar] | np.ndarray):
-        self._store(resolution, *_cells(coeffs, 1 << resolution, None, "coefficients"))
+        self._store(resolution, *_cells(coeffs, 1 << resolution, "coefficients"))
         self.ordering = System.coerce(ordering)
 
     @classmethod
@@ -612,18 +598,10 @@ class CoefficientSequence(_Cells):
         return out
 
     def energy(self) -> Scalar:
-        """Sum of squared coefficients (ordering-independent)."""
-        return _energy(self, slice(None))
-
-
-def _energy(c: CoefficientSequence, cells) -> Scalar:
-    """Sum of squares of the cells a slice selects; an int when they all read as ints."""
-    num, den = _reduced(c._num[cells], c._den)
-    (num,) = _widened(lambda n: _peak(n) ** 2 * n.size, num)
-    total = _scalar(np.sum(np.square(num)))
-    if np.any(np.broadcast_to(c._frac, c._num.shape)[cells]):
-        return Fraction(total, den * den)
-    return total
+        """Sum of squared coefficients (ordering-independent); an int when all read as ints."""
+        (num,) = _widened(lambda n: _peak(n) ** 2 * n.size, self._num)
+        total = _scalar(np.sum(np.square(num)))
+        return Fraction(total, self._den ** 2) if np.any(self._frac) else total
 
 
 def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
@@ -727,13 +705,6 @@ def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> Sampled
     return inverse_fwht(spec._like(spec._num * (w / n)))
 
 
-def truncate_paley(f: SampledFunction, count: int) -> SampledFunction:
-    """Zero all Paley coefficients with index >= count and resample."""
-    if count < 0 or count > len(f):
-        raise ValueError(f"truncation count {count} out of range 0..{len(f)}")
-    return inverse_fwht(_zeroed(fwht(f), slice(count, None)))
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -773,6 +744,8 @@ def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
     int64 butterfly of that vector gives every sample in O(N 2^N).
     """
     system = System.coerce(system)
+    if N < 0:
+        raise ValueError(f"resolution must be >= 0, got {N}")
     if n < 0 or n > 1 << N:
         raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
     if not _numerators_fit_int64(n):
@@ -783,6 +756,8 @@ def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
 def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     """D_n = sum_{k<n} (system function k), exact integer samples; D_0 = 0."""
     system = System.coerce(system)
+    if N < 0:
+        raise ValueError(f"resolution must be >= 0, got {N}")
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
     ones = np.minimum(_fejer_spectrum(system, n, N), 1)
@@ -791,7 +766,7 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:
     """K_n = (1/n) sum_{k=1..n} D_k; rational samples with denominator | n."""
-    if n < 1:
+    if n < 1 and N >= 0:  # fejer_numerators names a negative resolution
         raise ValueError("Fejer kernel order must be >= 1")
     return SampledFunction._of(N, fejer_numerators(system, n, N), n, True)
 

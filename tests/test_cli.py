@@ -119,7 +119,13 @@ class TestVerifyCommand:
          "resolution must be >= 0, got -2"),
         (["verify", "identities", "--resolution", "4", "--depth", "-1"],
          "depth must be >= 0, got -1"),
-        (["converge", "--depth", "-1"], "depth must be >= 0, got -1")])
+        (["converge", "--depth", "-1"], "depth must be >= 0, got -1"),
+        (["kernel", "--kind", "fejer", "--n", "1", "--resolution", "-1"],
+         "resolution must be >= 0, got -1"),
+        (["kernel", "--kind", "dirichlet", "--n", "1", "--resolution", "-1"],
+         "resolution must be >= 0, got -1"),
+        (["kernel", "--kind", "fejer", "--n", "1", "--resolution", "-1", "--float"],
+         "resolution must be >= 0, got -1")])
     def test_negative_size_names_the_flag(self, argv, message, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -197,6 +203,15 @@ class TestConvergeCommand:
         lines = out.read_text().splitlines()
         header = next(line for line in lines if not line.startswith("#"))
         assert header == "n,modulus,threshold,error_norm"
+
+    def test_random_depth_limit_is_one_error_line(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the depth check")
+
+        monkeypatch.setattr(experiments.np, "empty", refuse)
+        assert run_cli(["converge", "--family", "random", "--depth", "25"]) == 2
+        assert capsys.readouterr().err == (
+            "error: depth 25 would materialize 2^25 cells; the limit is 24\n")
 
     def test_t2_family(self, tmp_path):
         out = tmp_path / "t2c.json"

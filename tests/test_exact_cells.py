@@ -17,8 +17,7 @@ from dyadlab import (CoefficientSequence, DyadicInterval, DyadicMartingale, Grou
                      fejer, fejer_by_average, fejer_mean, fejer_mean_by_average, fwht,
                      inverse_fwht, maximal, maximal_by_averages, partial_sum,
                      random_exact_martingale, random_lacunary_martingale, s2n,
-                     s2n_by_averaging,
-                     square_function_squared, translate, truncate_paley)
+                     s2n_by_averaging, square_function_squared, translate)
 
 N = 4
 F = SampledFunction(N, [Fraction(j - 7, 3) if j % 3 else j - 5 for j in range(1 << N)])
@@ -40,7 +39,7 @@ OPERATORS = {
     "to_ordering": lambda: CoefficientSequence(N, "paley", list(range(16))).to_ordering(
         System.KACZMARZ),
     "inverse_fwht": lambda: inverse_fwht(fwht(F, System.KACZMARZ)),
-    "truncate_paley": lambda: truncate_paley(F, 5),
+    "partial_sum_paley_5": lambda: partial_sum(F, System.PALEY, 5),
     "dirichlet_paley": lambda: dirichlet(System.PALEY, 11, N),
     "dirichlet_kaczmarz": lambda: dirichlet(System.KACZMARZ, 11, N),
     "fejer_paley": lambda: fejer(System.PALEY, 11, N),

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab import (SampledFunction, System, dirichlet, dirichlet_prefix, experiments,
-                     fejer, is_p_atom, modulus_hp, s2n)
+from dyadlab import (DyadicInterval, DyadicMartingale, SampledFunction, System, dirichlet,
+                     dirichlet_prefix, experiments, fejer, is_p_atom, modulus_hp,
+                     normalize_p, s2n)
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2,
                                  kernel_half_integral, q_seq,
@@ -151,6 +152,84 @@ class TestBlockAtoms:
         for i, (atom, _) in enumerate(fam.atoms, start=1):
             expected = self.dirichlet_block(1 << i, M).scale(1 << (1 << i))
             assert typed_cells(atom) == typed_cells(expected)
+
+
+def reference_block(m, M):
+    return (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
+            - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+
+
+def reference_t1(p, L, M):
+    """build_t1 as it was written with its own loops, kept as the builders' oracle."""
+    p = normalize_p(p)
+    coeffs = [0] * (1 << M)
+    for i in range(L + 1):
+        for j in range(1 << i, 1 << (i + 1)):
+            coeffs[j] = 1 << i
+    exact_scale = isinstance(p, Fraction) and p.numerator == 1
+    inv_p = p.denominator if exact_scale else 1.0 / float(p)
+    atoms, weights = [], []
+    for i in range(L + 1):
+        block = reference_block(i, M)
+        if exact_scale:
+            atom = block.scale(1 << (i * (inv_p - 1)))
+            weights.append(Fraction(1, 1 << ((inv_p - 2) * i)))
+        else:
+            atom = block.to_float().scale(2.0 ** (i * (inv_p - 1.0)))
+            weights.append(2.0 ** (-(inv_p - 2.0) * i))
+        atoms.append((atom, DyadicInterval.at_zero(i, M)))
+    return DyadicMartingale.from_paley_coeffs(M, coeffs), atoms, weights
+
+
+def reference_t2(L, M):
+    """build_t2 as it was written with its own loops, kept as the builders' oracle."""
+    coeffs = [0] * (1 << M)
+    for i in range(1, L + 1):
+        for j in range(1 << (1 << i), 1 << ((1 << i) + 1)):
+            coeffs[j] = 1 << ((1 << i) - 2 * i)
+    atoms, weights = [], []
+    for i in range(1, L + 1):
+        m = 1 << i
+        atoms.append((reference_block(m, M).scale(1 << m), DyadicInterval.at_zero(m, M)))
+        weights.append(Fraction(1, 1 << (2 * i)))
+    return DyadicMartingale.from_paley_coeffs(M, coeffs), atoms, weights
+
+
+class TestOneLacunaryBuilder:
+    """build_t1 and build_t2 share one builder; the separate loops are its oracle."""
+
+    @staticmethod
+    def assert_same(fam, reference):
+        mart, atoms, weights = reference
+        assert fam.martingale.terminal == mart.terminal
+        assert [type(c) for c in fam.martingale.terminal.coeffs.tolist()] \
+            == [type(c) for c in mart.terminal.coeffs.tolist()]
+        assert len(fam.atoms) == len(atoms)
+        for (atom, interval), (want, want_interval) in zip(fam.atoms, atoms):
+            assert interval == want_interval
+            assert atom.mode == want.mode
+            assert typed_cells(atom) == typed_cells(want)
+        assert [(type(w), w) for w in fam.weights] == [(type(w), w) for w in weights]
+
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)])
+    @pytest.mark.parametrize("M", [1, 4, 7])
+    def test_t1(self, p, M):
+        for L in range(M):
+            fam = build_t1(p, L, M)
+            assert (fam.kind, fam.p, fam.levels, fam.depth) == ("t1", p, L, M)
+            self.assert_same(fam, reference_t1(p, L, M))
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_t2(self, L):
+        for M in range((1 << L) + 1, 9):
+            fam = build_t2(L, M)
+            assert (fam.kind, fam.p, fam.levels, fam.depth) == ("t2", Fraction(1, 2), L, M)
+            self.assert_same(fam, reference_t2(L, M))
+
+    def test_depth_limit(self):
+        for build in (lambda: build_t1(Fraction(1, 4), 3, 25), lambda: build_t2(2, 25)):
+            with pytest.raises(ValueError, match="^depth 25 would materialize"):
+                build()
 
 
 class TestAudit:
@@ -386,6 +465,10 @@ class TestDirichletPrefix:
         with pytest.raises(ValueError):
             dirichlet_prefix(17, 4)
 
+    def test_negative_resolution_is_named(self):
+        with pytest.raises(ValueError, match=r"^resolution must be >= 0, got -1$"):
+            dirichlet_prefix(1, -1)
+
 
 class TestDivergenceT1:
     def test_table(self):
@@ -500,6 +583,19 @@ class TestConvergenceTable:
         f = random_decaying_martingale(random.Random(1), 4)
         with pytest.raises(ValueError, match="order"):
             convergence_table(f, Fraction(1, 2), iter([]))
+
+    def test_random_depth_limit_runs_before_allocation(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(shape, *args, **kwargs):
+            raise Allocated(shape)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(Allocated):  # depth 24 is the last one allowed
+            random_decaying_martingale(random.Random(1), 24)
+        with pytest.raises(ValueError, match="^depth 25 would materialize"):
+            random_decaying_martingale(random.Random(1), 25)
 
 
 class TestIdentitySuite:

@@ -48,6 +48,9 @@ CASES = {
     "converge_t1.json": [
         "converge", "--family", "t1", "--p", "1/4", "--depth", "7", "--n-list",
         "4,8,16"],
+    "converge_t2.json": [
+        "converge", "--family", "t2", "--p", "1/2", "--depth", "9", "--n-list",
+        "2,4,8,16"],
 }
 
 

@@ -10,7 +10,8 @@ import pytest
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, PAtomCertificate,
                      SampledFunction, atomic_norm_bound, conjugate, conjugate_shift,
                      dirichlet, hardy_quasinorm, inverse_fwht, is_p_atom, lp_quasinorm,
-                     maximal, maximal_by_averages, modulus_hp, s2n, s2n_by_averaging,
+                     maximal, maximal_by_averages, modulus_hp, partial_sum, s2n,
+                     s2n_by_averaging,
                      square_function_squared, translate, walsh_paley_samples)
 from dyadlab.experiments import (random_decaying_martingale, random_exact_martingale,
                                  random_lacunary_martingale)
@@ -147,6 +148,25 @@ class TestS2n:
     def test_level_error(self):
         with pytest.raises(ValueError):
             s2n(SampledFunction.constant(1, 3), 4)
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(k * k - 40, 1 + k % 3) for k in range(32)],
+        [(-1) ** k * (k % 7) for k in range(32)],
+        [2**62 - k for k in range(32)],  # the butterfly leaves int64
+    ])
+    def test_exact_matches_paley_partial_sum(self, values):
+        f = SampledFunction(5, values)
+        for n in range(6):
+            got, want = s2n(f, n), partial_sum(f, "paley", 1 << n)
+            assert same_cells(got, want)
+
+    def test_float_matches_paley_partial_sum(self):
+        rng = random.Random(12)
+        for _ in range(5):
+            f = SampledFunction(6, np.array([rng.uniform(-3, 3) for _ in range(64)]))
+            for n in range(7):
+                assert np.array_equal(s2n(f, n).values,
+                                      partial_sum(f, "paley", 1 << n).values)
 
 
 class TestMaximal:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, SampledFunction,
                      approx_bracket, dirichlet, fejer_mean, fwht, lp_quasinorm, modulus_lp,
-                     normalize_p, plancherel_power_sums, translate, translate_norm_profile,
-                     truncate_paley, walsh_paley_samples, weak_lp)
+                     normalize_p, partial_sum, plancherel_power_sums, translate,
+                     translate_norm_profile, walsh_paley_samples, weak_lp)
 from dyadlab.norms import _shift_power_sums
 
 
@@ -347,7 +347,7 @@ class TestProfileOracle:
 
 class TestApproxBracket:
     def test_low_spectrum_exact_zero(self):
-        f = truncate_paley(SampledFunction(4, list(range(16))), 4)
+        f = partial_sum(SampledFunction(4, list(range(16))), "paley", 4)
         br = approx_bracket(f, 2, 2)
         assert br.lower == br.upper == 0
         assert br.l2_value == 0
@@ -360,7 +360,17 @@ class TestApproxBracket:
             coeffs = fwht(f)
             energy = sum(c * c for c in coeffs.coeffs[1 << n:])
             assert br.l2_tail_energy == energy
+            assert type(br.l2_tail_energy) is type(energy)  # int 0 once the tail is empty
             assert br.lower - 1e-12 <= br.l2_value <= br.upper + 1e-12
+
+    def test_l2_float_is_tail_energy(self):
+        rng = random.Random(8)
+        f = SampledFunction(5, np.array([rng.uniform(-1, 1) for _ in range(32)]))
+        for n in range(6):
+            br = approx_bracket(f, n, 2)
+            energy = sum(c * c for c in fwht(f).coeffs[1 << n:].tolist())
+            assert type(br.l2_tail_energy) is float
+            assert br.l2_tail_energy == pytest.approx(energy, rel=1e-12, abs=1e-15)
 
     def test_requires_p_at_least_one(self):
         with pytest.raises(ValueError):
@@ -372,7 +382,7 @@ class TestApproxBracket:
             f = random_exact(rng, 5)
             for p in (1, 2, 4):
                 for n in range(6):
-                    tail = float(lp_quasinorm(f - truncate_paley(f, 1 << n), p))
+                    tail = float(lp_quasinorm(f - partial_sum(f, "paley", 1 << n), p))
                     omega = float(modulus_lp(f, n, p))
                     assert omega / 2 <= tail + 1e-9
                     assert tail <= omega + 1e-9

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (DyadicInterval, GroupPoint, SampledFunction, System,
-                     convolve, convolve_by_sum, dirichlet, fejer, fejer_by_average, fwht,
-                     inverse_fwht, kaczmarz, kaczmarz_paley_index,
-                     kaczmarz_samples, sigma_permutation, truncate_paley,
+                     convolve, convolve_by_sum, dirichlet, fejer, fejer_by_average,
+                     fejer_numerators, fwht, inverse_fwht, kaczmarz, kaczmarz_paley_index,
+                     kaczmarz_samples, partial_sum, sigma_permutation,
                      walsh_paley, walsh_paley_samples)
 from dyadlab.walsh import _fejer_spectrum
 
@@ -164,7 +164,7 @@ class TestFwht:
 
     def test_truncate_paley(self):
         f = SampledFunction(3, [3, -1, 4, 1, -5, 9, 2, -6])
-        g = truncate_paley(f, 4)
+        g = partial_sum(f, System.PALEY, 4)
         coeffs = fwht(g)
         assert all(c == 0 for c in coeffs.coeffs[4:])
         assert list(coeffs.coeffs[:4]) == list(fwht(f).coeffs[:4])
@@ -206,6 +206,12 @@ class TestDirichlet:
     def test_overflow(self):
         with pytest.raises(ValueError):
             dirichlet("paley", 9, 3)
+
+    @pytest.mark.parametrize("build", [dirichlet, fejer, fejer_numerators])
+    def test_negative_resolution_is_named(self, build):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=r"^resolution must be >= 0, got -1$"):
+                build("paley", n, -1)
 
     @pytest.mark.parametrize("system", ["paley", "kaczmarz"])
     def test_matches_character_summation(self, system):

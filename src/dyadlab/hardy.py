@@ -8,8 +8,10 @@ coefficients below 2^n.  It depends only on the coordinates below n, so
 result; `s2n_by_averaging` (block means) is the independent oracle.
 
 The maximal function is f* = max_{0<=n<=M} |f^(n)| and
-||f||_{H_p} = ||f*||_p.  For 0 < p <= 1 a p-atom on an interval I has
-zero mean on I, support inside I and sup-norm at most mu(I)^{-1/p}.
+||f||_{H_p} = ||f*||_p.  `maximal` and `square_function_squared` fold
+every level out of one butterfly of the terminal spectrum instead.
+For 0 < p <= 1 a p-atom on an interval I has zero mean on I, support
+inside I and sup-norm at most mu(I)^{-1/p}.
 
 The conjugate transform multiplies the n-th martingale difference by
 the sign r_n(t).  It always preserves every H_p quasi-norm; it agrees
@@ -29,8 +31,8 @@ import numpy as np
 
 from .group import DyadicInterval, GroupPoint, msb, rademacher
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, _level, _sup_abs, _zeroed,
-                    fwht)
+from .walsh import (CoefficientSequence, SampledFunction, System, _level, _levels_square_sum,
+                    _levels_sup_abs, _sup_abs, _zeroed, fwht)
 
 
 class DyadicMartingale:
@@ -97,7 +99,7 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
     """f* = max_n |f^(n)| pointwise over all levels 0..M."""
-    return _sup_abs(f.level(n) for n in range(f.depth + 1))
+    return _levels_sup_abs(f.terminal)
 
 
 def maximal_by_averages(f: SampledFunction) -> SampledFunction:
@@ -117,14 +119,7 @@ def square_function_squared(f: DyadicMartingale) -> SampledFunction:
     unchanged pointwise, which is the exactly-preserved quantity behind
     the conjugate transform's isometry.
     """
-    prev = f.level(0)
-    acc = prev * prev
-    for n in range(1, f.depth + 1):
-        cur = f.level(n)
-        diff = cur - prev
-        acc = acc + diff * diff
-        prev = cur
-    return acc
+    return _levels_square_sum(f.terminal)
 
 
 def modulus_hp(f: DyadicMartingale, n: int, p: PLike) -> QuasiNormValue:

@@ -28,10 +28,11 @@ Fraction even where integral, integer-only routes give ints.  Only this
 module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
-`_level`, `_fejer_spectrum`, `_fejer_weighted` and `_translate_power_sums`.
-The last gives sum_j (f(j XOR h) - f(j))^p of the float cells for every
-shift h at even p, exactly, as integers over one power of two: a signed
-sum of dyadic correlations, each a cellwise product under the butterfly.
+`_level`, `_levels_sup_abs`, `_levels_square_sum`, `_fejer_spectrum`,
+`_fejer_weighted` and `_translate_power_sums`.  The last gives
+sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
+p, exactly, as integers over one power of two: a signed sum of dyadic
+correlations, each a cellwise product under the butterfly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -228,7 +229,8 @@ def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     if den == 1:
         return num, 1
     g = math.gcd(den, int(np.gcd.reduce(num)))
-    return (num, den) if g == 1 else (num // g, den // g)
+    # g divides every numerator, so it leaves int64 only when they are all 0
+    return (num, den) if g == 1 else (num // g if g <= _INT64_MAX else num, den // g)
 
 
 def _quotient(num: np.ndarray, den: int, d: int) -> tuple[np.ndarray, int]:
@@ -618,7 +620,8 @@ def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
 def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
     """Pointwise max of |g| over the levels; a tie keeps the earlier cell.
 
-    Exact levels are compared over the lcm of their denominators.
+    Exact levels are compared over the lcm of their denominators.  It
+    serves the averaging oracle `maximal_by_averages`.
     """
     levels = list(levels)
     den = math.lcm(*(g._den for g in levels))
@@ -637,36 +640,45 @@ def _sup_abs(levels: Iterable[SampledFunction]) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # fast Walsh-Hadamard transform
 
-def _butterfly_array(arr: np.ndarray) -> np.ndarray:
-    """FWHT butterflies on a copy of the same dtype, vectorized stage by stage.
+def _butterfly_stages(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """FWHT butterflies on a copy of `arr`, yielded before the first stage and after each.
 
-    Serves float64, int64 and object (exact int/Fraction) cells alike.
+    The k-th yield (from 0) has run the stages for bits 0..k-1, so each
+    aligned block of 2^k cells holds the transform of its inputs at
+    resolution k.  Every yield is the same array, changed in place by
+    the next stage.  Serves float64, int64 and object cells alike.
     """
     out = arr.copy()
-    n = out.shape[0]
+    yield out
     h = 1
-    while h < n:
+    while h < out.shape[0]:
         view = out.reshape(-1, 2 * h)
         left = view[:, :h].copy()
         np.add(left, view[:, h:], out=view[:, :h])
         np.subtract(left, view[:, h:], out=view[:, h:])
         h <<= 1
+        yield out
+
+
+def _butterfly_array(arr: np.ndarray) -> np.ndarray:
+    """FWHT butterflies on a copy of the same dtype: every stage of `_butterfly_stages`."""
+    *_, out = _butterfly_stages(arr)
     return out
+
+
+def _l1(num: np.ndarray) -> int:
+    """A bound on sum |num|: size * max|num| while that fits int64, else the sum itself."""
+    cover = _peak(num) * num.size
+    return cover if cover <= _INT64_MAX else _total(np.abs(num))
 
 
 def _butterflied(num: np.ndarray) -> np.ndarray:
     """FWHT butterflies of cells or numerators, widened first if needed.
 
     Every partial butterfly value is a signed sum of the inputs, so
-    sum |num| bounds them all.  When size * max|num| fits int64 the sum
-    does too, and it need not be formed.
+    sum |num| (`_l1`) bounds them all.
     """
-    def l1(n: np.ndarray) -> int:
-        cover = _peak(n) * n.size
-        return cover if cover <= _INT64_MAX else _total(np.abs(n))
-
-    (num,) = _widened(l1, num)
-    return _butterfly_array(num)
+    return _butterfly_array(*_widened(_l1, num))
 
 
 def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> CoefficientSequence:
@@ -695,6 +707,48 @@ def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
     frac = spec._frac if isinstance(spec._frac, bool) else spec._frac[head].any()
     cells = np.tile(_butterflied(num), 1 << (spec.resolution - n))
     return SampledFunction._of(spec.resolution, cells, den, frac)
+
+
+def _levels_sup_abs(spec: CoefficientSequence) -> SampledFunction:
+    """max_n |f^(n)| over the levels n = 0..N of the Paley `spec`, ties kept as in `_sup_abs`.
+
+    After the butterfly stages for bits 0..n-1 the first 2^n cells are
+    level n on its own cells (see `_level`) over spec's denominator, so
+    one butterfly feeds a running max kept at each level's resolution.
+    """
+    fracs = spec._frac
+    level_frac = lambda n: fracs if isinstance(fracs, bool) else bool(fracs[:1 << n].any())
+    stages = _butterfly_stages(*_widened(_l1, spec._num))
+    acc, frac = np.abs(next(stages)[:1]), level_frac(0)
+    for n, cells in enumerate(stages, 1):
+        acc = np.concatenate((acc, acc))
+        frac = np.concatenate((frac, frac)) if isinstance(frac, np.ndarray) else frac
+        mag = np.abs(cells[:1 << n])
+        if level_frac(n) is not frac:
+            frac = np.where(mag > acc, level_frac(n), frac)
+        acc = np.maximum(acc, mag)
+    return SampledFunction._of(spec.resolution, acc, spec._den, frac)
+
+
+def _levels_square_sum(spec: CoefficientSequence) -> SampledFunction:
+    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, from one butterfly as in `_levels_sup_abs`.
+
+    Difference n has the spectrum's block [2^(n-1), 2^n) ([0, 1) for
+    n = 0), so the squared sums of |numerator| over the blocks add up
+    to a bound on every cell formed.
+    """
+    def bound(num: np.ndarray) -> int:
+        starts = [0] + [1 << k for k in range(spec.resolution)]
+        return sum(b * b for b in np.add.reduceat(np.abs(_fit(num, _l1(num))), starts).tolist())
+
+    stages = _butterfly_stages(*_widened(bound, spec._num))
+    prev = next(stages)[:1].copy()  # each stage overwrites the level before it
+    acc = prev * prev
+    for n, cells in enumerate(stages, 1):
+        level = cells[:1 << n]
+        diff = level - np.concatenate((prev, prev))
+        acc, prev = np.concatenate((acc, acc)) + diff * diff, level.copy()
+    return SampledFunction._of(spec.resolution, acc, spec._den ** 2, bool(np.any(spec._frac)))
 
 
 def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:

@@ -208,6 +208,30 @@ class TestInt64Promotion:
         assert numerators(mean).dtype == dtype
         assert read(mean) == [c0 + Fraction(c1, 2), c0 - Fraction(c1, 2)]
 
+    def test_maximal(self, excess, dtype):
+        a, b = 2**62, -(2**62 - 1 + excess)  # the butterfly's |a| + |b| = MAX + excess
+        got = maximal(DyadicMartingale.from_paley_coeffs(1, [a, b]))
+        assert numerators(got).dtype == dtype
+        assert read(got) == [a, a - b]
+
+    def test_square_function(self, excess, dtype):
+        # the squares of sum |coefficient| over the blocks [0, 1), [1, 2), [2, 4)
+        # and [4, 8) add up to MAX + excess
+        a, b, c, d = [(3037000499, 76994, 671, 23), (2**31, 2**31, 0, 0)][excess]
+        f = DyadicMartingale.from_paley_coeffs(3, [a, b, c, 0, d, 0, 0, 0])
+        got = square_function_squared(f)
+        assert numerators(got).dtype == dtype
+        assert read(got) == [MAX + excess] * 8
+
+
+def test_zero_over_a_denominator_past_int64():
+    # every numerator is 0, so lowest terms divide them by the whole denominator
+    f = SampledFunction(1, [Fraction(1, 2**70), 0])
+    assert read(f - f) == [0, 0]
+    m = DyadicMartingale.from_paley_coeffs(1, [0, Fraction(1, 2**70)])
+    assert read(m.level(0)) == [0, 0]
+    assert read(maximal(m)) == [Fraction(1, 2**70)] * 2
+
 
 def test_to_float_rounds_each_cell_once():
     vals = [Fraction(2**53 + 1, 3), 2**53 + 1, -(2**60 + 3), Fraction(-(2**55) - 3, 7),

@@ -13,6 +13,7 @@ from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, PAtomCertific
                      maximal, maximal_by_averages, modulus_hp, partial_sum, s2n,
                      s2n_by_averaging,
                      square_function_squared, translate, walsh_paley_samples)
+from dyadlab import walsh
 from dyadlab.experiments import (random_decaying_martingale, random_exact_martingale,
                                  random_lacunary_martingale)
 from dyadlab.walsh import _sup_abs, _zeroed
@@ -82,6 +83,13 @@ EXACT_SPECTRA = {
     # numerators 2^62 over the denominator 2 that a Fraction above level 1 forces
     "int64_edge_over_den": lambda: DyadicMartingale.from_paley_coeffs(
         2, [2**61, 2**61, Fraction(1, 2), 0]),
+    # every level fits int64; the squared differences add up to 3 * 2^62
+    "square_sum_past_int64": lambda: DyadicMartingale.from_paley_coeffs(
+        2, [2**31, 2**31, 2**31, 0]),
+    # at cell 1 the Fraction-read level 2 ties the int-read level 0 at |2|
+    "tie_int_before_fraction": lambda: DyadicMartingale.from_paley_coeffs(
+        2, [2, Fraction(1, 2), Fraction(1, 2), 0]),
+    "depth_0": lambda: DyadicMartingale.from_paley_coeffs(0, [Fraction(-3, 2)]),
 }
 
 
@@ -120,6 +128,50 @@ class TestLevelOracle:
         assert f.level(1).values.tolist() == [2**63, 0] * 4
         # in lowest terms the low coefficients are 2^61 again, and fit
         assert EXACT_SPECTRA["int64_edge_over_den"]().level(1)._num.dtype == np.int64
+
+    def test_square_sum_alone_leaves_int64(self):
+        f = EXACT_SPECTRA["square_sum_past_int64"]()
+        assert all(f.level(n)._num.dtype == np.int64 for n in range(3))
+        assert maximal(f)._num.dtype == np.int64
+        assert square_function_squared(f)._num.dtype == object
+        assert square_function_squared(f).values.tolist() == [3 * 2**62] * 4
+
+    def test_tie_keeps_the_earlier_int_level(self):
+        got = maximal(EXACT_SPECTRA["tie_int_before_fraction"]()).values.tolist()
+        assert got == [3, 2, Fraction(5, 2), 2]
+        assert [type(v) for v in got] == [Fraction, int, Fraction, int]
+
+
+class TestOneButterfly:
+    """The maximal and square functions fold every level out of one butterfly."""
+
+    @pytest.fixture
+    def butterflies(self, monkeypatch):
+        sizes = []
+        stages = walsh._butterfly_stages
+
+        def counted(arr):
+            sizes.append(arr.size)
+            return stages(arr)
+
+        monkeypatch.setattr(walsh, "_butterfly_stages", counted)
+        return sizes
+
+    @pytest.mark.parametrize("op", [maximal, square_function_squared,
+                                    lambda f: hardy_quasinorm(f, Fraction(1, 2))],
+                             ids=["maximal", "square_function_squared", "hardy_quasinorm"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_one_butterfly_per_call(self, butterflies, op, mode):
+        rng = random.Random(13)
+        f = (random_exact_martingale(rng, 6) if mode == "exact"
+             else random_decaying_martingale(rng, 6))
+        op(f)
+        assert butterflies == [64]
+
+    def test_guard_counts_a_butterfly_per_level(self, butterflies):
+        f = random_exact_martingale(random.Random(14), 6)
+        _sup_abs(f.level(n) for n in range(7))
+        assert butterflies == [1 << n for n in range(7)]
 
 
 class TestS2n:

@@ -190,7 +190,12 @@ def _fit(num: np.ndarray, bound: int) -> np.ndarray:
     int64 arithmetic under it cannot wrap around.
     """
     dtype = _int_dtype(bound)
-    return num if num.dtype == dtype else num.astype(dtype)
+    if num.dtype == dtype:
+        return num
+    try:
+        return num.astype(dtype)
+    except OverflowError:  # a zero factor bounds a product by 0, whatever the other holds
+        return num
 
 
 def _widened(bound, *nums: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -229,8 +234,11 @@ def _reduced(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     if den == 1:
         return num, 1
     g = math.gcd(den, int(np.gcd.reduce(num)))
-    # g divides every numerator, so it leaves int64 only when they are all 0
-    return (num, den) if g == 1 else (num // g if g <= _INT64_MAX else num, den // g)
+    if g == 1:
+        return num, den
+    # g divides every int64 numerator, so it leaves int64 only when they are all 0
+    skip = num.dtype != object and g > _INT64_MAX
+    return (num if skip else num // g), den // g
 
 
 def _quotient(num: np.ndarray, den: int, d: int) -> tuple[np.ndarray, int]:

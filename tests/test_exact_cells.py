@@ -231,6 +231,18 @@ def test_zero_over_a_denominator_past_int64():
     m = DyadicMartingale.from_paley_coeffs(1, [0, Fraction(1, 2**70)])
     assert read(m.level(0)) == [0, 0]
     assert read(maximal(m)) == [Fraction(1, 2**70)] * 2
+    # object numerators may share a factor past 2^63 - 1 with the denominator
+    g = SampledFunction(1, [Fraction(1, 2), Fraction(1, 2**70)])
+    assert read(g * SampledFunction(1, [Fraction(1, 2), 0])) == [Fraction(1, 4), 0]
+    h = SampledFunction(1, [Fraction(2**70 + 1, 2**71), 0])
+    assert read(h - SampledFunction(1, [Fraction(1, 2**71), 0])) == [Fraction(1, 2), 0]
+
+
+def test_product_with_a_zero_operand_past_int64():
+    # the product bound is 0, but the other operand's numerators stay past int64
+    big, zero = SampledFunction(1, [2**70, Fraction(3**50, 2**70)]), SampledFunction(1, [0, 0])
+    assert read(big * zero) == read(zero * big) == [0, 0]
+    assert read(convolve(big, zero)) == read(convolve_by_sum(big, zero)) == [0, 0]
 
 
 def test_to_float_rounds_each_cell_once():

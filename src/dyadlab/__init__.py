@@ -8,11 +8,10 @@ rate and divergence tables) built on them.
 
 from .group import (DyadicInterval, GroupPoint, JInterval, bit_reverse, group_add,
                     interval_indices, msb, rademacher, tau, tau_index, tau_permutation)
-from .walsh import (CoefficientSequence, SampledFunction, System, character_samples,
-                    compose_with_tau, convolve, convolve_by_sum, dirichlet, fejer,
-                    fejer_by_average, fejer_numerators, fwht, inverse_fwht, kaczmarz,
-                    kaczmarz_paley_index, kaczmarz_samples, sigma_permutation,
-                    walsh_paley, walsh_paley_samples)
+from .walsh import (CoefficientSequence, SampledFunction, System, compose_with_tau,
+                    convolve, convolve_by_sum, dirichlet, fejer, fejer_by_average,
+                    fejer_numerators, fwht, inverse_fwht, kaczmarz, kaczmarz_paley_index,
+                    kaczmarz_samples, sigma_permutation, walsh_paley, walsh_paley_samples)
 from .norms import (ApproxBracket, QuasiNormValue, approx_bracket, lp_quasinorm,
                     modulus_lp, normalize_p, plancherel_power_sums, translate,
                     translate_norm_profile, weak_lp)

@@ -22,13 +22,12 @@ extremal witness.
 
 from __future__ import annotations
 
-import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +36,9 @@ from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinor
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, weak_lp
 from .operators import _fejer_sums, fejer_mean
-from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, character_samples,
-                    compose_with_tau, dirichlet, fejer_numerators, kaczmarz_paley_index,
-                    kaczmarz_samples, walsh_paley_samples)
+from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, compose_with_tau,
+                    dirichlet, fejer_numerators, kaczmarz_paley_index, kaczmarz_samples,
+                    walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +109,41 @@ def dirichlet_prefix(n: int, N: int) -> np.ndarray:
 
 @dataclass
 class CounterexampleFamily:
-    """A built family: martingale plus its atomic decomposition bookkeeping."""
+    """A built family: its martingale, Paley blocks (m, c) and atom weights; see `_atoms`."""
 
     kind: str
-    p: Optional[Fraction | float]
+    p: Fraction | float
     levels: int
     depth: int
     martingale: DyadicMartingale
-    atoms: list[tuple[SampledFunction, DyadicInterval]] = field(default_factory=list)
-    weights: list = field(default_factory=list)
+    blocks: list[tuple[int, int]]
+    weights: list
 
     def terminal(self) -> SampledFunction:
         return self.martingale.terminal_function()
 
+    @property
+    def atoms(self) -> list[tuple[SampledFunction, DyadicInterval]]:
+        return list(_atoms(self))
 
-def _block_kernel(m: int, M: int) -> SampledFunction:
-    """D_{2^{m+1}} - D_{2^m} at depth M, since D_{2^k} is 2^k on I_k and 0 elsewhere."""
-    return (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
-            - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+
+def _inverse(p: Fraction | float) -> int | float:
+    """1/p as an int when it is one, so atoms and weights stay exact, else as a float."""
+    return p.denominator if isinstance(p, Fraction) and p.numerator == 1 else 1.0 / float(p)
+
+
+def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, DyadicInterval]]:
+    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached.
+
+    D_{2^k} is 2^k on I_k and 0 elsewhere.
+    """
+    M, inv_p = family.depth, _inverse(family.p)
+    for m, _ in family.blocks:
+        block = (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
+                 - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+        if isinstance(inv_p, float):
+            block = block.to_float()
+        yield block.scale(2 ** (m * (inv_p - 1))), DyadicInterval.at_zero(m, M)
 
 
 def _lacunary(kind: str, p: Fraction | float, L: int, M: int,
@@ -146,14 +162,9 @@ def _lacunary(kind: str, p: Fraction | float, L: int, M: int,
     for m, c in blocks:
         coeffs[1 << m:2 << m] = [c] * (1 << m)
     mart = DyadicMartingale.from_paley_coeffs(M, coeffs)
-    exact = isinstance(p, Fraction) and p.numerator == 1
-    inv_p = p.denominator if exact else 1.0 / float(p)
-    atoms, weights = [], []
-    for m, c in blocks:
-        block = _block_kernel(m, M) if exact else _block_kernel(m, M).to_float()
-        atoms.append((block.scale(2 ** (m * (inv_p - 1))), DyadicInterval.at_zero(m, M)))
-        weights.append(Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m))
-    return CounterexampleFamily(kind, p, L, M, mart, atoms, weights)
+    inv_p = _inverse(p)
+    weights = [Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m) for m, c in blocks]
+    return CounterexampleFamily(kind, p, L, M, mart, blocks, weights)
 
 
 def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
@@ -177,41 +188,34 @@ def build_t2(L: int, M: int) -> CounterexampleFamily:
     return _lacunary("t2", Fraction(1, 2), L, M, blocks)
 
 
-def _reconstructs_terminal(family: CounterexampleFamily) -> bool:
-    """Whether sum_k mu_k a_k over the atoms equals the terminal level f^(M)."""
-    weights = family.weights
-    target = family.terminal()
-    exact = family.atoms[0][0].is_exact
-    if exact:  # clear the weights' denominators so the sum runs in integers
-        d = math.lcm(*(Fraction(w).denominator for w in weights))
-        weights = [int(Fraction(w) * d) for w in weights]
-        target = target.scale(d)
-    terms = [atom.scale(w) for (atom, _), w in zip(family.atoms, weights)]
-    total = sum(terms[1:], terms[0])
-    if exact:
-        return total == target
-    # Float atoms (1/p not an integer) carry 2^{i(1/p-1)} and weights
-    # 2^{-i(1/p-2)}, each rounded once from an exponent below 1024, so each
-    # term is off by at most a few 1e-13 relative, and no cell's terms add
-    # up to more than about 2 max|f^(M)| in absolute value.
-    target = target.to_float().values
-    return bool(np.max(np.abs(total.values - target)) <= 1e-12 * np.max(np.abs(target)))
-
-
 def audit_family(family: CounterexampleFamily) -> VerificationReport:
-    """Re-verify the family: each atom is a p-atom and the atoms rebuild f^(M)."""
-    start = time.perf_counter()
-    coeff_ok = _reconstructs_terminal(family)
+    """Re-verify the family: each atom is a p-atom and the weighted atoms sum to f^(M).
 
-    atom_results = []
-    p_atom = family.p if family.p is not None else Fraction(1, 2)
-    for k, (atom, interval) in enumerate(family.atoms):
-        cert = is_p_atom(atom, interval, p_atom)
+    One pass builds each atom once, certifies it and adds it, weighted, to
+    a running total.
+    """
+    start = time.perf_counter()
+    total, atom_results = None, []
+    for k, ((atom, interval), w) in enumerate(zip(_atoms(family), family.weights)):
+        cert = is_p_atom(atom, interval, family.p)
         atom_results.append({"atom": k, "rank": interval.rank, "passed": cert.passed,
                              "violated": cert.violated})
+        term = atom.scale(w)
+        total = term if total is None else total + term
     atoms_ok = all(r["passed"] for r in atom_results)
 
-    weight_power = sum(abs(float(w)) ** float(p_atom) for w in family.weights)
+    target = family.terminal()
+    if total.is_exact:
+        coeff_ok = total == target
+    else:
+        # Float atoms (1/p not an integer) carry 2^{i(1/p-1)} and weights
+        # 2^{-i(1/p-2)}, each rounded once from an exponent below 1024, so each
+        # term is off by at most a few 1e-13 relative, and no cell's terms add
+        # up to more than about 2 max|f^(M)| in absolute value.
+        target = target.to_float().values
+        coeff_ok = bool(np.max(np.abs(total.values - target)) <= 1e-12 * np.max(np.abs(target)))
+
+    weight_power = sum(abs(float(w)) ** float(family.p) for w in family.weights)
     passed = coeff_ok and atoms_ok
     witness = {
         "coefficients_match": coeff_ok,  # the weighted atoms sum to f^(M)
@@ -324,7 +328,8 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
     rows = []
     for n in n_list:
         order = (1 << n) + 1
-        kappa_row = SampledFunction(M, character_samples(System.KACZMARZ, 1 << n, M))
+        kappa_row = (dirichlet(System.KACZMARZ, order, M)
+                     - dirichlet(System.KACZMARZ, 1 << n, M))
         sigma_err = weak_lp(fejer_mean(fam.martingale, System.KACZMARZ, 1 << n) - term, p)
         partial_err = weak_lp(s2n(fam.martingale, n) - term, p)
         rows.append({

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class DyadicMartingale:
 
     def terminal_function(self) -> SampledFunction:
         return self.level(self.depth)
-
-    def coefficient(self, i: int) -> Union[int, Fraction, float]:
-        return self.terminal[i]
 
     def tail(self, n: int) -> "DyadicMartingale":
         """The martingale of f - S_{2^n}f: levels <= n vanish."""

@@ -154,14 +154,6 @@ def kaczmarz_samples(n: int, N: int) -> list[int]:
     return out
 
 
-def character_samples(system: System | str, n: int, N: int) -> list[int]:
-    """Sample vector of the n-th system function (sigma fast path for kappa)."""
-    system = System.coerce(system)
-    if system is System.PALEY:
-        return walsh_paley_samples(n, N)
-    return walsh_paley_samples(kaczmarz_paley_index(n), N)
-
-
 # ---------------------------------------------------------------------------
 # sampled functions
 
@@ -216,10 +208,13 @@ def _total(num: np.ndarray) -> int:
 
 
 def _times(num: np.ndarray, k: int) -> np.ndarray:
-    """num * k for a Python int k, widened first if a product could leave int64."""
-    if k == 1:
+    """num * k for a Python int k, widened first if a product could leave int64.
+
+    All-zero numerators stay as they are, whatever k is.
+    """
+    if k == 1 or not num.any():
         return num
-    (num,) = _widened(lambda n: max(_peak(n), 1) * abs(k), num)
+    (num,) = _widened(lambda n: _peak(n) * abs(k), num)
     return num * k
 
 
@@ -420,14 +415,8 @@ class _Cells:
 def _common(a: _Cells, b: _Cells) -> tuple[np.ndarray, np.ndarray, int]:
     """a's and b's numerators over lcm(den_a, den_b), in a dtype that holds a +- b."""
     den = math.lcm(a._den, b._den)
-    ka, kb = den // a._den, den // b._den
-    na, nb = _widened(lambda x, y: max(_peak(x), 1) * ka + max(_peak(y), 1) * kb,
-                      a._num, b._num)
-    if ka != 1:
-        na = na * ka
-    if kb != 1:
-        nb = nb * kb
-    return na, nb, den
+    na, nb = _times(a._num, den // a._den), _times(b._num, den // b._den)
+    return (*_widened(lambda x, y: _peak(x) + _peak(y), na, nb), den)
 
 
 class SampledFunction(_Cells):

@@ -238,6 +238,14 @@ def test_zero_over_a_denominator_past_int64():
     assert read(h - SampledFunction(1, [Fraction(1, 2**71), 0])) == [Fraction(1, 2), 0]
 
 
+def test_zero_operand_over_a_denominator_past_int64():
+    # the all-zero operand is not scaled to the common denominator 2^70
+    right = SampledFunction(1, [Fraction(1, 2**70), 0])
+    total = SampledFunction(1, [0, 0]) + right
+    assert numerators(total).dtype == np.int64
+    assert total == right and read(total) == [Fraction(1, 2**70), 0]
+
+
 def test_product_with_a_zero_operand_past_int64():
     # the product bound is 0, but the other operand's numerators stay past int64
     big, zero = SampledFunction(1, [2**70, Fraction(3**50, 2**70)]), SampledFunction(1, [0, 0])

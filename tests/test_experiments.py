@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, SampledFunction, System, dirichlet,
-                     dirichlet_prefix, experiments, fejer, is_p_atom, modulus_hp,
-                     normalize_p, s2n)
+                     dirichlet_prefix, experiments, fejer, is_p_atom, kaczmarz_paley_index,
+                     modulus_hp, normalize_p, s2n)
+from dyadlab.cli import main
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2,
                                  kernel_half_integral, q_seq,
@@ -252,6 +253,40 @@ class TestAudit:
         report = audit_family(fam)
         assert not report.passed
         assert not report.witness["coefficients_match"]
+
+
+class TestAtomsBuiltWhenRead:
+    """Only the audit and `atoms` build a family's atoms, one per block."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The rank of every atom the atom generator yields, in order."""
+        real, ranks = experiments._atoms, []
+
+        def counting(family):
+            for atom, interval in real(family):
+                ranks.append(interval.rank)
+                yield atom, interval
+
+        monkeypatch.setattr(experiments, "_atoms", counting)
+        return ranks
+
+    def test_builders_and_tables_build_none(self, built, tmp_path):
+        fam1, fam2 = build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6)
+        divergence_t1(fam1, [2, 3])
+        divergence_t2(fam2, [2])
+        rate_table_t1(Fraction(1, 4), [3], 5, 6)
+        assert main(["converge", "--family", "t1", "--p", "1/4", "--depth", "5",
+                     "--n-max", "4", "--out", str(tmp_path / "c.json")]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("build", [lambda: build_t1(Fraction(1, 4), 5, 7),
+                                       lambda: build_t2(2, 6), lambda: build_t1(0.3, 6, 8)],
+                             ids=["t1", "t2", "t1-float"])
+    def test_audit_builds_one_per_block(self, built, build):
+        fam = build()
+        assert audit_family(fam).passed
+        assert built == [m for m, _ in fam.blocks]
 
 
 class TestAtomicDecomposition:
@@ -622,6 +657,72 @@ class TestIdentitySuite:
         assert verify_fejer_partial_identity(5, 2, seed=0).passed
         assert verify_kernel_decomposition(6).passed
         assert verify_conjugate_translation(4, 2, seed=0).passed
+
+
+def plus_one(f):
+    return f + SampledFunction.constant(1, f.resolution)
+
+
+class TestIdentityVerdictsCanFail:
+    """Each identity report fails, with its witness, when one callee call goes wrong."""
+
+    @staticmethod
+    def break_call(monkeypatch, name, k, wrong):
+        """Make the k-th call (from 1) of `name` in `experiments` return wrong(result)."""
+        real, calls = getattr(experiments, name), []
+
+        def broken(*args):
+            calls.append(args)
+            out = real(*args)
+            return wrong(out) if len(calls) == k else out
+
+        monkeypatch.setattr(experiments, name, broken)
+
+    def test_closed_form(self, monkeypatch):
+        # calls run Paley m = 0..4, then Kaczmarz m = 0..4
+        self.break_call(monkeypatch, "dirichlet", 8, plus_one)
+        report = verify_closed_form(4)
+        assert report.passed is False
+        assert report.witness == {"failures": [{"system": "kaczmarz", "m": 2}], "checked": 10}
+
+    def test_permutation_equivalence(self, monkeypatch):
+        self.break_call(monkeypatch, "walsh_paley_samples", 7, lambda row: [-row[0]] + row[1:])
+        report = verify_permutation_equivalence(4)
+        assert report.passed is False
+        assert report.witness == {"first_mismatch": {"n": 6, "sigma_n": kaczmarz_paley_index(6)}}
+
+    def test_fejer_partial_identity(self, monkeypatch):
+        # each m makes one inner call, then one per n in (2^m, 2^(m+1)]: 19 per trial
+        # at depth 4; call 19 + 8 is trial 1's n = 6
+        self.break_call(monkeypatch, "fejer_mean", 27, plus_one)
+        report = verify_fejer_partial_identity(4, 2, seed=0)
+        assert report.passed is False
+        assert report.witness == {"checked": 15 + 5,
+                                  "first_failure": {"trial": 1, "m": 2, "n": 6}}
+
+    def test_kernel_decomposition(self, monkeypatch):
+        # i = 1 makes calls s = 0..3, then i = 2 makes s = 0..15
+        self.break_call(monkeypatch, "compose_with_tau", 7, plus_one)
+        report = verify_kernel_decomposition(6)
+        assert report.passed is False
+        assert report.witness == {"checked": 7, "first_failure": {"i": 2, "s": 2}}
+
+    # at depth 3 each trial checks 16 sign points; `maximal` and
+    # `square_function_squared` are called once per trial before them
+    @pytest.mark.parametrize("name, k, wrong, trial, t, kind", [
+        ("conjugate_shift", 22, lambda shift: None, 1, 5, "no-shift"),
+        ("maximal", 21, plus_one, 1, 2, "lacunary-multiset"),
+        ("square_function_squared", 5, plus_one, 0, 3, "square-function"),
+    ], ids=["no-shift", "lacunary-multiset", "square-function"])
+    def test_conjugate_translation(self, monkeypatch, name, k, wrong, trial, t, kind):
+        self.break_call(monkeypatch, name, k, wrong)
+        report = verify_conjugate_translation(3, 2, seed=0)
+        assert report.passed is False
+        assert report.witness["first_failure"] == {"trial": trial, "t": t, "kind": kind}
+        checked = 16 * trial + t + 1
+        assert report.witness["checked"] == checked
+        assert report.witness["shifts_found"] == checked - (kind == "no-shift")
+        assert report.rows is None
 
 
 class TestGenerators:

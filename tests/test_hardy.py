@@ -90,6 +90,9 @@ EXACT_SPECTRA = {
     "tie_int_before_fraction": lambda: DyadicMartingale.from_paley_coeffs(
         2, [2, Fraction(1, 2), Fraction(1, 2), 0]),
     "depth_0": lambda: DyadicMartingale.from_paley_coeffs(0, [Fraction(-3, 2)]),
+    # level 0 is all zero under a level 1 over the denominator 2^70
+    "zero_level_past_int64": lambda: DyadicMartingale.from_paley_coeffs(
+        1, [0, Fraction(1, 2**70)]),
 }
 
 

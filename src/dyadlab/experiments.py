@@ -420,6 +420,15 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
 # ---------------------------------------------------------------------------
 # rate and convergence tables
 
+def _rate_threshold(p: Fraction | float, n: int) -> Optional[float]:
+    """The paper's rate: 2^{-n(1/p-2)} for p < 1/2, 1/n^2 for p = 1/2 and n >= 1, else None."""
+    if p == Fraction(1, 2):
+        return 1.0 / (n * n) if n > 0 else None
+    if p < Fraction(1, 2):
+        return 2.0 ** (-n * (1.0 / float(p) - 2.0))
+    return None
+
+
 def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 9),
                   L: int = 12, M: int = 13) -> list[dict]:
     """(n, omega_{H_p}(1/2^n), 2^{-n(1/p-2)}, ratio) rows for the t1 family."""
@@ -428,7 +437,7 @@ def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 
     rows = []
     for n in n_values:
         omega = float(modulus_hp(fam.martingale, n, p))
-        threshold = 2.0 ** (-n * (1.0 / float(p) - 2.0))
+        threshold = _rate_threshold(p, n)
         rows.append({"n": n, "modulus": omega, "threshold": threshold,
                      "ratio": omega / threshold})
     return rows
@@ -468,7 +477,7 @@ def rate_table_t2(n_values: Sequence[int] = range(4, 10), blocks: int = 5) -> li
     rows = []
     for n in n_values:
         omega = t2_radial_modulus(n, blocks, (1 << blocks) + 1)  # the least depth it allows
-        rows.append({"n": n, "modulus": omega, "threshold": 1.0 / (n * n),
+        rows.append({"n": n, "modulus": omega, "threshold": _rate_threshold(Fraction(1, 2), n),
                      "scaled": omega * n * n})
     return rows
 
@@ -493,16 +502,10 @@ def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int]) ->
         k = n.bit_length() - 1
         if k not in moduli:
             moduli[k] = float(modulus_hp(f, k, p))
-        if p == Fraction(1, 2):
-            threshold = (1.0 / (k * k)) if k > 0 else None
-        elif p < Fraction(1, 2):
-            threshold = 2.0 ** (-k * (1.0 / float(p) - 2.0))
-        else:
-            threshold = None
         err = hardy_quasinorm(
             DyadicMartingale.from_function(fejer_mean(f, System.KACZMARZ, n) - term), p)
         rows.append({"n": n, "log2_floor": k, "modulus": moduli[k],
-                     "threshold": threshold, "error_norm": float(err)})
+                     "threshold": _rate_threshold(p, k), "error_norm": float(err)})
     return rows
 
 
@@ -528,16 +531,22 @@ def verify_closed_form(N: int) -> VerificationReport:
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
+def _first_failure(cases: Iterable[tuple[object, bool]]) -> tuple[int, object]:
+    """(cases run, key of the first `(key, held)` case that fails or None); stops there."""
+    checked = 0
+    for checked, (key, held) in enumerate(cases, 1):
+        if not held:
+            return checked, key
+    return checked, None
+
+
 def verify_permutation_equivalence(N: int) -> VerificationReport:
     """kappa_n (definitional product) equals w_{sigma(n)} for all n < 2^N."""
     start = time.perf_counter()
-    mismatch = None
-    for n in range(1 << N):
-        lhs = kaczmarz_samples(n, N)
-        rhs = walsh_paley_samples(kaczmarz_paley_index(n), N)
-        if lhs != rhs:
-            mismatch = {"n": n, "sigma_n": kaczmarz_paley_index(n)}
-            break
+    _, mismatch = _first_failure(
+        ({"n": n, "sigma_n": kaczmarz_paley_index(n)},
+         kaczmarz_samples(n, N) == walsh_paley_samples(kaczmarz_paley_index(n), N))
+        for n in range(1 << N))
     return VerificationReport(
         claim="kaczmarz-bit-reversal-equivalence",
         parameters={"resolution": N, "count": 1 << N},
@@ -561,26 +570,20 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
     if m_max >= depth:
         raise ValueError(f"m_max {m_max} needs depth > m_max, got {depth}")
     rng = random.Random(seed)
-    checked = 0
-    failure = None
-    for trial in range(count):
-        f = random_exact_martingale(rng, depth)
-        term = f.terminal_function()
-        for m in range(m_max + 1):
-            smf = s2n(f, m)
-            smf_spectrum = DyadicMartingale.from_function(smf)  # one transform for every n
-            inner = s2n(fejer_mean(f, System.KACZMARZ, 1 << m) - term, m)
-            for n in range((1 << m) + 1, (1 << (m + 1)) + 1):
-                lhs = fejer_mean(smf_spectrum, System.KACZMARZ, n) - smf
-                rhs = inner.scale(Fraction(1 << m, n))
-                checked += 1
-                if lhs != rhs:
-                    failure = {"trial": trial, "m": m, "n": n}
-                    break
-            if failure:
-                break
-        if failure:
-            break
+
+    def cases():
+        for trial in range(count):
+            f = random_exact_martingale(rng, depth)
+            term = f.terminal_function()
+            for m in range(m_max + 1):
+                smf = s2n(f, m)
+                smf_spectrum = DyadicMartingale.from_function(smf)  # one transform for every n
+                inner = s2n(fejer_mean(f, System.KACZMARZ, 1 << m) - term, m)
+                for n in range((1 << m) + 1, (1 << (m + 1)) + 1):
+                    lhs = fejer_mean(smf_spectrum, System.KACZMARZ, n) - smf
+                    yield {"trial": trial, "m": m, "n": n}, lhs == inner.scale(Fraction(1 << m, n))
+
+    checked, failure = _first_failure(cases())
     return VerificationReport(
         claim="fejer-partial-sum-identity",
         parameters={"depth": depth, "martingales": count, "m_max": m_max, "seed": seed},
@@ -589,26 +592,24 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
-def verify_kernel_decomposition(N: int, i_values: Sequence[int] = (1, 2)) -> VerificationReport:
-    """D^k_{s+2^A} = D_{2^A} + r_{2^i} (D_s^w o tau_{2^i}) with A = 2^i, s < 2^A."""
+def verify_kernel_decomposition(N: int) -> VerificationReport:
+    """D^k_{s+2^A} = D_{2^A} + r_{2^i} (D_s^w o tau_{2^i}) with A = 2^i, s < 2^A, i = 1, 2."""
     start = time.perf_counter()
-    failure = None
-    checked = 0
-    for i in i_values:
-        A = 1 << i
-        if (A + 1) > N or (1 << (A + 1)) > (1 << N):
-            raise ValueError(f"i = {i} needs resolution >= {A + 1}, got {N}")
-        base = dirichlet(System.KACZMARZ, 1 << A, N)
-        r_row = SampledFunction(N, walsh_paley_samples(1 << A, N))
-        for s in range(1 << A):
-            lhs = dirichlet(System.KACZMARZ, s + (1 << A), N)
-            rhs = base + r_row * compose_with_tau(dirichlet(System.PALEY, s, N), A)
-            checked += 1
-            if lhs != rhs:
-                failure = {"i": i, "s": s}
-                break
-        if failure:
-            break
+    i_values = (1, 2)
+    if N < 5:
+        raise ValueError(f"i = 2 needs resolution >= 5, got {N}")
+
+    def cases():
+        for i in i_values:
+            A = 1 << i
+            base = dirichlet(System.KACZMARZ, 1 << A, N)
+            r_row = SampledFunction(N, walsh_paley_samples(1 << A, N))
+            for s in range(1 << A):
+                lhs = dirichlet(System.KACZMARZ, s + (1 << A), N)
+                rhs = base + r_row * compose_with_tau(dirichlet(System.PALEY, s, N), A)
+                yield {"i": i, "s": s}, lhs == rhs
+
+    checked, failure = _first_failure(cases())
     return VerificationReport(
         claim="kaczmarz-block-kernel-decomposition",
         parameters={"resolution": N, "i_values": list(i_values)},
@@ -633,33 +634,26 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
-    failure = None
-    shifts_found = 0
-    checked = 0
+
+    def checks(lac, lac_max, dense, dense_square, t):
+        yield "no-shift", conjugate_shift(lac, t) is not None
+        yield "lacunary-multiset", sorted(maximal(conjugate(lac, t)).values) == lac_max
+        yield "square-function", square_function_squared(conjugate(dense, t)) == dense_square
+
+    def cases():
+        for trial in range(count):
+            lac = random_lacunary_martingale(rng, depth)
+            dense = random_exact_martingale(rng, depth)
+            lac_max = sorted(maximal(lac).values)
+            dense_square = square_function_squared(dense)
+            for t_index in range(1 << (depth + 1)):
+                t = GroupPoint(depth + 1, t_index)
+                _, kind = _first_failure(checks(lac, lac_max, dense, dense_square, t))
+                yield {"trial": trial, "t": t_index, "kind": kind}, kind is None
+
+    checked, failure = _first_failure(cases())
+    shifts_found = checked - (failure is not None and failure["kind"] == "no-shift")
     ratio_spread = 0.0
-    for trial in range(count):
-        lac = random_lacunary_martingale(rng, depth)
-        dense = random_exact_martingale(rng, depth)
-        lac_max = sorted(maximal(lac).values)
-        dense_square = square_function_squared(dense)
-        for t_index in range(1 << (depth + 1)):
-            t = GroupPoint(depth + 1, t_index)
-            checked += 1
-            shift = conjugate_shift(lac, t)
-            if shift is None:
-                failure = {"trial": trial, "t": t_index, "kind": "no-shift"}
-                break
-            shifts_found += 1
-            conj = conjugate(lac, t)
-            if sorted(maximal(conj).values) != lac_max:
-                failure = {"trial": trial, "t": t_index, "kind": "lacunary-multiset"}
-                break
-            dense_conj = conjugate(dense, t)
-            if square_function_squared(dense_conj) != dense_square:
-                failure = {"trial": trial, "t": t_index, "kind": "square-function"}
-                break
-        if failure:
-            break
     norm_rows = []
     if failure is None:
         f = random_exact_martingale(random.Random(seed + 1), depth)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import DyadicInterval, GroupPoint, msb, rademacher
+from .group import DyadicInterval, GroupPoint
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
 from .walsh import (CoefficientSequence, SampledFunction, System, _level, _levels_square_sum,
                     _levels_sup_abs, _sup_abs, _zeroed, fwht)
@@ -192,42 +192,39 @@ def atomic_norm_bound(weights: Sequence, p: PLike) -> float:
 # ---------------------------------------------------------------------------
 # conjugate transform
 
-def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
-    """Multiply the n-th martingale difference by r_n(t).
+def _signs(f: DyadicMartingale, t: GroupPoint) -> np.ndarray:
+    """r_{bit_length(i)}(t) for every Paley index i < 2^M, as int64 +-1.
 
-    Difference n = 0 is the constant term; difference n >= 1 occupies the
-    Paley coefficient block [2^{n-1}, 2^n).  Signing differences 0..M
-    needs coordinates t_0..t_M, hence resolution >= depth + 1.
+    Difference n occupies the Paley indices of bit length n: the constant
+    term for n = 0, the block [2^{n-1}, 2^n) for n >= 1.  Signing
+    differences 0..M needs coordinates t_0..t_M, so resolution >= M + 1.
     """
     M = f.depth
     if t.resolution < M + 1:
         raise ValueError(
             f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    signs = np.ones(len(f.terminal), dtype=np.int64)
-    for n in range(M + 1):
-        if rademacher(n, t) < 0:
-            signs[(1 << n) >> 1:1 << n] = -1  # [0, 1) for n = 0
-    return DyadicMartingale(f.terminal._weighted(signs))
+    flips = np.array([t.index >> n & 1 for n in range(M + 1)], dtype=np.int64)
+    return np.repeat(1 - 2 * flips, [1] + [1 << n for n in range(M)])
+
+
+def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
+    """Multiply the n-th martingale difference by r_n(t); t needs resolution > depth."""
+    return DyadicMartingale(f.terminal._weighted(_signs(f, t)))
 
 
 def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
     """A shift u with  conjugate(f, t) = f(. + u)  on the terminal level, if any.
 
     Translation multiplies coefficient i by w_i(u) while conjugation
-    multiplies it by the per-block sign r_{msb(i)+1}(t); matching them on
-    the occupied spectrum is a GF(2) linear system in the bits of u.
+    multiplies it by the per-block sign r_{bit_length(i)}(t); matching them
+    on the occupied spectrum is a GF(2) linear system in the bits of u,
+    whose constant-term row (no bit of u) holds only when r_0(t) = 1.
     Martingales with at most one occupied coefficient per block (and no
     constant term when r_0(t) = -1) always admit a solution; dense
     spectra generally do not, in which case None is returned.
     """
-    M = f.depth
-    if t.resolution < M + 1:
-        raise ValueError(
-            f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    occupied = np.flatnonzero(f.terminal._nonzero()).tolist()
-    if occupied[:1] == [0] and rademacher(0, t) < 0:
-        return None  # no translation can flip the constant term
-    rows = [(i, int(rademacher(msb(i) + 1, t) < 0)) for i in occupied if i]
+    occupied = np.flatnonzero(f.terminal._nonzero())
+    rows = zip(occupied.tolist(), (_signs(f, t)[occupied] < 0).tolist())
 
     # Gaussian elimination over GF(2); pivot on the highest set bit.
     pivots: dict[int, tuple[int, int]] = {}
@@ -250,7 +247,7 @@ def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
         parity = ((mask & ~(1 << top)) & u).bit_count() & 1
         if parity ^ rhs:
             u |= 1 << top
-    shift = GroupPoint(M, u)
+    shift = GroupPoint(f.depth, u)
     if translate(f.terminal_function(), shift) == conjugate(f, t).terminal_function():
         return shift
     return None

@@ -41,7 +41,7 @@ PLike = Union[int, float, Fraction, str]
 
 
 def normalize_p(p: PLike) -> Fraction | float:
-    """Keep rational p rational (enables exact paths); floats stay floats."""
+    """Keep rational p rational (enables exact paths); finite floats stay floats."""
     if isinstance(p, Fraction):
         return p
     if isinstance(p, int):
@@ -49,6 +49,8 @@ def normalize_p(p: PLike) -> Fraction | float:
     if isinstance(p, str):
         return Fraction(p)
     if isinstance(p, float):
+        if not math.isfinite(p):
+            raise ValueError(f"exponent p must be finite, got {p}")
         return Fraction(p) if p.is_integer() else p
     raise TypeError(f"cannot interpret exponent {p!r}")
 

@@ -144,14 +144,12 @@ def kaczmarz_samples(n: int, N: int) -> list[int]:
     if n == 0:
         return [1] * size
     A = msb(n)
-    out = []
-    for j in range(size):
-        e = j >> A & 1
-        for k in range(A):
-            if n >> k & 1:
-                e ^= j >> (A - 1 - k) & 1
-        out.append(-1 if e else 1)
-    return out
+    j = np.arange(size, dtype=np.int64)
+    e = j >> A  # r_A(j) * prod r_{A-1-k}(j)^{n_k} = (-1)^{bit 0 of e}
+    for k in range(A):
+        if n >> k & 1:
+            e ^= j >> (A - 1 - k)
+    return (1 - 2 * (e & 1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +174,12 @@ def _peak(num: np.ndarray) -> int:
 
 
 def _fit(num: np.ndarray, bound: int) -> np.ndarray:
-    """Integer numerators as int64 when `bound` fits in it, else as Python ints.
+    """int64 numerators widened to Python ints when `bound` is past int64; never narrowed.
 
     `bound` limits the size of every value the next operation forms, so
     int64 arithmetic under it cannot wrap around.
     """
-    dtype = _int_dtype(bound)
-    if num.dtype == dtype:
-        return num
-    try:
-        return num.astype(dtype)
-    except OverflowError:  # a zero factor bounds a product by 0, whatever the other holds
-        return num
+    return num.astype(object) if num.dtype == np.int64 and bound > _INT64_MAX else num
 
 
 def _widened(bound, *nums: np.ndarray) -> tuple[np.ndarray, ...]:

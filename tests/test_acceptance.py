@@ -105,7 +105,7 @@ def test_c05_fejer_partial_sum_identity():
 
 def test_c06_kernel_decomposition():
     """D^k_{s+2^{2^i}} == D_{2^{2^i}} + r_{2^i}(D_s^w o tau_{2^i}), N = 10."""
-    r = ex.verify_kernel_decomposition(10, (1, 2))
+    r = ex.verify_kernel_decomposition(10)
     assert r.passed and r.witness["checked"] == 4 + 16
     report("6", "i in {1,2}, all s < 2^{2^i}, exact at N=10")
 

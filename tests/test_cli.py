@@ -300,6 +300,14 @@ class TestConfigEcho:
         assert payload["config"]["n_max"] == 16
         assert [row["n"] for row in payload["reports"][0]["rows"]] == list(range(1, 17))
 
+    def test_converge_long_sweep_takes_powers_of_two_and_midpoints(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["converge", "--depth", "8", "--n-max", "200", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["n_max"] == 200
+        assert [row["n"] for row in payload["reports"][0]["rows"]] == [
+            1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 200]
+
     def test_csv_header_comments(self, tmp_path):
         out = tmp_path / "r.csv"
         run_cli(["verify", "yano", "--n-max", "32", "--resolution", "6",

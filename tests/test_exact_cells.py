@@ -93,6 +93,30 @@ def test_every_cell_is_int_or_fraction(name):
     assert {type(v) for v in arr.tolist()} <= {int, Fraction}
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros((2, 2)), r"expected 4 values, got shape \(2, 2\)"),
+    ([1, 2, 3], "expected 4 values, got 3"),
+], ids=["shape", "length"])
+def test_cell_count_is_checked(values, message):
+    with pytest.raises(ValueError, match=message):
+        SampledFunction(2, values)
+
+
+@pytest.mark.parametrize("other, message", [
+    (SampledFunction(2, [1, 2, 3, 4]), "resolution mismatch: 1 vs 2"),
+    (SampledFunction(1, np.array([1.0, 2.0])), "mode mismatch"),
+], ids=["resolution", "mode"])
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_operands_must_be_compatible(op, other, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(SampledFunction(1, [1, 2]), op)(other)
+
+
+def test_float_scalar_on_exact_cells_is_refused():
+    with pytest.raises(ValueError, match="float scalar on exact storage"):
+        SampledFunction(1, [1, 2]).scale(0.5)
+
+
 def test_object_ndarray_input_is_checked():
     ok = np.array([1, Fraction(1, 2)], dtype=object)
     assert SampledFunction(1, ok).is_exact

@@ -118,6 +118,10 @@ class TestBuildT2:
         with pytest.raises(ValueError):
             build_t2(3, 8)  # block 3 needs depth >= 9
 
+    def test_needs_a_block(self):
+        with pytest.raises(ValueError, match="family t2 needs at least one block, got L=0"):
+            build_t2(0, 5)
+
     def test_modulus_tail_bound(self):
         # half-power subadditivity with unit-norm atoms gives
         # omega_{H_{1/2}}(1/2^n) <= (sum_{2^i >= n} 2^{-i})^2 = O(1/n^2)
@@ -619,6 +623,20 @@ class TestConvergenceTable:
         with pytest.raises(ValueError, match="order"):
             convergence_table(f, Fraction(1, 2), iter([]))
 
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_order_range(self, n):
+        f = random_decaying_martingale(random.Random(1), 4)
+        with pytest.raises(ValueError, match=f"order {n} outside 1..2\\^4"):
+            convergence_table(f, Fraction(1, 2), [1, n])
+
+    @pytest.mark.parametrize("p, n, want", [
+        (Fraction(1, 4), 3, 2.0 ** -6), (0.3, 2, 2.0 ** (-2 * (1 / 0.3 - 2))),
+        (Fraction(1, 2), 4, 1 / 16), (Fraction(1, 2), 0, None),
+        (Fraction(3, 4), 2, None), (1, 2, None),
+    ])
+    def test_rate_threshold(self, p, n, want):
+        assert experiments._rate_threshold(p, n) == want
+
     def test_random_depth_limit_runs_before_allocation(self, monkeypatch):
         class Allocated(Exception):
             pass
@@ -661,6 +679,28 @@ class TestIdentitySuite:
 
 def plus_one(f):
     return f + SampledFunction.constant(1, f.resolution)
+
+
+class TestFirstFailure:
+    def test_stops_at_the_first_failure(self):
+        seen = []
+
+        def cases():
+            for k in range(5):
+                seen.append(k)
+                yield {"k": k}, k != 2
+
+        assert experiments._first_failure(cases()) == (3, {"k": 2})
+        assert seen == [0, 1, 2]
+
+    def test_all_held(self):
+        assert experiments._first_failure(((k, True) for k in range(4))) == (4, None)
+        assert experiments._first_failure(iter([])) == (0, None)
+
+
+def test_kernel_decomposition_resolution_guard():
+    with pytest.raises(ValueError, match="i = 2 needs resolution >= 5, got 4"):
+        verify_kernel_decomposition(4)
 
 
 class TestIdentityVerdictsCanFail:

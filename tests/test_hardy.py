@@ -16,6 +16,7 @@ from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, PAtomCertific
 from dyadlab import walsh
 from dyadlab.experiments import (random_decaying_martingale, random_exact_martingale,
                                  random_lacunary_martingale)
+from dyadlab.group import rademacher
 from dyadlab.walsh import _sup_abs, _zeroed
 
 
@@ -410,6 +411,30 @@ class TestConjugate:
         f = DyadicMartingale.from_paley_coeffs(2, [1, 1, 0, 0])
         t = GroupPoint(3, 0b001)  # r_0(t) = -1 on a nonzero constant term
         assert conjugate_shift(f, t) is None
+
+    def test_constant_term_kept_by_r0_plus_one(self):
+        f = DyadicMartingale.from_paley_coeffs(2, [1, 1, 0, 0])
+        t = GroupPoint(3, 0b010)  # r_0(t) = 1, r_1(t) = -1 flips coefficient 1
+        shift = conjugate_shift(f, t)
+        assert shift == GroupPoint(2, 1)
+        assert translate(f.terminal_function(), shift) == conjugate(f, t).terminal_function()
+
+    @pytest.mark.parametrize("transform", [conjugate, conjugate_shift],
+                             ids=["conjugate", "conjugate_shift"])
+    def test_sign_point_resolution_is_checked(self, transform):
+        f = random_exact_martingale(random.Random(11), 4)
+        with pytest.raises(ValueError, match="needs resolution >= 5, got 4"):
+            transform(f, GroupPoint(4, 3))
+
+    @pytest.mark.parametrize("M", [0, 1, 4])
+    def test_signs_are_rademacher_of_the_difference(self, M):
+        # coefficient i sits in difference bit_length(i), signed by r_(bit_length(i))(t)
+        f = random_exact_martingale(random.Random(M), M)
+        for t_index in range(1 << (M + 1)):
+            t = GroupPoint(M + 2, t_index | 1 << (M + 1))  # a coordinate past M is ignored
+            want = [rademacher(i.bit_length(), t) * c
+                    for i, c in enumerate(f.terminal.coeffs)]
+            assert list(conjugate(f, t).terminal.coeffs) == want
 
     def test_square_function_invariant_for_all_signs(self):
         rng = random.Random(13)

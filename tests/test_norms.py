@@ -25,6 +25,14 @@ def random_float(rng, N):
 
 
 class TestLp:
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("measure", [lp_quasinorm, weak_lp, translate_norm_profile],
+                             ids=["lp_quasinorm", "weak_lp", "translate_norm_profile"])
+    def test_non_finite_p_is_refused(self, measure, p):
+        # the sup norm of [1, 2] is 2; an L_p formula at p = inf would read 1
+        with pytest.raises(ValueError, match=f"exponent p must be finite, got {p}"):
+            measure(SampledFunction(1, [1, 2]), p)
+
     def test_constant(self):
         f = SampledFunction.constant(-3, 4)
         assert lp_quasinorm(f, 1).value == 3

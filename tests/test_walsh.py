@@ -56,6 +56,13 @@ class TestKaczmarz:
                 x = GroupPoint(3, j)
                 assert kaczmarz(n, x) == walsh_paley(n, x)
 
+    @pytest.mark.parametrize("N", [0, 1, 5])
+    def test_samples_match_the_pointwise_product(self, N):
+        for n in range(1 << N):
+            row = kaczmarz_samples(n, N)
+            assert all(type(v) is int for v in row)
+            assert row == [kaczmarz(n, GroupPoint(N, j)) for j in range(1 << N)]
+
     def test_kappa5_is_w6(self):
         for j in range(8):
             x = GroupPoint(3, j)
@@ -271,8 +278,9 @@ class TestFejerSpectrum:
 class TestKernelDecomposition:
     def test_exact_for_both_block_sizes(self):
         from dyadlab import verify_kernel_decomposition
-        report = verify_kernel_decomposition(7, (1, 2))
+        report = verify_kernel_decomposition(7)
         assert report.passed
+        assert report.parameters["i_values"] == [1, 2]
         assert report.witness["checked"] == 4 + 16
 
 

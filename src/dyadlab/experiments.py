@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .group import DyadicInterval, GroupPoint, tau_permutation
+from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
 from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, weak_lp
@@ -225,7 +225,7 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
     return VerificationReport(
         claim=f"family-{family.kind}-audit",
         parameters={"p": family.p, "levels": family.levels, "depth": family.depth},
-        passed=passed, witness=witness, mode=family.martingale.terminal.mode,
+        passed=passed, witness=witness, mode=total.mode,
         rows=atom_results, runtime_s=time.perf_counter() - start)
 
 
@@ -265,15 +265,17 @@ def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationR
 
 
 def _lemma2_cell(T: np.ndarray, A: int, m: int, s: int) -> dict:
-    """Exhaustively check one (m, s) cell of the kernel lower bound."""
+    """Exhaustively check one (m, s) cell of the kernel lower bound.
+
+    The cell's points are the two-spike interval x_{2m} = x_{2s} = 1, other
+    coordinates below 2s + 1 zero, read from T as one strided view.
+    """
     bound = 1 << (2 * m + 2 * s - 3)
-    anchor = (1 << (2 * m)) | (1 << (2 * s))
-    free_bits = 2 * (A - s) - 1
-    x = anchor | (np.arange(1 << free_bits, dtype=np.int64) << (2 * s + 1))
+    x = JInterval(2 * s + 1, 2 * m, 2 * s).as_interval().cells(2 * A)
     slack = np.abs(T[x]) - bound
     k = int(np.argmin(slack))  # first minimum, as a strict < scan finds it
-    return {"m": m, "s": s, "bound": bound, "points": 1 << free_bits,
-            "min_slack": int(slack[k]), "argmin_index": int(x[k])}
+    return {"m": m, "s": s, "bound": bound, "points": slack.size,
+            "min_slack": int(slack[k]), "argmin_index": x.start + k * x.step}
 
 
 def verify_lemma2(A: int) -> VerificationReport:
@@ -319,7 +321,7 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
             raise ValueError(f"n_list value {n} outside 0..{M - 1} at depth {M}")
     fam_deep = build_t1(p, L + 1, M + 1)
     term, term_deep = fam.terminal(), fam_deep.terminal()
-    tail_norm = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p).value
+    tail = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p)
 
     def table_value(family: CounterexampleFamily, terminal: SampledFunction, n: int):
         sigma = fejer_mean(family.martingale, System.KACZMARZ, (1 << n) + 1)
@@ -340,7 +342,7 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
             "partial_error_2n": partial_err.value,
             "weight": Fraction(1 << n, order),
             "weak_norm_depth_plus_1": table_value(fam_deep, term_deep, n),
-            "truncation_tail_norm": tail_norm,
+            "truncation_tail_norm": tail.value,
         })
     min_value = min(float(r["weak_norm"]) for r in rows)
     return VerificationReport(
@@ -349,8 +351,7 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
         passed=min_value > 0,
         witness={"min_weak_norm": min_value,
                  "argmin_n": min(rows, key=lambda r: float(r["weak_norm"]))["n"]},
-        mode="exact" if fam.martingale.is_exact and isinstance(p, Fraction)
-             and p.numerator == 1 else "float",
+        mode="exact" if tail.exact else "float",  # every weak norm here shares p and exactness
         rows=rows, runtime_s=time.perf_counter() - start)
 
 

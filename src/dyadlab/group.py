@@ -106,10 +106,7 @@ def tau(A: int, x: GroupPoint) -> GroupPoint:
     """Reverse coordinates 0..A-1 of x, leave coordinates >= A unchanged."""
     if A > x.resolution:
         raise ValueError(f"tau width {A} exceeds resolution {x.resolution}")
-    if A <= 1:
-        return x
-    mask = (1 << A) - 1
-    return GroupPoint(x.resolution, (x.index & ~mask) | bit_reverse(x.index & mask, A))
+    return GroupPoint(x.resolution, tau_index(A, x.index))
 
 
 def tau_index(A: int, j: int) -> int:
@@ -161,22 +158,23 @@ class DyadicInterval:
         mask = (1 << self.rank) - 1
         return (y.index & mask) == self.anchor_bits
 
+    def cells(self, resolution: int) -> slice:
+        """The interval's cells at resolution N, as one stride.
+
+        They are the 2^{N-rank} indices whose low `rank` bits equal the
+        anchor's: anchor_bits + k 2^rank for k < 2^{N-rank}.
+        """
+        if self.rank > resolution:
+            raise ValueError(f"interval rank {self.rank} exceeds resolution {resolution}")
+        return slice(self.anchor_bits, 1 << resolution, 1 << self.rank)
+
     def indices(self, resolution: int) -> list[int]:
         return interval_indices(self, resolution)
 
 
 def interval_indices(interval: DyadicInterval, resolution: int) -> list[int]:
-    """Ascending sample indices of the rank-N cells inside the interval.
-
-    At resolution N the interval holds the 2^{N-rank} indices whose low
-    `rank` bits equal the anchor's.
-    """
-    if interval.rank > resolution:
-        raise ValueError(
-            f"interval rank {interval.rank} exceeds resolution {resolution}"
-        )
-    low = interval.anchor_bits
-    return [low | (t << interval.rank) for t in range(1 << (resolution - interval.rank))]
+    """Ascending sample indices of the rank-N cells inside the interval."""
+    return list(range(1 << resolution)[interval.cells(resolution)])
 
 
 @dataclass(frozen=True)

@@ -148,11 +148,11 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
     p = normalize_p(p)
     if not 0 < p <= 1:
         raise ValueError(f"atoms are defined for 0 < p <= 1, got {p}")
-    N = a.resolution
-    inside = SampledFunction.indicator(interval, N)._nonzero()
+    inside = interval.cells(a.resolution)
+    nonzero = a._nonzero()
     violated = None
 
-    if np.any(a._nonzero()[~inside]):
+    if np.count_nonzero(nonzero) > np.count_nonzero(nonzero[inside]):
         violated = "support"
 
     integral = a._integral(inside)

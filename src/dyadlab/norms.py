@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .group import GroupPoint
+from .group import DyadicInterval, GroupPoint
 from .walsh import SampledFunction, _level, _zeroed, fwht
 
 PLike = Union[int, float, Fraction, str]
@@ -152,13 +152,12 @@ def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
     p = normalize_p(p)
     _check_p_positive(p)
     N = f.resolution
-    size = 1 << N
-    reps = 1 << (N - n)
+    shifts = range(len(f))[DyadicInterval.at_zero(n, N).cells(N)]  # h in I_n
     if not f.is_exact:
-        shifts = np.arange(reps) << n
-        best_power = float(np.max(_shift_power_sums(f.values, shifts, float(p)))) / size
+        sums = _shift_power_sums(f.values, np.array(shifts), float(p))
+        best_power = float(np.max(sums)) / len(f)
         return QuasiNormValue(p, best_power ** (1.0 / float(p)), best_power, False)
-    return max((lp_quasinorm(translate(f, GroupPoint(N, t << n)) - f, p) for t in range(reps)),
+    return max((lp_quasinorm(translate(f, GroupPoint(N, h)) - f, p) for h in shifts),
                key=lambda q: q.power_sum)  # the first shift of largest power sum
 
 

@@ -268,7 +268,7 @@ def _cells(values: Sequence[Scalar] | np.ndarray, size: int, what: str) -> tuple
         raise ValueError("exact mode holds ints/Fractions; pass an ndarray for float data")
     fractions = {t for t in kinds if issubclass(t, Fraction)}
     frac = np.array([type(v) in fractions for v in vals], dtype=bool) if fractions else False
-    den = math.lcm(*(v.denominator for v in vals if type(v) in fractions))
+    den = math.lcm(*(v.denominator for v in vals if type(v) in fractions)) if fractions else 1
     nums = [v.numerator * (den // v.denominator) for v in vals] if fractions else vals
     num = np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
     return num, den, frac, _locked(np.array(vals, dtype=object))
@@ -446,11 +446,11 @@ class SampledFunction(_Cells):
     def indicator(cls, interval: DyadicInterval, resolution: int,
                   scale: Scalar = 1) -> "SampledFunction":
         """scale on the cells of `interval` and int 0 elsewhere; an int or Fraction scale."""
-        if interval.rank > resolution:
-            raise ValueError(f"interval rank {interval.rank} exceeds resolution {resolution}")
+        cells = interval.cells(resolution)
         if not isinstance(scale, (int, Fraction)):
             raise ValueError("an indicator's scale must be an int or a Fraction")
-        inside = (np.arange(1 << resolution) & ((1 << interval.rank) - 1)) == interval.anchor_bits
+        inside = np.zeros(1 << resolution, dtype=bool)
+        inside[cells] = True
         num = inside.astype(_int_dtype(abs(scale.numerator))) * scale.numerator
         return cls._of(resolution, num, scale.denominator, isinstance(scale, Fraction) and inside)
 

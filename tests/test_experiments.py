@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab import (DyadicInterval, DyadicMartingale, SampledFunction, System, dirichlet,
-                     dirichlet_prefix, experiments, fejer, is_p_atom, kaczmarz_paley_index,
-                     modulus_hp, normalize_p, s2n)
+from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, JInterval, SampledFunction,
+                     System, dirichlet, dirichlet_prefix, experiments, fejer, interval_indices,
+                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n)
 from dyadlab.cli import main
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2,
@@ -250,6 +250,11 @@ class TestAudit:
     def test_float_atoms(self):
         assert audit_family(build_t1(0.3, 6, 8)).witness["coefficients_match"]
 
+    @pytest.mark.parametrize("p,mode", [(Fraction(2, 5), "float"), (Fraction(1, 4), "exact")])
+    def test_mode_is_the_audited_sums(self, p, mode):
+        # float atoms at p = 2/5 are summed and compared within 1e-12
+        assert audit_family(build_t1(p, 5, 7)).mode == mode
+
     @pytest.mark.parametrize("fam", [build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6),
                                      build_t1(0.3, 6, 8)], ids=["t1", "t2", "t1-float"])
     def test_perturbed_weight_fails(self, fam):
@@ -451,6 +456,27 @@ class TestLemma2:
             assert (row["min_slack"], row["argmin_index"]) == best
             assert type(row["min_slack"]) is int and type(row["argmin_index"]) is int
 
+    @pytest.mark.parametrize("A", range(3, 7))
+    def test_cells_are_the_two_spike_intervals(self, A):
+        T = dirichlet_prefix(q_seq(A - 1), 2 * A)
+        for row in verify_lemma2(A).rows:
+            J = JInterval(2 * row["s"] + 1, 2 * row["m"], 2 * row["s"])
+            xs = interval_indices(J.as_interval(), 2 * A)
+            assert xs == [x for x in range(1 << (2 * A)) if J.contains(GroupPoint(2 * A, x))]
+            assert row["points"] == len(xs)
+            slacks = [abs(int(T[x])) - row["bound"] for x in xs]
+            k = slacks.index(min(slacks))
+            assert (row["min_slack"], row["argmin_index"]) == (slacks[k], xs[k])
+
+    def test_argmin_off_the_anchor(self):
+        # the kernel's minimum sits at each cell's anchor, so plant one elsewhere
+        T = np.full(1 << 8, 1 << 20, dtype=np.int64)
+        x = (1 << 0) | (1 << 4) | (0b101 << 5)
+        T[x] = 0
+        row = experiments._lemma2_cell(T, 4, 0, 2)
+        assert (row["min_slack"], row["argmin_index"], row["points"]) == (-row["bound"], x, 8)
+        assert type(row["argmin_index"]) is int
+
     def test_a10_passes(self):
         report = verify_lemma2(10)
         assert report.passed
@@ -523,6 +549,11 @@ class TestDivergenceT1:
         report = divergence_t1(build_t1(Fraction(1, 4), 6, 7), [4])
         assert report.mode == "exact"
         assert isinstance(report.rows[0]["weak_norm"], Fraction)
+
+    def test_float_mode_floats(self):
+        report = divergence_t1(build_t1(Fraction(2, 5), 6, 7), [4])
+        assert report.mode == "float"
+        assert isinstance(report.rows[0]["weak_norm"], float)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,37 @@ class TestIntervals:
             interval_indices(DyadicInterval.at_zero(4, 4), 3)
 
 
+class TestCells:
+    def test_rank_zero_is_every_cell(self):
+        assert DyadicInterval.at_zero(0, 3).cells(3) == slice(0, 8, 1)
+
+    def test_rank_equal_resolution_is_one_cell(self):
+        cells = DyadicInterval(3, GroupPoint(3, 5)).cells(3)
+        assert cells == slice(5, 8, 8)
+        assert list(range(8)[cells]) == [5]
+
+    def test_anchor_bits_above_rank_ignored(self):
+        assert DyadicInterval(2, GroupPoint(5, 0b10101)).cells(5) == slice(0b01, 32, 4)
+
+    def test_anchor_resolution_differs_from_sampling(self):
+        x = GroupPoint(3, 0b110)
+        assert DyadicInterval(2, x).cells(6) == slice(0b10, 64, 4)
+        assert DyadicInterval(3, x).cells(4) == slice(0b110, 16, 8)
+
+    def test_rank_beyond_resolution_raises(self):
+        with pytest.raises(ValueError, match="interval rank 4 exceeds resolution 3"):
+            DyadicInterval.at_zero(4, 4).cells(3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 63), st.integers(0, 3))
+    def test_cells_are_the_members(self, rank, anchor, extra):
+        interval = DyadicInterval(rank, GroupPoint(6, anchor))
+        N = rank + extra
+        members = [j for j in range(1 << N) if interval.contains(GroupPoint(N, j))]
+        assert list(range(1 << N)[interval.cells(N)]) == members
+        assert interval_indices(interval, N) == members
+
+
 class TestJInterval:
     def test_two_spikes(self):
         J = JInterval(N=6, m=1, l=4)

@@ -355,6 +355,23 @@ class TestAtoms:
         cert = is_p_atom(plus - minus, DyadicInterval.at_zero(n, N), Fraction(1, 2))
         assert cert.violated == "sup_bound"
 
+    def test_builds_no_indicator(self, monkeypatch):
+        N, n = 5, 2
+        plus = SampledFunction.indicator(DyadicInterval.at_zero(n + 1, N), N, 16)
+        minus = SampledFunction.indicator(DyadicInterval(n + 1, GroupPoint.unit(n, N)), N, 16)
+        atom = plus - minus
+        outside = SampledFunction.constant(1, 3) - SampledFunction.indicator(
+            DyadicInterval.at_zero(1, 3), 3, scale=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_p_atom built an indicator")
+
+        monkeypatch.setattr(SampledFunction, "indicator", refuse)
+        interval = DyadicInterval.at_zero(n, N)
+        assert is_p_atom(atom, interval, Fraction(1, 2)).passed
+        assert is_p_atom(atom.to_float(), interval, Fraction(1, 2)).passed
+        assert is_p_atom(outside, DyadicInterval.at_zero(1, 3), 1).violated == "support"
+
     def test_certificate_fields(self):
         cert = is_p_atom(SampledFunction.constant(0, 3),
                          DyadicInterval.at_zero(0, 3), Fraction(1, 2))

@@ -4,8 +4,8 @@ A depth-M martingale is stored through its terminal level only: the
 Paley spectrum of f^(M) on 2^M cells.  Level n is the conditional
 expectation onto the rank-n cells, which for the Paley system keeps the
 coefficients below 2^n.  It depends only on the coordinates below n, so
-`level` transforms those 2^n coefficients at resolution n and tiles the
-result; `s2n_by_averaging` (block means) is the independent oracle.
+`level` butterflies those 2^n coefficients and tiles the result, like every
+truncated spectrum; `s2n_by_averaging` (block means) is the oracle.
 
 The maximal function is f* = max_{0<=n<=M} |f^(n)| and
 ||f||_{H_p} = ||f*||_p.  `maximal` and `square_function_squared` fold

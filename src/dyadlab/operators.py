@@ -5,11 +5,12 @@ Averaging the partial sums weights coefficient i by (n - i)/n for i < n,
 so both operators are diagonal in the acting system's ordering.  In the
 Kaczmarz ordering the diagonal acts through the block bit-reversal
 sigma: the Paley coefficient at j carries weight (n - sigma(j))/n when
-sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i.
-`_fejer_sums` builds n sigma_n f for n = 1, 2, ... by one running sum
-for the weighted maximal sweep and `verify_yano`; each sum comes at its
-own resolution (n-1).bit_length(), the coordinates system functions
-0..n-1 read.  The definitional averages are kept as test oracles.
+sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i on its
+first 2^r cells, r = (n-1).bit_length(): system functions 0..n-1 read only
+the coordinates below r, so S_n f and sigma_n f come at that resolution,
+tiled.  `_fejer_sums` builds n sigma_n f for n = 1, 2, ... by one running
+sum for the weighted maximal sweep and `verify_yano`, each sum at its own
+resolution.  The definitional averages are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ import numpy as np
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
 from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_spectrum,
-                    _fejer_weighted, _zeroed, fwht, inverse_fwht, sigma_permutation)
+                    _fejer_weighted, _partial_sum, fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
 
 def _paley_spectrum(f: Operand) -> CoefficientSequence:
-    if isinstance(f, DyadicMartingale):
-        return f.terminal
-    return fwht(f)
-
-
-def _resolution(f: Operand) -> int:
-    return f.depth if isinstance(f, DyadicMartingale) else f.resolution
+    return f.terminal if isinstance(f, DyadicMartingale) else fwht(f)
 
 
 def coefficients(f: Operand, system: System | str = System.PALEY) -> CoefficientSequence:
@@ -46,23 +41,21 @@ def coefficients(f: Operand, system: System | str = System.PALEY) -> Coefficient
 def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     """S_n f: keep coefficients 0..n-1 in the acting system's ordering."""
     system = System.coerce(system)
-    N = _resolution(f)
-    size = 1 << N
-    if not 0 <= n <= size:
-        raise ValueError(f"partial-sum order {n} outside 0..{size}")
-    return inverse_fwht(_zeroed(_paley_spectrum(f), _fejer_spectrum(system, n, N) == 0))
+    spec = _paley_spectrum(f)
+    if not 0 <= n <= len(spec):
+        raise ValueError(f"partial-sum order {n} outside 0..{len(spec)}")
+    return _partial_sum(spec, _fejer_spectrum(system, n))
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
     """sigma_n f via the diagonal weights (n - i)/n, i < n, in `system` order."""
     system = System.coerce(system)
-    N = _resolution(f)
-    size = 1 << N
+    spec = _paley_spectrum(f)
     if n < 1:
         raise ValueError("Fejer mean order must be >= 1")
-    if n > size:
-        raise ValueError(f"Fejer order {n} outside spectrum 0..{size}")
-    return _fejer_weighted(_paley_spectrum(f), _fejer_spectrum(system, n, N), n)
+    if n > len(spec):
+        raise ValueError(f"Fejer order {n} outside spectrum 0..{len(spec)}")
+    return _fejer_weighted(spec, _fejer_spectrum(system, n), n)
 
 
 def _fejer_sums(coeffs: np.ndarray, system: System,
@@ -71,11 +64,9 @@ def _fejer_sums(coeffs: np.ndarray, system: System,
 
     `coeffs` is the Paley spectrum of f, read only where system functions
     0..n_max-1 sit.  S_n f adds c w_j to S_{n-1} f, where w_j is system
-    function n - 1 and c its coefficient.  Functions 0..n-1 depend only
-    on the low r = (n-1).bit_length() coordinates in both orderings
-    (sigma keeps each block [2^k, 2^{k+1}) in place), so the sum of
-    order n comes on its own 2^r cells; tiling it 2^{N-r} times gives
-    its samples at the resolution N of `coeffs`.  The sums double when
+    function n - 1 and c its coefficient.  The sum of order n comes on
+    its own 2^r cells (see above); tiling it 2^{N-r} times gives its
+    samples at the resolution N of `coeffs`.  The sums double when
     n - 1 reaches 2^r, so order n costs O(2^r).  Every array keeps the
     dtype of `coeffs`, so an int64 spectrum sums exactly.
     """
@@ -129,13 +120,12 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     p = normalize_p(p)
     if not 0 < p <= Fraction(1, 2):
         raise ValueError(f"weighted maximal operator needs 0 < p <= 1/2, got {p}")
-    N = _resolution(f)
-    size = 1 << N
-    if not 1 <= n_max <= size:
-        raise ValueError(f"n_max {n_max} outside 1..{size}")
+    spec = _paley_spectrum(f)
+    if not 1 <= n_max <= len(spec):
+        raise ValueError(f"n_max {n_max} outside 1..{len(spec)}")
     best = np.zeros(1)  # at the sweep's resolution, tiled with it
-    for n, acc in _fejer_sums(_paley_spectrum(f)._floats(), System.KACZMARZ, n_max):
+    for n, acc in _fejer_sums(spec._floats(), System.KACZMARZ, n_max):
         if best.size < acc.size:
             best = np.tile(best, 2)
         best = np.maximum(best, np.abs(acc) / (n * fejer_weight(p, n)))
-    return SampledFunction(N, np.tile(best, size // best.size))
+    return SampledFunction(spec.resolution, np.tile(best, len(spec) // best.size))

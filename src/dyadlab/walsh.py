@@ -29,10 +29,12 @@ module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
 `_level`, `_levels_sup_abs`, `_levels_square_sum`, `_fejer_spectrum`,
-`_fejer_weighted` and `_translate_power_sums`.  The last gives
-sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
-p, exactly, as integers over one power of two: a signed sum of dyadic
-correlations, each a cellwise product under the butterfly.
+`_partial_sum`, `_fejer_weighted` and `_translate_power_sums`.  The last
+gives sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at
+even p, exactly, as integers over one power of two: a signed sum of dyadic
+correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
+D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
+one synthesis step butterflies that head and tiles it for all of them.
 """
 
 from __future__ import annotations
@@ -677,25 +679,39 @@ def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> Coefficie
     return paley.to_ordering(ordering)
 
 
+def _synthesis(num: np.ndarray, N: int) -> np.ndarray:
+    """Samples at resolution N of the Paley spectrum `num` (2^r cells) padded with 0s.
+
+    They read only the coordinates below r: the butterfly of `num`, tiled.
+    """
+    cells = _butterflied(num)
+    if cells.size == 1 << N:
+        return cells
+    out = np.empty(1 << N, dtype=cells.dtype)
+    out.reshape(-1, cells.size)[:] = cells
+    return out
+
+
 def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
     """Reconstruct f = sum_i coeffs[i] * (system function i)."""
-    paley = coeffs.to_ordering(System.PALEY)
-    frac = paley._frac if isinstance(paley._frac, bool) else paley._frac.any()
-    return SampledFunction._of(coeffs.resolution, _butterflied(paley._num), paley._den, frac)
+    return _level(coeffs.to_ordering(System.PALEY), coeffs.resolution)
 
 
 def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
-    """The function whose Paley spectrum is the Paley `spec`'s first 2^n cells.
-
-    It depends only on the coordinates below n, so it is the butterfly of
-    those cells at resolution n, tiled: the cells, readout types and
-    numerator dtype of `inverse_fwht(_zeroed(spec, slice(2**n, None)))`.
-    """
+    """The function whose Paley spectrum is the Paley `spec`'s first 2^n cells, in lowest terms."""
     head = slice(1 << n)
     num, den = _reduced(spec._num[head], spec._den)
-    frac = spec._frac if isinstance(spec._frac, bool) else spec._frac[head].any()
-    cells = np.tile(_butterflied(num), 1 << (spec.resolution - n))
-    return SampledFunction._of(spec.resolution, cells, den, frac)
+    frac = spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[head].any())
+    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den, frac)
+
+
+def _partial_sum(spec: CoefficientSequence, w: np.ndarray) -> SampledFunction:
+    """As `_level`, on the head cells where `w` is nonzero; those cells alone set the readout."""
+    keep = w != 0
+    num, den = _reduced(np.where(keep, spec._num[:w.size], 0), spec._den)
+    marks = spec._frac if isinstance(spec._frac, bool) else spec._frac[:w.size]
+    frac = marks is not False and bool((keep & marks).any())
+    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den, frac)
 
 
 def _levels_sup_abs(spec: CoefficientSequence) -> SampledFunction:
@@ -741,59 +757,53 @@ def _levels_square_sum(spec: CoefficientSequence) -> SampledFunction:
 
 
 def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:
-    """The function with Paley spectrum `spec` * w / n; exact cells butterfly c * w, then / n."""
-    if spec.is_exact:
-        return SampledFunction._of(spec.resolution, _butterflied(_product(spec._num, w)),
-                                   spec._den * n, True)
-    return inverse_fwht(spec._like(spec._num * (w / n)))
+    """The function with Paley spectrum `spec` * w / n, w a head multiplier (`_fejer_spectrum`).
+
+    Exact cells butterfly c * w, not put in lowest terms, then divide by n.  Every weight is
+    at most w[0] = n; past int64, the cells w drops are zeroed first, so they cannot widen.
+    """
+    head = spec._num[:w.size]
+    if not spec.is_exact:
+        return SampledFunction._of(spec.resolution, _synthesis(head * (w / n), spec.resolution))
+    if _peak(head) * n > _INT64_MAX:
+        (head,) = _widened(lambda x: _peak(x) * n, np.where(w != 0, head, 0))
+    return SampledFunction._of(spec.resolution, _synthesis(head * w, spec.resolution),
+                               spec._den * n, True)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
-def _numerators_fit_int64(n: int) -> bool:
-    """Whether the butterfly of the numerators n - i (i < n) stays in int64.
-
-    Every partial butterfly value is a signed sum of the numerators, so
-    it is bounded by their sum n(n+1)/2, which the x = 0 sample reaches.
-    """
-    return n * (n + 1) // 2 <= _INT64_MAX
-
-
 def _kernel_l1_fits_int64(n: int, N: int) -> bool:
-    """Whether sum_x |n K_n(x)| over the 2^N cells stays in int64.
+    """Whether sum_x |n K_n(x)| over the 2^N cells stays in int64; N = 0 checks each sample.
 
-    Each |n K_n(x)| is at most n(n+1)/2 (see `_numerators_fit_int64`),
-    so the sum over the cells is at most 2^N n(n+1)/2.
+    Each partial butterfly value of n - i (i < n) is at most their sum n(n+1)/2, reached at x = 0.
     """
     return (n * (n + 1) // 2) << N <= _INT64_MAX
 
 
-def _fejer_spectrum(system: System, n: int, N: int) -> np.ndarray:
-    """int64 Paley coefficients of n K_n: n - i at system index i < n, 0 elsewhere.
+def _fejer_spectrum(system: System, n: int) -> np.ndarray:
+    """int64 Paley coefficients of n K_n, n - i at system index i < n, on their first 2^r cells.
 
-    Their butterfly is n K_n = sum_{k=1..n} D_k, and D_n has coefficient
-    1 exactly where they are nonzero.  The Fejer mean of order n weights
-    a spectrum by them over n; the partial sum keeps their support.
+    r = (n-1).bit_length() (0 for n = 0): sigma keeps each block [2^k, 2^{k+1}) in place,
+    so every later coefficient is 0.  Their butterfly is n K_n = sum_{k=1..n} D_k, and D_n has
+    coefficient 1 where they are nonzero: sigma_n weights by them over n, S_n keeps their support.
     """
-    pos = np.arange(1 << N, dtype=np.int64) if system is System.PALEY else sigma_permutation(N)
+    r = max(n - 1, 0).bit_length()
+    pos = np.arange(1 << r, dtype=np.int64) if system is System.PALEY else sigma_permutation(r)
     return np.maximum(n - pos, 0)
 
 
 def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
-    """n * K_n = sum_{k=1..n} D_k as exact int64 samples (zero for n = 0).
-
-    The sum has system-ordering coefficients n - i for i < n, so one
-    int64 butterfly of that vector gives every sample in O(N 2^N).
-    """
+    """n * K_n = sum_{k=1..n} D_k as a fresh array of exact int64 samples (zero for n = 0)."""
     system = System.coerce(system)
     if N < 0:
         raise ValueError(f"resolution must be >= 0, got {N}")
     if n < 0 or n > 1 << N:
         raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
-    if not _numerators_fit_int64(n):
+    if not _kernel_l1_fits_int64(n, 0):
         raise ValueError(f"kernel order {n} would overflow int64 sums; reduce n")
-    return _butterfly_array(_fejer_spectrum(system, n, N))
+    return _synthesis(_fejer_spectrum(system, n), N)
 
 
 def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
@@ -803,8 +813,7 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
         raise ValueError(f"resolution must be >= 0, got {N}")
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
-    ones = np.minimum(_fejer_spectrum(system, n, N), 1)
-    return SampledFunction._of(N, _butterfly_array(ones))
+    return SampledFunction._of(N, _synthesis(np.minimum(_fejer_spectrum(system, n), 1), N))
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:

@@ -22,7 +22,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_fejer_partial_identity, verify_identities,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
-from dyadlab.walsh import _kernel_l1_fits_int64, _numerators_fit_int64
+from dyadlab.walsh import _kernel_l1_fits_int64
 
 
 class TestQSeq:
@@ -519,8 +519,8 @@ class TestDirichletPrefix:
 
     def test_int64_guard_edge(self):
         # partial butterfly values are bounded by n(n+1)/2, reached at x = 0
-        assert _numerators_fit_int64(2**32 - 1)
-        assert not _numerators_fit_int64(2**32)
+        assert _kernel_l1_fits_int64(2**32 - 1, 0)
+        assert not _kernel_l1_fits_int64(2**32, 0)
 
     def test_guard_runs_before_allocation(self):
         with pytest.raises(ValueError, match="int64"):

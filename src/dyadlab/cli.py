@@ -152,13 +152,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # output
 
 def _csv_cell(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(jsonable(value))
 
 
 def render_csv(config: RunConfig, reports: Sequence[VerificationReport],
@@ -175,11 +169,7 @@ def render_csv(config: RunConfig, reports: Sequence[VerificationReport],
             rows.extend(report.rows)
     if rows:
         if table_columns is None:
-            table_columns = []
-            for row in rows:
-                for key in row:
-                    if key not in table_columns:
-                        table_columns.append(key)
+            table_columns = list(dict.fromkeys(key for row in rows for key in row))
         lines.append(",".join(table_columns))
         for row in rows:
             lines.append(",".join(_csv_cell(row.get(col)) for col in table_columns))
@@ -225,11 +215,8 @@ def run_kernel(config: RunConfig) -> list[VerificationReport]:
     if not config.exact:
         kernel = kernel.to_float()
     if kernel.is_exact:
-        rows = []
-        for j, v in enumerate(kernel.values):
-            frac = v if isinstance(v, Fraction) else Fraction(v)
-            rows.append({"index": j, "value_numerator": frac.numerator,
-                         "value_denominator": frac.denominator})
+        rows = [{"index": j, "value_numerator": v.numerator, "value_denominator": v.denominator}
+                for j, v in enumerate(map(Fraction, kernel.values))]
     else:
         rows = [{"index": j, "value": float(v)} for j, v in enumerate(kernel.values)]
     report = VerificationReport(
@@ -258,16 +245,22 @@ def run_identities(config: RunConfig) -> list[VerificationReport]:
         seed=config.seed, count=config.count)
 
 
+def _family(config: RunConfig) -> experiments.CounterexampleFamily:
+    """The t1 or t2 family the flags name; --levels defaults to depth - 1 for t1, 3 for t2."""
+    if config.family == "t1":
+        levels = config.depth - 1 if config.levels is None else config.levels
+        return experiments.build_t1(Fraction(config.p), levels, config.depth)
+    return experiments.build_t2(3 if config.levels is None else config.levels, config.depth)
+
+
 def run_t1(config: RunConfig) -> list[VerificationReport]:
-    levels = config.levels if config.levels is not None else config.depth - 1
-    fam = experiments.build_t1(Fraction(config.p), levels, config.depth)
+    fam = _family(config)
     return [experiments.audit_family(fam),
             experiments.divergence_t1(fam, config.n_list or [4, 5, 6, 7, 8])]
 
 
 def run_t2(config: RunConfig) -> list[VerificationReport]:
-    levels = config.levels if config.levels is not None else 3
-    fam = experiments.build_t2(levels, config.depth)
+    fam = _family(config)
     return [experiments.audit_family(fam),
             experiments.divergence_t2(fam, config.i_list or [2, 3])]
 
@@ -285,12 +278,8 @@ def run_converge(config: RunConfig) -> list[VerificationReport]:
         mart = experiments.random_decaying_martingale(_random.Random(config.seed), depth)
     elif config.seed is not None:
         raise ValueError("--seed is read by --family random only")
-    elif config.family == "t1":
-        levels = config.levels if config.levels is not None else depth - 1
-        mart = experiments.build_t1(p, levels, depth).martingale
     else:
-        levels = config.levels if config.levels is not None else 3
-        mart = experiments.build_t2(levels, depth).martingale
+        mart = _family(config).martingale
     if config.n_list:
         n_values = config.n_list
     else:
@@ -314,16 +303,14 @@ def run_converge(config: RunConfig) -> list[VerificationReport]:
 
 
 def run(config: RunConfig, runner: Callable[[RunConfig], list[VerificationReport]]) -> int:
-    """Execute one configured command; 0 iff everything in scope passed."""
+    """Execute one configured command: 0 iff everything in scope passed, 2 on an error."""
+    columns = ["n", "modulus", "threshold", "error_norm"] if config.command == "converge" else None
     try:
         reports = runner(config)
-    except (ValueError, OverflowError, MemoryError) as exc:
+        emit(config, reports, columns)
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    columns = None
-    if config.command == "converge":
-        columns = ["n", "modulus", "threshold", "error_norm"]
-    emit(config, reports, columns)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -162,7 +162,8 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
 
     sup_value = a._sup()
     rank = interval.rank
-    bound = 2.0 ** (rank / float(p))
+    exponent = rank / float(p)  # 2^1024 is past the float range; exact atoms need no float
+    bound = 2.0 ** exponent if exponent < 1024 else math.inf
     if a.is_exact and isinstance(p, Fraction):
         # |v| <= 2^{rank/p}  <=>  |v|^num <= 2^{rank*den}, all integers/rationals
         sup_ok = Fraction(sup_value) ** p.numerator <= Fraction(2) ** (rank * p.denominator)

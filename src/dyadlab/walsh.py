@@ -24,8 +24,9 @@ for sums and products, sum |numerator| for a butterfly), passes
 wraps around and every operator runs the same numpy expression on both.
 `values` and `coeffs` read exact cells out as Python ints and Fractions,
 typed as Python's own arithmetic would type them: a division gives a
-Fraction even where integral, integer-only routes give ints.  Only this
-module knows the format; the others use operations on whole objects:
+Fraction even where integral, integer-only routes give ints.  Input
+cells read out by the same rule, so a bool input reads as an int.  Only
+this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
 `_level`, `_levels_sup_abs`, `_levels_square_sum`, `_fejer_spectrum`,
@@ -252,10 +253,10 @@ def _tag(frac) -> bool | np.ndarray:
 
 def _cells(values: Sequence[Scalar] | np.ndarray, size: int, what: str) -> tuple:
     """Validate outside input as `_store` arguments: float64 cells, or exact
-    numerators, denominator, Fraction mask and the input cells as readout.
+    numerators, denominator and Fraction mask, which alone give the readout.
 
     A numeric ndarray is float data.  A sequence or an object ndarray is
-    exact, and every cell must be an int or a Fraction.
+    exact, and every cell must be an int or a Fraction; a bool reads as an int.
     """
     if isinstance(values, np.ndarray):
         if values.shape != (size,):
@@ -271,9 +272,10 @@ def _cells(values: Sequence[Scalar] | np.ndarray, size: int, what: str) -> tuple
     fractions = {t for t in kinds if issubclass(t, Fraction)}
     frac = np.array([type(v) in fractions for v in vals], dtype=bool) if fractions else False
     den = math.lcm(*(v.denominator for v in vals if type(v) in fractions)) if fractions else 1
-    nums = [v.numerator * (den // v.denominator) for v in vals] if fractions else vals
+    # .numerator reads a bool as a plain int, so stored cells never hold one
+    nums = vals if kinds == {int} else [v.numerator * (den // v.denominator) for v in vals]
     num = np.array(nums, dtype=_int_dtype(max(map(abs, nums), default=0)))
-    return num, den, frac, _locked(np.array(vals, dtype=object))
+    return num, den, frac
 
 
 def _dyadic(cells: np.ndarray) -> tuple[np.ndarray, int]:
@@ -303,23 +305,38 @@ class _Cells:
     `_den` in lowest terms (gcd(den, every numerator) = 1, den = 1 when
     every cell is 0; float mode keeps den = 1).  `_frac` marks the exact
     cells that read out as Fraction, as one bool when every cell agrees,
-    and `_read` caches the readout, built on first use.  No other module
-    reads these fields: they use the operations below.
+    and `_read` caches the readout, built from these cells alone on first
+    use.  `_ordering` is a spectrum's ordering, None for sampled functions.
+    No other module reads these fields: they use the operations below.
     """
 
-    __slots__ = ("resolution", "_num", "_den", "_frac", "_read")
+    __slots__ = ("resolution", "_ordering", "_num", "_den", "_frac", "_read")
 
     def _store(self, resolution: int, num: np.ndarray, den: int = 1, frac=False,
-               read: np.ndarray | None = None):
+               ordering: System | None = None):
         num, den = _reduced(num, den)
         self.resolution = resolution
+        self._ordering = ordering
         self._num = _locked(num)
         self._den = den
         if num.dtype == np.float64:
             self._frac, self._read = False, self._num
         else:
-            self._frac, self._read = _tag(frac), read
+            self._frac, self._read = _tag(frac), None
         return self
+
+    @classmethod
+    def _of(cls, resolution: int, num: np.ndarray, den: int = 1, frac=False,
+            ordering: System | None = None):
+        """Wrap the cells an operator computed; they need no per-cell re-check."""
+        return cls.__new__(cls)._store(resolution, num, den, frac, ordering)
+
+    def _like(self, num: np.ndarray, den: int = 1, frac=False):
+        """New cells of the same kind, resolution and ordering."""
+        return self._of(self.resolution, num, den, frac, self._ordering)
+
+    def _key(self) -> tuple:
+        return self.resolution, self._ordering, self.is_exact
 
     @property
     def is_exact(self) -> bool:
@@ -426,18 +443,6 @@ class SampledFunction(_Cells):
 
     def __init__(self, resolution: int, values: Sequence[Scalar] | np.ndarray):
         self._store(resolution, *_cells(values, 1 << resolution, "values"))
-
-    @classmethod
-    def _of(cls, resolution: int, num: np.ndarray, den: int = 1,
-            frac=False) -> "SampledFunction":
-        """Wrap the cells an operator computed; they need no per-cell re-check."""
-        return cls.__new__(cls)._store(resolution, num, den, frac)
-
-    def _like(self, num: np.ndarray, den: int = 1, frac=False) -> "SampledFunction":
-        return SampledFunction._of(self.resolution, num, den, frac)
-
-    def _key(self) -> tuple:
-        return self.resolution, self.is_exact
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -555,26 +560,16 @@ class CoefficientSequence(_Cells):
     Stored like `SampledFunction` cells and read out through `coeffs`.
     """
 
-    __slots__ = ("ordering",)
+    __slots__ = ()
 
     def __init__(self, resolution: int, ordering: System | str,
                  coeffs: Sequence[Scalar] | np.ndarray):
-        self._store(resolution, *_cells(coeffs, 1 << resolution, "coefficients"))
-        self.ordering = System.coerce(ordering)
+        self._store(resolution, *_cells(coeffs, 1 << resolution, "coefficients"),
+                    ordering=System.coerce(ordering))
 
-    @classmethod
-    def _of(cls, resolution: int, ordering: System, num: np.ndarray, den: int = 1,
-            frac=False) -> "CoefficientSequence":
-        """Wrap the coefficients an operator computed; no per-cell re-check."""
-        self = cls.__new__(cls)._store(resolution, num, den, frac)
-        self.ordering = ordering
-        return self
-
-    def _like(self, num: np.ndarray, den: int = 1, frac=False) -> "CoefficientSequence":
-        return CoefficientSequence._of(self.resolution, self.ordering, num, den, frac)
-
-    def _key(self) -> tuple:
-        return self.resolution, self.ordering, self.is_exact
+    @property
+    def ordering(self) -> System:
+        return self._ordering
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -587,7 +582,7 @@ class CoefficientSequence(_Cells):
         if system is self.ordering:
             return self
         out = self._gathered(sigma_permutation(self.resolution))
-        out.ordering = system
+        out._ordering = system
         return out
 
     def energy(self) -> Scalar:
@@ -675,7 +670,7 @@ def _butterflied(num: np.ndarray) -> np.ndarray:
 def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> CoefficientSequence:
     """Spectrum of f: coeffs[i] = 2^{-N} sum_j f(j) (-1)^{popcount(i AND j)}."""
     num, den = _quotient(_butterflied(f._num), f._den, len(f))
-    paley = CoefficientSequence._of(f.resolution, System.PALEY, num, den, True)
+    paley = CoefficientSequence._of(f.resolution, num, den, True, System.PALEY)
     return paley.to_ordering(ordering)
 
 

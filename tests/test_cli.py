@@ -102,6 +102,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing/lemma2.json", ""])  # "" names tmp_path itself
+    def test_unwritable_report_is_an_error(self, name, tmp_path, capsys):
+        # every check ran and passed; exit 1 would say one failed
+        assert run_cli(["verify", "lemma2", "--A", "3", "--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["verify", "yano", "--n-max", "0", "--resolution", "4"],
         ["verify", "identities", "--count", "0", "--resolution", "4", "--depth", "3"],

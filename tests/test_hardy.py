@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, PAtomCertificate,
-                     SampledFunction, atomic_norm_bound, conjugate, conjugate_shift,
+                     SampledFunction, atomic_norm_bound, build_t1, conjugate, conjugate_shift,
                      dirichlet, hardy_quasinorm, inverse_fwht, is_p_atom, lp_quasinorm,
                      maximal, maximal_by_averages, modulus_hp, partial_sum, s2n,
                      s2n_by_averaging,
@@ -371,6 +371,14 @@ class TestAtoms:
         assert is_p_atom(atom, interval, Fraction(1, 2)).passed
         assert is_p_atom(atom.to_float(), interval, Fraction(1, 2)).passed
         assert is_p_atom(outside, DyadicInterval.at_zero(1, 3), 1).violated == "support"
+
+    def test_bound_past_the_float_range(self):
+        # 2^(11/p) at p = 1/100 is past the float range; the exact test still decides
+        family = build_t1(Fraction(1, 100), 11, 12)
+        atom, interval = family.atoms[11]
+        assert interval.rank == 11
+        cert = is_p_atom(atom, interval, family.p)
+        assert cert.passed and cert.sup_bound == math.inf
 
     def test_certificate_fields(self):
         cert = is_p_atom(SampledFunction.constant(0, 3),

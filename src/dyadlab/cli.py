@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = leaf(sub, "converge", run_converge, "modulus/threshold/error tables")
     g.add_argument("--family", choices=("random", "t1", "t2"), default="random")
-    g.add_argument("--p", type=_parse_p, default="1/2")
-    g.add_argument("--depth", type=int, default=8)
+    g.add_argument("--p", type=_parse_p, default=None, help="default 1/4 for t1, else 1/2")
+    g.add_argument("--depth", type=int, default=None, help="default 10 for t2, else 8")
     orders = g.add_mutually_exclusive_group()
     orders.add_argument("--n-max", type=int, default=None, help="sweep 1..n-max (default 64)")
     orders.add_argument("--n-list", type=_parse_int_list, default=None)
@@ -267,8 +267,9 @@ def run_t2(config: RunConfig) -> list[VerificationReport]:
 
 def run_converge(config: RunConfig) -> list[VerificationReport]:
     import random as _random
-    p = Fraction(config.p)
-    depth = config.depth
+    config.p = config.p or ("1/4" if config.family == "t1" else "1/2")
+    config.depth = (10 if config.family == "t2" else 8) if config.depth is None else config.depth
+    p, depth = Fraction(config.p), config.depth
     parameters = {"family": config.family, "p": config.p, "depth": depth}
     if config.family == "random":
         if config.levels is not None:

@@ -32,13 +32,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
-from .hardy import (DyadicMartingale, conjugate, conjugate_shift, hardy_quasinorm,
+from .hardy import (DyadicMartingale, _conjugates, _solved_shift, conjugate, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import PLike, lp_quasinorm, normalize_p, weak_lp
+from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
 from .operators import _fejer_sums, fejer_mean
-from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, compose_with_tau,
-                    dirichlet, fejer_numerators, kaczmarz_paley_index, kaczmarz_samples,
-                    walsh_paley_samples)
+from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, _signed_square_sum,
+                    _signed_sup_abs, compose_with_tau, dirichlet, fejer_numerators,
+                    kaczmarz_paley_index, kaczmarz_samples, walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +135,17 @@ def _inverse(p: Fraction | float) -> int | float:
 def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, DyadicInterval]]:
     """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached.
 
-    D_{2^k} is 2^k on I_k and 0 elsewhere.
+    D_{2^k} is 2^k on I_k and 0 elsewhere: the difference is 2^m on I_{m+1}, -2^m on I_m's rest.
     """
     M, inv_p = family.depth, _inverse(family.p)
     for m, _ in family.blocks:
-        block = (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
-                 - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+        interval = DyadicInterval.at_zero(m, M)
+        w = np.full(1 << M, -1 << m, dtype=np.int64)  # read on I_m only
+        w[DyadicInterval.at_zero(m + 1, M).cells(M)] = 1 << m
+        block = SampledFunction.indicator(interval, M)._weighted(w)
         if isinstance(inv_p, float):
             block = block.to_float()
-        yield block.scale(2 ** (m * (inv_p - 1))), DyadicInterval.at_zero(m, M)
+        yield block.scale(2 ** (m * (inv_p - 1))), interval
 
 
 def _lacunary(kind: str, p: Fraction | float, L: int, M: int,
@@ -623,34 +625,34 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
     """Conjugation by every sign point: translation match and norm equality.
 
     For block-lacunary martingales the conjugate terminal must equal the
-    translate by the solved shift, exactly; `conjugate_shift` returns a
-    shift only once they match, so a mismatch fails as `no-shift`.
-    Translations commute with the partial sums, so the whole maximal
-    function transports and every H_p quasi-norm is preserved with zero
-    tolerance (checked as value multisets).  For dense martingales the exactly preserved pointwise
-    quantity is the squared square function; their maximal-function
-    quasi-norm ratios are reported, not asserted.
+    translate by the solved shift (see `conjugate_shift`); no solution or
+    a mismatch fails as `no-shift`.  Translations commute with the partial
+    sums, so every H_p quasi-norm is preserved with zero tolerance (checked
+    as maximal-function value multisets).  For dense martingales the
+    exactly preserved pointwise quantity is the squared square function;
+    their maximal-function quasi-norm ratios are reported, not asserted.
     """
     start = time.perf_counter()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
 
-    def checks(lac, lac_max, dense, dense_square, t):
-        yield "no-shift", conjugate_shift(lac, t) is not None
-        yield "lacunary-multiset", sorted(maximal(conjugate(lac, t)).values) == lac_max
-        yield "square-function", square_function_squared(conjugate(dense, t)) == dense_square
-
     def cases():
+        points = [GroupPoint(depth + 1, t) for t in range(1 << (depth + 1))]
         for trial in range(count):
             lac = random_lacunary_martingale(rng, depth)
             dense = random_exact_martingale(rng, depth)
-            lac_max = sorted(maximal(lac).values)
+            lac_term, lac_max = lac.terminal_function(), sorted(maximal(lac).values)
             dense_square = square_function_squared(dense)
-            for t_index in range(1 << (depth + 1)):
-                t = GroupPoint(depth + 1, t_index)
-                _, kind = _first_failure(checks(lac, lac_max, dense, dense_square, t))
-                yield {"trial": trial, "t": t_index, "kind": kind}, kind is None
+            rows = zip(_conjugates(lac, points, _signed_sup_abs),
+                       _conjugates(dense, points, _signed_square_sum))
+            for t, ((signs, (term, peak)), (_, square)) in enumerate(rows):
+                shift = _solved_shift(lac, signs)
+                _, kind = _first_failure([
+                    ("no-shift", shift is not None and translate(lac_term, shift) == term),
+                    ("lacunary-multiset", sorted(peak.values) == lac_max),
+                    ("square-function", square == dense_square)])
+                yield {"trial": trial, "t": t, "kind": kind}, kind is None
 
     checked, failure = _first_failure(cases())
     shifts_found = checked - (failure is not None and failure["kind"] == "no-shift")

@@ -17,7 +17,9 @@ The conjugate transform multiplies the n-th martingale difference by
 the sign r_n(t).  It always preserves every H_p quasi-norm; it agrees
 with a group translation exactly when the sign pattern is realizable as
 a character on the occupied spectrum, which `conjugate_shift` decides by
-solving the corresponding GF(2) linear system.
+solving the corresponding GF(2) linear system.  `_signs` gives the signs
+of many points as one matrix, and `_conjugates` butterflies its rows as
+one stack, so a sweep over sign points costs one butterfly per chunk.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint
 from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate
-from .walsh import (CoefficientSequence, SampledFunction, System, _level, _levels_square_sum,
-                    _levels_sup_abs, _sup_abs, _zeroed, fwht)
+from .walsh import (CoefficientSequence, SampledFunction, System, _level, _signed_square_sum,
+                    _signed_sup_abs, _sup_abs, _zeroed, fwht)
 
 
 class DyadicMartingale:
@@ -95,8 +97,8 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
 
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
-    """f* = max_n |f^(n)| pointwise over all levels 0..M."""
-    return _levels_sup_abs(f.terminal)
+    """f* = max_n |f^(n)| pointwise over all levels 0..M: the one-row `_signed_sup_abs`."""
+    return next(_signed_sup_abs(f.terminal, np.ones((1, 1), dtype=np.int64)))[1]
 
 
 def maximal_by_averages(f: SampledFunction) -> SampledFunction:
@@ -116,7 +118,7 @@ def square_function_squared(f: DyadicMartingale) -> SampledFunction:
     unchanged pointwise, which is the exactly-preserved quantity behind
     the conjugate transform's isometry.
     """
-    return _levels_square_sum(f.terminal)
+    return next(_signed_square_sum(f.terminal, np.ones((1, 1), dtype=np.int64)))
 
 
 def modulus_hp(f: DyadicMartingale, n: int, p: PLike) -> QuasiNormValue:
@@ -193,43 +195,46 @@ def atomic_norm_bound(weights: Sequence, p: PLike) -> float:
 # ---------------------------------------------------------------------------
 # conjugate transform
 
-def _signs(f: DyadicMartingale, t: GroupPoint) -> np.ndarray:
-    """r_{bit_length(i)}(t) for every Paley index i < 2^M, as int64 +-1.
+_STACK_CELLS = 4_000_000  # sign points stack in row chunks of about this many cells
+
+
+def _signs(f: DyadicMartingale, points: Sequence[GroupPoint]) -> np.ndarray:
+    """r_{bit_length(i)}(t) as int64 +-1: a row per t in `points`, a column per Paley index i < 2^M.
 
     Difference n occupies the Paley indices of bit length n: the constant
     term for n = 0, the block [2^{n-1}, 2^n) for n >= 1.  Signing
     differences 0..M needs coordinates t_0..t_M, so resolution >= M + 1.
     """
-    M = f.depth
-    if t.resolution < M + 1:
-        raise ValueError(
-            f"conjugate sign point needs resolution >= {M + 1}, got {t.resolution}")
-    flips = np.array([t.index >> n & 1 for n in range(M + 1)], dtype=np.int64)
-    return np.repeat(1 - 2 * flips, [1] + [1 << n for n in range(M)])
+    M, coarsest = f.depth, min(t.resolution for t in points)
+    if coarsest < M + 1:
+        raise ValueError(f"conjugate sign point needs resolution >= {M + 1}, got {coarsest}")
+    index = np.array([t.index & ((2 << M) - 1) for t in points], dtype=np.int64)
+    flips = index[:, None] >> np.repeat(np.arange(M + 1), [1] + [1 << n for n in range(M)]) & 1
+    return 1 - 2 * flips
 
 
 def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     """Multiply the n-th martingale difference by r_n(t); t needs resolution > depth."""
-    return DyadicMartingale(f.terminal._weighted(_signs(f, t)))
+    return DyadicMartingale(f.terminal._weighted(_signs(f, [t])[0]))
 
 
-def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
-    """A shift u with  conjugate(f, t) = f(. + u)  on the terminal level, if any.
+def _conjugates(f: DyadicMartingale, points: Sequence[GroupPoint], signed) -> Iterator:
+    """(t's `_signs` row, `signed` of conjugate(f, t)) for each t in `points`, in order, where
+    `signed` is `_signed_sup_abs` or `_signed_square_sum`; one butterfly per chunk of rows."""
+    chunk = max(1, _STACK_CELLS >> f.depth)
+    for start in range(0, len(points), chunk):
+        signs = _signs(f, points[start:start + chunk])
+        yield from zip(signs, signed(f.terminal, signs))
 
-    Translation multiplies coefficient i by w_i(u) while conjugation
-    multiplies it by the per-block sign r_{bit_length(i)}(t); matching them
-    on the occupied spectrum is a GF(2) linear system in the bits of u,
-    whose constant-term row (no bit of u) holds only when r_0(t) = 1.
-    Martingales with at most one occupied coefficient per block (and no
-    constant term when r_0(t) = -1) always admit a solution; dense
-    spectra generally do not, in which case None is returned.
+
+def _solved_shift(f: DyadicMartingale, signs: np.ndarray) -> Optional[GroupPoint]:
+    """The u with w_i(u) = signs[i] on every occupied Paley index i of f, if one exists.
+
+    Gaussian elimination over GF(2); pivot on the highest set bit.
     """
     occupied = np.flatnonzero(f.terminal._nonzero())
-    rows = zip(occupied.tolist(), (_signs(f, t)[occupied] < 0).tolist())
-
-    # Gaussian elimination over GF(2); pivot on the highest set bit.
     pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
+    for mask, rhs in zip(occupied.tolist(), (signs[occupied] < 0).tolist()):
         while mask:
             top = mask.bit_length() - 1
             if top not in pivots:
@@ -248,7 +253,21 @@ def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
         parity = ((mask & ~(1 << top)) & u).bit_count() & 1
         if parity ^ rhs:
             u |= 1 << top
-    shift = GroupPoint(f.depth, u)
-    if translate(f.terminal_function(), shift) == conjugate(f, t).terminal_function():
-        return shift
-    return None
+    return GroupPoint(f.depth, u)
+
+
+def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
+    """A shift u with  conjugate(f, t) = f(. + u)  on the terminal level, if any.
+
+    Translation multiplies coefficient i by w_i(u) while conjugation
+    multiplies it by the per-block sign r_{bit_length(i)}(t); matching them
+    on the occupied spectrum is a GF(2) linear system in the bits of u,
+    whose constant-term row (no bit of u) holds only when r_0(t) = 1.
+    Martingales with at most one occupied coefficient per block (and no
+    constant term when r_0(t) = -1) always admit a solution; dense
+    spectra generally do not, in which case None is returned.
+    """
+    shift = _solved_shift(f, _signs(f, [t])[0])
+    matched = shift is not None and (translate(f.terminal_function(), shift)
+                                     == conjugate(f, t).terminal_function())
+    return shift if matched else None

@@ -29,13 +29,15 @@ cells read out by the same rule, so a bool input reads as an int.  Only
 this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
-`_level`, `_levels_sup_abs`, `_levels_square_sum`, `_fejer_spectrum`,
+`_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
 `_partial_sum`, `_fejer_weighted` and `_translate_power_sums`.  The last
 gives sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at
 even p, exactly, as integers over one power of two: a signed sum of dyadic
 correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
 D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
 one synthesis step butterflies that head and tiles it for all of them.
+The butterfly runs along the last axis, so the signed operations fold a
+stack of +-1-signed spectra, one per row, through one set of stages.
 """
 
 from __future__ import annotations
@@ -630,18 +632,18 @@ def _butterfly_stages(arr: np.ndarray) -> Iterator[np.ndarray]:
     """FWHT butterflies on a copy of `arr`, yielded before the first stage and after each.
 
     The k-th yield (from 0) has run the stages for bits 0..k-1, so each
-    aligned block of 2^k cells holds the transform of its inputs at
-    resolution k.  Every yield is the same array, changed in place by
-    the next stage.  Serves float64, int64 and object cells alike.
+    aligned block of 2^k cells along the last axis holds the transform of
+    its inputs at resolution k.  Every yield is the same array, changed in
+    place by the next stage.  Serves float64, int64 and object cells alike.
     """
     out = arr.copy()
     yield out
     h = 1
-    while h < out.shape[0]:
-        view = out.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        np.add(left, view[:, h:], out=view[:, :h])
-        np.subtract(left, view[:, h:], out=view[:, h:])
+    while h < out.shape[-1]:
+        view = out.reshape(*out.shape[:-1], -1, 2 * h)
+        left = view[..., :h].copy()
+        np.add(left, view[..., h:], out=view[..., :h])
+        np.subtract(left, view[..., h:], out=view[..., h:])
         h <<= 1
         yield out
 
@@ -694,10 +696,9 @@ def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
 
 def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
     """The function whose Paley spectrum is the Paley `spec`'s first 2^n cells, in lowest terms."""
-    head = slice(1 << n)
-    num, den = _reduced(spec._num[head], spec._den)
-    frac = spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[head].any())
-    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den, frac)
+    num, den = _reduced(spec._num[:1 << n], spec._den)
+    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den,
+                               _level_frac(spec, n))
 
 
 def _partial_sum(spec: CoefficientSequence, w: np.ndarray) -> SampledFunction:
@@ -709,29 +710,39 @@ def _partial_sum(spec: CoefficientSequence, w: np.ndarray) -> SampledFunction:
     return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den, frac)
 
 
-def _levels_sup_abs(spec: CoefficientSequence) -> SampledFunction:
-    """max_n |f^(n)| over the levels n = 0..N of the Paley `spec`, ties kept as in `_sup_abs`.
+def _level_frac(spec: CoefficientSequence, n: int) -> bool:
+    """Whether level n of the Paley `spec` reads out as Fractions (see `_level`)."""
+    return spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[:1 << n].any())
 
-    After the butterfly stages for bits 0..n-1 the first 2^n cells are
-    level n on its own cells (see `_level`) over spec's denominator, so
-    one butterfly feeds a running max kept at each level's resolution.
+
+def _signed_sup_abs(spec: CoefficientSequence,
+                    signs: np.ndarray) -> Iterator[tuple[SampledFunction, SampledFunction]]:
+    """(f^(N), max_n |f^(n)|) of the Paley spectrum spec * s, for each row s of the +-1 `signs`.
+
+    Each row's butterfly stages for bits 0..n-1 leave level n on its first
+    2^n cells (see `_level`) over spec's denominator, so one butterfly of
+    the stacked rows feeds a running max kept at each level's resolution.
+    A tie keeps the earlier level's cell, as in `_sup_abs`.  Signs keep
+    every row within spec's own bound, so spec widens once, before it stacks.
     """
-    fracs = spec._frac
-    level_frac = lambda n: fracs if isinstance(fracs, bool) else bool(fracs[:1 << n].any())
-    stages = _butterfly_stages(*_widened(_l1, spec._num))
-    acc, frac = np.abs(next(stages)[:1]), level_frac(0)
+    stages = _butterfly_stages(_widened(_l1, spec._num)[0] * signs)
+    cells = next(stages)
+    acc, frac = np.abs(cells[..., :1]), _level_frac(spec, 0)
     for n, cells in enumerate(stages, 1):
-        acc = np.concatenate((acc, acc))
-        frac = np.concatenate((frac, frac)) if isinstance(frac, np.ndarray) else frac
-        mag = np.abs(cells[:1 << n])
-        if level_frac(n) is not frac:
-            frac = np.where(mag > acc, level_frac(n), frac)
+        acc = np.concatenate((acc, acc), axis=-1)
+        frac = np.concatenate((frac, frac), axis=-1) if isinstance(frac, np.ndarray) else frac
+        mag = np.abs(cells[..., :1 << n])
+        if _level_frac(spec, n) is not frac:  # the cell read out is the level's that wins it
+            frac = np.where(mag > acc, _level_frac(spec, n), frac)
         acc = np.maximum(acc, mag)
-    return SampledFunction._of(spec.resolution, acc, spec._den, frac)
+    whole = _level_frac(spec, spec.resolution)
+    for terminal, peak, marks in zip(cells, acc, np.broadcast_to(frac, acc.shape)):
+        yield (SampledFunction._of(spec.resolution, terminal, spec._den, whole),
+               SampledFunction._of(spec.resolution, peak, spec._den, marks))
 
 
-def _levels_square_sum(spec: CoefficientSequence) -> SampledFunction:
-    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, from one butterfly as in `_levels_sup_abs`.
+def _signed_square_sum(spec: CoefficientSequence, signs: np.ndarray) -> Iterator[SampledFunction]:
+    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, for f = spec * s as in `_signed_sup_abs`.
 
     Difference n has the spectrum's block [2^(n-1), 2^n) ([0, 1) for
     n = 0), so the squared sums of |numerator| over the blocks add up
@@ -741,14 +752,15 @@ def _levels_square_sum(spec: CoefficientSequence) -> SampledFunction:
         starts = [0] + [1 << k for k in range(spec.resolution)]
         return sum(b * b for b in np.add.reduceat(np.abs(_fit(num, _l1(num))), starts).tolist())
 
-    stages = _butterfly_stages(*_widened(bound, spec._num))
-    prev = next(stages)[:1].copy()  # each stage overwrites the level before it
+    stages = _butterfly_stages(_widened(bound, spec._num)[0] * signs)
+    prev = next(stages)[..., :1].copy()  # each stage overwrites the level before it
     acc = prev * prev
     for n, cells in enumerate(stages, 1):
-        level = cells[:1 << n]
-        diff = level - np.concatenate((prev, prev))
-        acc, prev = np.concatenate((acc, acc)) + diff * diff, level.copy()
-    return SampledFunction._of(spec.resolution, acc, spec._den ** 2, bool(np.any(spec._frac)))
+        level = cells[..., :1 << n]
+        diff = level - np.concatenate((prev, prev), axis=-1)
+        acc, prev = np.concatenate((acc, acc), axis=-1) + diff * diff, level.copy()
+    for row in acc:
+        yield SampledFunction._of(spec.resolution, row, spec._den ** 2, bool(np.any(spec._frac)))
 
 
 def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:

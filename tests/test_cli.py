@@ -227,6 +227,25 @@ class TestConvergeCommand:
                         "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("family, p, depth", [
+        ("t1", "1/4", 8), ("t2", "1/2", 10), ("random", "1/2", 8)])
+    def test_family_defaults_run_and_echo(self, tmp_path, family, p, depth):
+        # t1 needs p < 1/2 and t2's three blocks need depth >= 9, so p and
+        # depth default per family; the header echoes the values that ran
+        out = tmp_path / "defaults.json"
+        assert run_cli(["converge", "--family", family, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["config"]["p"], payload["config"]["depth"]) == (p, depth)
+        assert payload["reports"][0]["parameters"] == {
+            "family": family, "p": p, "depth": depth, **({"seed": 0} if family == "random" else {})}
+
+    def test_explicit_p_and_depth_win(self, tmp_path):
+        out = tmp_path / "explicit.json"
+        assert run_cli(["converge", "--family", "t1", "--p", "1/3", "--depth", "6",
+                        "--n-list", "2", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["p"], config["depth"]) == ("1/3", 6)
+
 
 class TestDeterminism:
     # identical config means identical bytes, so re-run against the SAME

@@ -1,5 +1,6 @@
 """Family builders, kernel sweeps, divergence and rate tables."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -87,6 +88,22 @@ class TestBuildT1:
             build_t1(Fraction(1, 2), 3, 5)
         with pytest.raises(ValueError):
             build_t1(Fraction(1, 4), 5, 5)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(2, 5)], ids=["1/4", "2/5"])
+    def test_atoms_equal_the_two_indicator_difference(self, p):
+        # D_{2^(m+1)} - D_{2^m} as two indicators, scaled as the atom is
+        inv_p = experiments._inverse(p)  # 4, or the float 2.5
+        for M in range(1, 11):
+            fam = build_t1(p, M - 1, M)
+            for m, (atom, interval) in enumerate(fam.atoms):
+                block = (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
+                         - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
+                if isinstance(inv_p, float):
+                    block = block.to_float()
+                want = block.scale(2 ** (m * (inv_p - 1)))
+                assert interval == DyadicInterval.at_zero(m, M)
+                assert atom == want and atom.values.tolist() == want.values.tolist()
+                assert [type(v) for v in atom.values] == [type(v) for v in want.values]
 
     def test_float_p_allowed(self):
         fam = build_t1(0.3, 3, 5)
@@ -778,15 +795,22 @@ class TestIdentityVerdictsCanFail:
         assert report.passed is False
         assert report.witness == {"checked": 7, "first_failure": {"i": 2, "s": 2}}
 
-    # at depth 3 each trial checks 16 sign points; `maximal` and
-    # `square_function_squared` are called once per trial before them
+    # at depth 3 each trial stacks 16 sign points, so the stacked operations
+    # yield 16 rows per trial: row k is trial (k - 1) // 16, t = (k - 1) % 16
     @pytest.mark.parametrize("name, k, wrong, trial, t, kind", [
-        ("conjugate_shift", 22, lambda shift: None, 1, 5, "no-shift"),
-        ("maximal", 21, plus_one, 1, 2, "lacunary-multiset"),
-        ("square_function_squared", 5, plus_one, 0, 3, "square-function"),
+        ("_signed_sup_abs", 22, lambda row: (plus_one(row[0]), row[1]), 1, 5, "no-shift"),
+        ("_signed_sup_abs", 19, lambda row: (row[0], plus_one(row[1])),
+         1, 2, "lacunary-multiset"),
+        ("_signed_square_sum", 4, plus_one, 0, 3, "square-function"),
     ], ids=["no-shift", "lacunary-multiset", "square-function"])
     def test_conjugate_translation(self, monkeypatch, name, k, wrong, trial, t, kind):
-        self.break_call(monkeypatch, name, k, wrong)
+        real, rows = getattr(experiments, name), itertools.count(1)
+
+        def broken(*args):  # the k-th row (from 1) over all calls comes out as wrong(row)
+            for row in real(*args):
+                yield wrong(row) if next(rows) == k else row
+
+        monkeypatch.setattr(experiments, name, broken)
         report = verify_conjugate_translation(3, 2, seed=0)
         assert report.passed is False
         assert report.witness["first_failure"] == {"trial": trial, "t": t, "kind": kind}

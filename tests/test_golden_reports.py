@@ -42,6 +42,8 @@ CASES = {
     "verify_identities.json": [
         "verify", "identities", "--resolution", "6", "--depth", "4", "--count", "2",
         "--seed", "1"],
+    "verify_identities_readme.json": [
+        "verify", "identities", "--resolution", "8", "--depth", "5", "--seed", "7"],
     "converge_random.json": [
         "converge", "--family", "random", "--p", "1/2", "--depth", "6",
         "--n-max", "16", "--seed", "3"],

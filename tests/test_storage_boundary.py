@@ -25,7 +25,7 @@ WRAPPERS = {"_of", "_like", "_store"}
 # the documented operations on whole objects, plus one int64 bound check
 ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
            "_block_means", "_abs_power_sum", "_weak_peak", "_sup_abs", "_level",
-           "_levels_sup_abs", "_levels_square_sum", "_fejer_spectrum", "_partial_sum",
+           "_signed_sup_abs", "_signed_square_sum", "_fejer_spectrum", "_partial_sum",
            "_fejer_weighted", "_translate_power_sums",
            "_kernel_l1_fits_int64"}
 

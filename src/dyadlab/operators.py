@@ -8,23 +8,25 @@ sigma: the Paley coefficient at j carries weight (n - sigma(j))/n when
 sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i on its
 first 2^r cells, r = (n-1).bit_length(): system functions 0..n-1 read only
 the coordinates below r, so S_n f and sigma_n f come at that resolution,
-tiled.  `_fejer_sums` builds n sigma_n f for n = 1, 2, ... by one running
-sum for the weighted maximal sweep and `verify_yano`, each sum at its own
-resolution.  The definitional averages are kept as test oracles.
+tiled.  S_n f is level r (`walsh._level`) of the spectrum zeroed where
+that multiplier vanishes.  `_fejer_sums` builds n sigma_n f, n = 1, 2,
+..., by one running sum for the weighted maximal sweep and `verify_yano`,
+each sum at its own resolution.  The definitional averages are kept as
+test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
 from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_spectrum,
-                    _fejer_weighted, _partial_sum, fwht, sigma_permutation)
+                    _fejer_weighted, _level, _zeroed, fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
@@ -44,7 +46,8 @@ def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
     spec = _paley_spectrum(f)
     if not 0 <= n <= len(spec):
         raise ValueError(f"partial-sum order {n} outside 0..{len(spec)}")
-    return _partial_sum(spec, _fejer_spectrum(system, n))
+    w = _fejer_spectrum(system, n)
+    return _level(_zeroed(spec, np.flatnonzero(w == 0)), w.size.bit_length() - 1)
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
@@ -103,11 +106,17 @@ def fejer_weight(p: Fraction | float, n: int) -> float:
     [1/2 + p] = 0 for p < 1/2 and 1 for p = 1/2; the logarithm base is
     fixed to 2 so reports are reproducible.
     """
+    return _fejer_weights(p)(n)
+
+
+def _fejer_weights(p: Fraction | float) -> Callable[[int], float]:
+    """`fejer_weight` at p as a function of n, with p checked once."""
     if not 0 < p <= Fraction(1, 2):
         raise ValueError(f"weighted maximal operator needs 0 < p <= 1/2, got {p}")
     if p == Fraction(1, 2):
-        return math.log2(n + 1.0) ** 2
-    return float(n + 1.0) ** (1.0 / float(p) - 2.0)
+        return lambda n: math.log2(n + 1.0) ** 2
+    exponent = 1.0 / float(p) - 2.0
+    return lambda n: float(n + 1.0) ** exponent
 
 
 def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
@@ -117,9 +126,7 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     own resolution, so the whole range costs O(n_max 2^R), with
     R = (n_max-1).bit_length(), instead of n_max separate means.
     """
-    p = normalize_p(p)
-    if not 0 < p <= Fraction(1, 2):
-        raise ValueError(f"weighted maximal operator needs 0 < p <= 1/2, got {p}")
+    weight = _fejer_weights(normalize_p(p))
     spec = _paley_spectrum(f)
     if not 1 <= n_max <= len(spec):
         raise ValueError(f"n_max {n_max} outside 1..{len(spec)}")
@@ -127,5 +134,5 @@ def weighted_maximal(f: Operand, p: PLike, n_max: int) -> SampledFunction:
     for n, acc in _fejer_sums(spec._floats(), System.KACZMARZ, n_max):
         if best.size < acc.size:
             best = np.tile(best, 2)
-        best = np.maximum(best, np.abs(acc) / (n * fejer_weight(p, n)))
+        best = np.maximum(best, np.abs(acc) / (n * weight(n)))
     return SampledFunction(spec.resolution, np.tile(best, len(spec) // best.size))

@@ -30,9 +30,9 @@ this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
 `_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
-`_partial_sum`, `_fejer_weighted` and `_translate_power_sums`.  The last
-gives sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at
-even p, exactly, as integers over one power of two: a signed sum of dyadic
+`_fejer_weighted` and `_translate_power_sums`.  The last gives
+sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
+p, exactly, as integers over one power of two: a signed sum of dyadic
 correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
 D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
 one synthesis step butterflies that head and tiles it for all of them.
@@ -595,7 +595,7 @@ class CoefficientSequence(_Cells):
 
 
 def _zeroed(c: CoefficientSequence, cells) -> CoefficientSequence:
-    """c with the cells a slice or mask selects set to int 0, in c's ordering."""
+    """c with the cells a slice, mask or index array selects set to int 0, in c's ordering."""
     num = c._num.copy()
     num[cells] = 0
     frac = c._frac
@@ -701,15 +701,6 @@ def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
                                _level_frac(spec, n))
 
 
-def _partial_sum(spec: CoefficientSequence, w: np.ndarray) -> SampledFunction:
-    """As `_level`, on the head cells where `w` is nonzero; those cells alone set the readout."""
-    keep = w != 0
-    num, den = _reduced(np.where(keep, spec._num[:w.size], 0), spec._den)
-    marks = spec._frac if isinstance(spec._frac, bool) else spec._frac[:w.size]
-    frac = marks is not False and bool((keep & marks).any())
-    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den, frac)
-
-
 def _level_frac(spec: CoefficientSequence, n: int) -> bool:
     """Whether level n of the Paley `spec` reads out as Fractions (see `_level`)."""
     return spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[:1 << n].any())
@@ -760,22 +751,21 @@ def _signed_square_sum(spec: CoefficientSequence, signs: np.ndarray) -> Iterator
         diff = level - np.concatenate((prev, prev), axis=-1)
         acc, prev = np.concatenate((acc, acc), axis=-1) + diff * diff, level.copy()
     for row in acc:
-        yield SampledFunction._of(spec.resolution, row, spec._den ** 2, bool(np.any(spec._frac)))
+        yield SampledFunction._of(spec.resolution, row, spec._den ** 2,
+                                  _level_frac(spec, spec.resolution))
 
 
 def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:
     """The function with Paley spectrum `spec` * w / n, w a head multiplier (`_fejer_spectrum`).
 
-    Exact cells butterfly c * w, not put in lowest terms, then divide by n.  Every weight is
-    at most w[0] = n; past int64, the cells w drops are zeroed first, so they cannot widen.
+    Exact cells butterfly c * w, not put in lowest terms, then divide by n.  The cells w drops
+    are zeroed first, so `_product`'s bound max|c| * w[0] (w[0] = n) counts the kept cells only.
     """
-    head = spec._num[:w.size]
+    head, N = spec._num[:w.size], spec.resolution
     if not spec.is_exact:
-        return SampledFunction._of(spec.resolution, _synthesis(head * (w / n), spec.resolution))
-    if _peak(head) * n > _INT64_MAX:
-        (head,) = _widened(lambda x: _peak(x) * n, np.where(w != 0, head, 0))
-    return SampledFunction._of(spec.resolution, _synthesis(head * w, spec.resolution),
-                               spec._den * n, True)
+        return SampledFunction._of(N, _synthesis(head * (w / n), N))
+    num = _product(np.where(w != 0, head, 0), w)
+    return SampledFunction._of(N, _synthesis(num, N), spec._den * n, True)
 
 
 # ---------------------------------------------------------------------------

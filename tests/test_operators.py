@@ -218,7 +218,7 @@ def weighted_maximal_by_loop(f, p, n_max):
 
 class TestWeightedMaximal:
     @pytest.mark.parametrize("depth", [6, 9])
-    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2)])
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), 0.3])
     def test_bitwise_equal_to_loop(self, depth, p):
         rng = random.Random(depth)
         cases = [random_decaying_martingale(rng, depth) for _ in range(2)]

@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import fsum, ldexp, sqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,15 +50,11 @@ def jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, GroupPoint):
-        return {"resolution": obj.resolution, "index": obj.index}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 @dataclass
@@ -179,15 +175,19 @@ def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
     return _lacunary("t1", p, L, M, [(i, 1 << i) for i in range(L + 1)])
 
 
-def build_t2(L: int, M: int) -> CounterexampleFamily:
-    """Family with spectrum 2^{2^i}/4^i on block [2^{2^i}, 2^{2^i+1}), 1 <= i <= L."""
+def _t2_blocks(L: int, M: int) -> list[tuple[int, int]]:
+    """t2's Paley blocks (2^i, 2^{2^i}/4^i), 1 <= i <= L, once they are checked to fit depth M."""
     if L < 1:
         raise ValueError(f"family t2 needs at least one block, got L={L}")
     if (1 << L) + 1 > M:
         raise ValueError(f"block {L} needs depth >= {(1 << L) + 1}, got {M}")
     # 2^{2^i} / 2^{2i} is an integer for i >= 1
-    blocks = [(1 << i, 1 << ((1 << i) - 2 * i)) for i in range(1, L + 1)]
-    return _lacunary("t2", Fraction(1, 2), L, M, blocks)
+    return [(1 << i, 1 << ((1 << i) - 2 * i)) for i in range(1, L + 1)]
+
+
+def build_t2(L: int, M: int) -> CounterexampleFamily:
+    """Family with spectrum 2^{2^i}/4^i on block [2^{2^i}, 2^{2^i+1}), 1 <= i <= L."""
+    return _lacunary("t2", Fraction(1, 2), L, M, _t2_blocks(L, M))
 
 
 def audit_family(family: CounterexampleFamily) -> VerificationReport:
@@ -432,14 +432,36 @@ def _rate_threshold(p: Fraction | float, n: int) -> Optional[float]:
     return None
 
 
+def _radial_modulus(blocks: Sequence[tuple[int, int]], depth: int, n: int, p: PLike) -> float:
+    """omega_{H_p}(1/2^n) of the depth-M family with Paley blocks (m, c), m ascending.
+
+    Block m is c 2^m on I_{m+1} and -c 2^m on the rest of I_m (Fine 1949), so on each
+    shell I_j \\ I_{j+1} (mass 2^{-j-1}) and on I_M (mass 2^{-M}) every level of
+    f - S_{2^n} f is a prefix sum over the blocks n <= m <= j, and f* is the running max of
+    |prefix|.  Equal cells and power-of-two masses make this `fsum` the one of
+    `lp_quasinorm`, bit for bit.
+    """
+    if not 0 <= n <= depth:
+        raise ValueError(f"modulus level {n} outside 0..{depth}")
+    pf, terms = float(p), []
+    for j in range(depth + 1):
+        prefix = best = 0
+        for m, c in blocks:
+            if n <= m <= j:
+                prefix += -c << m if m == j else c << m
+                best = max(best, abs(prefix))
+        terms.append(ldexp(best ** pf, -min(j + 1, depth)))
+    return fsum(terms) ** (1.0 / pf)
+
+
 def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 9),
                   L: int = 12, M: int = 13) -> list[dict]:
-    """(n, omega_{H_p}(1/2^n), 2^{-n(1/p-2)}, ratio) rows for the t1 family."""
+    """(n, omega_{H_p}(1/2^n), 2^{-n(1/p-2)}, ratio) rows for the t1 family, folded on shells."""
     p = normalize_p(p)
     fam = build_t1(p, L, M)
     rows = []
     for n in n_values:
-        omega = float(modulus_hp(fam.martingale, n, p))
+        omega = _radial_modulus(fam.blocks, M, n, p)
         threshold = _rate_threshold(p, n)
         rows.append({"n": n, "modulus": omega, "threshold": threshold,
                      "ratio": omega / threshold})
@@ -447,32 +469,8 @@ def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 
 
 
 def t2_radial_modulus(n: int, blocks: int, depth: int) -> float:
-    """omega_{H_{1/2}}(1/2^n) of the t2 family via its radial shell profile.
-
-    Every level of the family is constant on the shells I_j \\ I_{j+1},
-    so the maximal function reduces to prefix sums of the per-shell block
-    values c_i = 2^{2^{i+1} - 2i} (negative on the entry shell j = 2^i,
-    positive deeper).  This evaluates depths far beyond what sampled
-    arrays allow, exactly.
-    """
-    if (1 << blocks) + 1 > depth:
-        raise ValueError(f"block {blocks} needs depth >= {(1 << blocks) + 1}")
-    included = [i for i in range(1, blocks + 1) if (1 << i) >= n]
-    power_sum = 0.0
-    # shells j = 0..depth-1 with mu = 2^{-j-1}, then the point cell I_depth
-    for j in range(depth + 1):
-        mu = 2.0 ** (-j - 1) if j < depth else 2.0 ** (-depth)
-        prefix = 0
-        best = 0
-        for i in included:
-            entry = 1 << i
-            if j < entry:
-                continue
-            c = 1 << ((1 << (i + 1)) - 2 * i)
-            prefix += -c if j == entry else c
-            best = max(best, abs(prefix))
-        power_sum += mu * sqrt(best)
-    return power_sum * power_sum
+    """omega_{H_{1/2}}(1/2^n) of `build_t2(blocks, depth)`, bitwise `modulus_hp`'s, any depth."""
+    return _radial_modulus(_t2_blocks(blocks, depth), depth, n, Fraction(1, 2))
 
 
 def rate_table_t2(n_values: Sequence[int] = range(4, 10), blocks: int = 5) -> list[dict]:

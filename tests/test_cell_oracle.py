@@ -12,7 +12,9 @@ Kaczmarz-to-Paley index is found by matching their sample vectors.
 Each result must give the reference values and the README readout types
 (Python's own typing, with every division a Fraction), be stored in lowest
 terms with den > 0 and den = 1 when every cell is 0, and keep Python-int
-numerators when an operand had them (operations only widen).
+numerators when an operand had them (operations only widen).  Where the
+result is a maximum, Python's `max` keeps the first of equal cells, so a
+tie reads out as the earlier level's cell.
 """
 
 import math
@@ -21,8 +23,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadlab import (DyadicMartingale, SampledFunction, System, fejer_mean, fwht,
-                     kaczmarz_samples, partial_sum, walsh_paley_samples)
+from dyadlab import (CoefficientSequence, DyadicMartingale, SampledFunction, System, convolve,
+                     fejer_mean, fwht, inverse_fwht, kaczmarz_samples, maximal, partial_sum,
+                     square_function_squared, walsh_paley_samples)
 
 MAX = 2**63 - 1
 EDGE_INTS = (0, 1, -1, MAX, -MAX, MAX + 1, -(MAX + 1), 2**72, -(2**72))
@@ -100,6 +103,50 @@ def test_fwht_in_both_orderings(values):
         assert got.ordering is system
         assert_matches(got, [Fraction(sum(v * s for v, s in zip(values, row)), 1 << N)
                              for row in rows(system, N)], f)
+
+
+@settings(max_examples=60)
+@given(any_cells)
+def test_inverse_fwht_in_both_orderings(coeffs):
+    N = len(coeffs).bit_length() - 1
+    for system in System:
+        c = CoefficientSequence(N, system, coeffs)
+        terms = list(zip(coeffs, rows(system, N)))
+        assert_matches(inverse_fwht(c),
+                       [sum((v * row[j] for v, row in terms), 0) for j in range(1 << N)], c)
+
+
+@settings(max_examples=60)
+@example(coeffs=[1, 0, 0, Fraction(1, 2)])  # levels 0 and 1 hold no Fraction coefficient
+@example(coeffs=[1, 0, Fraction(0), 0])  # |f^(n)| = 1 at every level: int level 0 is read out
+@given(any_cells)
+def test_levels_maximal_and_square_function(coeffs):
+    N = len(coeffs).bit_length() - 1
+    cells = range(1 << N)
+    terms = list(zip(coeffs, rows(System.PALEY, N)))
+    levels = [[sum((c * row[j] for c, row in terms[:1 << n]), 0) for j in cells]
+              for n in range(N + 1)]
+    f = DyadicMartingale.from_paley_coeffs(N, coeffs)
+    for n, level in enumerate(levels):
+        assert_matches(f.level(n), level, f.terminal)
+    assert_matches(maximal(f), [max(abs(level[j]) for level in levels) for j in cells],
+                   f.terminal)
+    steps = list(zip([[0] * len(cells)] + levels, levels))
+    assert_matches(square_function_squared(f),
+                   [sum(((b[j] - a[j]) ** 2 for a, b in steps), 0) for j in cells], f.terminal)
+
+
+@settings(max_examples=40)
+@given(cell_pairs)
+def test_convolve(case):
+    a, b = case
+    N = len(a).bit_length() - 1
+    paley = rows(System.PALEY, N)
+    spectra = [[Fraction(sum(v * s for v, s in zip(cells, row)), 1 << N) for row in paley]
+               for cells in (a, b)]
+    f, g = exact(a), exact(b)
+    assert_matches(convolve(f, g), [sum((x * y * row[j] for x, y, row in zip(*spectra, paley)), 0)
+                                    for j in range(1 << N)], f, g)
 
 
 def check_every_order(f, coeffs: dict, operand) -> None:

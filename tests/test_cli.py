@@ -455,3 +455,10 @@ def test_documented_and_benchmark_argvs_parse():
     assert len(readme) == 7
     for argv in readme + BENCHMARK_ARGVS:
         assert callable(build_parser().parse_args(argv).run), argv
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the commands' relative --out files land here
+    for argv in readme_commands():
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv

@@ -10,10 +10,10 @@ import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, JInterval, SampledFunction,
                      System, dirichlet, dirichlet_prefix, experiments, fejer, interval_indices,
-                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n)
+                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n, walsh)
 from dyadlab.cli import main
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
-                                 convergence_table, divergence_t1, divergence_t2,
+                                 convergence_table, divergence_t1, divergence_t2, jsonable,
                                  kernel_half_integral, q_seq,
                                  random_decaying_martingale,
                                  random_exact_martingale,
@@ -630,12 +630,58 @@ class TestRateTables:
     def test_t2_radial_depth_guard(self):
         with pytest.raises(ValueError):
             t2_radial_modulus(4, 5, 20)
+        with pytest.raises(ValueError, match="at least one block"):
+            t2_radial_modulus(4, 0, 5)
 
     def test_t2_scaled_rows(self):
         rows = rate_table_t2(range(4, 10), blocks=5)
         assert [row["n"] for row in rows] == list(range(4, 10))
         for row in rows:
             assert row["scaled"] == pytest.approx(row["modulus"] * row["n"] ** 2)
+
+
+class TestShellFold:
+    """`_radial_modulus` against `modulus_hp` on the family's 2^M cells, bit for bit."""
+
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), 0.3], ids=str)
+    def test_t1_equals_array_route(self, p):
+        for M in range(1, 10):
+            for L in range(M):
+                fam = build_t1(p, L, M)
+                for n in range(M + 1):
+                    assert (experiments._radial_modulus(fam.blocks, M, n, fam.p)
+                            == float(modulus_hp(fam.martingale, n, fam.p))), (L, M, n)
+
+    def test_t2_equals_array_route(self):
+        for L in range(1, 4):
+            for M in range((1 << L) + 1, 13):
+                fam = build_t2(L, M)
+                for n in range(M + 1):
+                    assert (t2_radial_modulus(n, L, M)
+                            == float(modulus_hp(fam.martingale, n, Fraction(1, 2)))), (L, M, n)
+
+    def test_level_outside_depth(self):
+        for n in (-1, 7):
+            with pytest.raises(ValueError, match="outside 0..6"):
+                rate_table_t1(Fraction(1, 4), [n], 5, 6)
+
+    def test_rate_table_t1_starts_no_butterfly(self, monkeypatch):
+        sizes, stages = [], walsh._butterfly_stages
+
+        def counted(arr):
+            sizes.append(arr.size)
+            return stages(arr)
+
+        monkeypatch.setattr(walsh, "_butterfly_stages", counted)
+        rate_table_t1()
+        assert sizes == []
+
+
+def test_jsonable_refuses_what_no_report_holds():
+    assert jsonable({1: [Fraction(1, 2), np.float64(0.5), None]}) == {"1": ["1/2", 0.5, None]}
+    for obj in (object(), GroupPoint(2, 1), np.int64(3)):
+        with pytest.raises(TypeError):
+            jsonable(obj)
 
 
 class TestConvergenceTable:

@@ -255,14 +255,16 @@ def _family(config: RunConfig) -> experiments.CounterexampleFamily:
 
 def run_t1(config: RunConfig) -> list[VerificationReport]:
     fam = _family(config)
-    return [experiments.audit_family(fam),
-            experiments.divergence_t1(fam, config.n_list or [4, 5, 6, 7, 8])]
+    # the table runs first, so its checks come before the audit builds any 2^M array
+    table = experiments.divergence_t1(fam, config.n_list or [4, 5, 6, 7, 8])
+    return [experiments.audit_family(fam), table]
 
 
 def run_t2(config: RunConfig) -> list[VerificationReport]:
     fam = _family(config)
-    return [experiments.audit_family(fam),
-            experiments.divergence_t2(fam, config.i_list or [2, 3])]
+    # the table runs first, so its checks come before the audit builds any 2^M array
+    table = experiments.divergence_t2(fam, config.i_list or [2, 3])
+    return [experiments.audit_family(fam), table]
 
 
 def run_converge(config: RunConfig) -> list[VerificationReport]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import fsum, ldexp, sqrt
 from typing import Iterable, Iterator, Optional, Sequence
@@ -103,17 +104,49 @@ def dirichlet_prefix(n: int, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # counterexample families
 
+_MAX_DEPTH = 24  # the deepest family array or random martingale: 2^24 cells
+
+
+def _check_depth(M: int) -> None:
+    """Refuse a depth M past _MAX_DEPTH before anything of 2^M cells is allocated."""
+    if M > _MAX_DEPTH:
+        raise ValueError(f"depth {M} would materialize 2^{M} cells; the limit is {_MAX_DEPTH}")
+
+
+def _check_table_depth(M: int) -> None:
+    """A divergence table also builds its family at depth M + 1, so M stops one short."""
+    if M >= _MAX_DEPTH:
+        raise ValueError(f"counterexample needs depth <= {_MAX_DEPTH - 1}, got {M}: "
+                         f"its divergence table also builds depth {M + 1}")
+
+
 @dataclass
 class CounterexampleFamily:
-    """A built family: its martingale, Paley blocks (m, c) and atom weights; see `_atoms`."""
+    """A depth-M family given by its Paley blocks: spectrum c on [2^m, 2^{m+1}) per (m, c).
+
+    Block m is the p-atom of `_atoms` with weight 2^{(2-1/p)m} c / 2^m, so the weighted
+    atoms sum to the terminal level; both are exact when 1/p is an integer, float otherwise.
+    The martingale (always exact), weights and atoms are built from the blocks when read.
+    """
 
     kind: str
     p: Fraction | float
     levels: int
     depth: int
-    martingale: DyadicMartingale
     blocks: list[tuple[int, int]]
-    weights: list
+
+    @cached_property
+    def martingale(self) -> DyadicMartingale:
+        _check_depth(self.depth)
+        coeffs = [0] * (1 << self.depth)
+        for m, c in self.blocks:
+            coeffs[1 << m:2 << m] = [c] * (1 << m)
+        return DyadicMartingale.from_paley_coeffs(self.depth, coeffs)
+
+    @cached_property
+    def weights(self) -> list:
+        inv_p = _inverse(self.p)
+        return [Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m) for m, c in self.blocks]
 
     def terminal(self) -> SampledFunction:
         return self.martingale.terminal_function()
@@ -134,6 +167,7 @@ def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, Dyad
     D_{2^k} is 2^k on I_k and 0 elsewhere: the difference is 2^m on I_{m+1}, -2^m on I_m's rest.
     """
     M, inv_p = family.depth, _inverse(family.p)
+    _check_depth(M)
     for m, _ in family.blocks:
         interval = DyadicInterval.at_zero(m, M)
         w = np.full(1 << M, -1 << m, dtype=np.int64)  # read on I_m only
@@ -144,27 +178,6 @@ def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, Dyad
         yield block.scale(2 ** (m * (inv_p - 1))), interval
 
 
-def _lacunary(kind: str, p: Fraction | float, L: int, M: int,
-              blocks: list[tuple[int, int]]) -> CounterexampleFamily:
-    """Paley spectrum c on block [2^m, 2^{m+1}) for each (m, c) in `blocks`, at depth M.
-
-    Block m carries the p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m
-    with weight 2^{(2-1/p)m} c / 2^m, so the weighted atoms sum to the
-    terminal level.  Atoms and weights are ints and Fractions when 1/p is
-    an integer; other p get float atoms and weights, while the martingale
-    itself stays exact (its coefficients do not depend on p).
-    """
-    if M > 24:
-        raise ValueError(f"depth {M} would materialize 2^{M} cells; the limit is 24")
-    coeffs = [0] * (1 << M)
-    for m, c in blocks:
-        coeffs[1 << m:2 << m] = [c] * (1 << m)
-    mart = DyadicMartingale.from_paley_coeffs(M, coeffs)
-    inv_p = _inverse(p)
-    weights = [Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m) for m, c in blocks]
-    return CounterexampleFamily(kind, p, L, M, mart, blocks, weights)
-
-
 def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
     """Family with spectrum 2^i on block [2^i, 2^{i+1}), i <= L, at depth M."""
     p = normalize_p(p)
@@ -172,22 +185,18 @@ def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
         raise ValueError(f"family t1 needs 0 < p < 1/2, got {p}")
     if not 0 <= L < M:
         raise ValueError(f"need 0 <= L < M, got L={L}, M={M}")
-    return _lacunary("t1", p, L, M, [(i, 1 << i) for i in range(L + 1)])
+    return CounterexampleFamily("t1", p, L, M, [(i, 1 << i) for i in range(L + 1)])
 
 
-def _t2_blocks(L: int, M: int) -> list[tuple[int, int]]:
-    """t2's Paley blocks (2^i, 2^{2^i}/4^i), 1 <= i <= L, once they are checked to fit depth M."""
+def build_t2(L: int, M: int) -> CounterexampleFamily:
+    """Family with spectrum 2^{2^i}/4^i on block [2^{2^i}, 2^{2^i+1}), 1 <= i <= L."""
     if L < 1:
         raise ValueError(f"family t2 needs at least one block, got L={L}")
     if (1 << L) + 1 > M:
         raise ValueError(f"block {L} needs depth >= {(1 << L) + 1}, got {M}")
     # 2^{2^i} / 2^{2i} is an integer for i >= 1
-    return [(1 << i, 1 << ((1 << i) - 2 * i)) for i in range(1, L + 1)]
-
-
-def build_t2(L: int, M: int) -> CounterexampleFamily:
-    """Family with spectrum 2^{2^i}/4^i on block [2^{2^i}, 2^{2^i+1}), 1 <= i <= L."""
-    return _lacunary("t2", Fraction(1, 2), L, M, _t2_blocks(L, M))
+    return CounterexampleFamily("t2", Fraction(1, 2), L, M,
+                                [(1 << i, 1 << ((1 << i) - 2 * i)) for i in range(1, L + 1)])
 
 
 def audit_family(family: CounterexampleFamily) -> VerificationReport:
@@ -321,6 +330,7 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
     for n in n_list:
         if not 0 <= n < M:
             raise ValueError(f"n_list value {n} outside 0..{M - 1} at depth {M}")
+    _check_table_depth(M)
     fam_deep = build_t1(p, L + 1, M + 1)
     term, term_deep = fam.terminal(), fam_deep.terminal()
     tail = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p)
@@ -381,6 +391,7 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
     for i in i_list:  # i <= M keeps q_seq small
         if not 1 <= i <= M or q_seq(1 << (i - 1)) > 1 << M:
             raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
+    _check_table_depth(M)
     fam_deep = build_t2(L, M + 1)
     term, term_deep = fam.terminal(), fam_deep.terminal()
     rows = []
@@ -457,12 +468,11 @@ def _radial_modulus(blocks: Sequence[tuple[int, int]], depth: int, n: int, p: PL
 def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 9),
                   L: int = 12, M: int = 13) -> list[dict]:
     """(n, omega_{H_p}(1/2^n), 2^{-n(1/p-2)}, ratio) rows for the t1 family, folded on shells."""
-    p = normalize_p(p)
     fam = build_t1(p, L, M)
     rows = []
     for n in n_values:
-        omega = _radial_modulus(fam.blocks, M, n, p)
-        threshold = _rate_threshold(p, n)
+        omega = _radial_modulus(fam.blocks, M, n, fam.p)
+        threshold = _rate_threshold(fam.p, n)
         rows.append({"n": n, "modulus": omega, "threshold": threshold,
                      "ratio": omega / threshold})
     return rows
@@ -470,7 +480,7 @@ def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 
 
 def t2_radial_modulus(n: int, blocks: int, depth: int) -> float:
     """omega_{H_{1/2}}(1/2^n) of `build_t2(blocks, depth)`, bitwise `modulus_hp`'s, any depth."""
-    return _radial_modulus(_t2_blocks(blocks, depth), depth, n, Fraction(1, 2))
+    return _radial_modulus(build_t2(blocks, depth).blocks, depth, n, Fraction(1, 2))
 
 
 def rate_table_t2(n_values: Sequence[int] = range(4, 10), blocks: int = 5) -> list[dict]:
@@ -516,6 +526,8 @@ def convergence_table(f: DyadicMartingale, p: PLike, n_values: Iterable[int]) ->
 def verify_closed_form(N: int) -> VerificationReport:
     """D_{2^m} = 2^m on I_m and 0 elsewhere for m <= N, both orderings, exact."""
     start = time.perf_counter()
+    if N < 0:
+        raise ValueError(f"resolution must be >= 0, got {N}")
     failures = []
     for system in (System.PALEY, System.KACZMARZ):
         for m in range(N + 1):
@@ -566,10 +578,12 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
     start = time.perf_counter()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if m_max is None:
         m_max = depth - 1
-    if m_max >= depth:
-        raise ValueError(f"m_max {m_max} needs depth > m_max, got {depth}")
+    if not 0 <= m_max < depth:
+        raise ValueError(f"m_max must be in 0..{depth - 1} at depth {depth}, got {m_max}")
     rng = random.Random(seed)
 
     def cases():
@@ -714,8 +728,7 @@ def random_decaying_martingale(rng: random.Random, depth: int) -> DyadicMartinga
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth > 24:  # the limit of build_t1 and build_t2
-        raise ValueError(f"depth {depth} would materialize 2^{depth} cells; the limit is 24")
+    _check_depth(depth)
     coeffs = np.empty(1 << depth)
     coeffs[0] = rng.uniform(-1.0, 1.0)
     for i in range(1, 1 << depth):

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,26 @@ class TestCounterexampleCommand:
          "i_list value 0 needs i >= 1 and q_(2^(i-1)) <= 2^6")], ids=["t1", "t2"])
     def test_out_of_range_order_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["t1", "--depth", "24"],
+         "counterexample needs depth <= 23, got 24: its divergence table also builds depth 25"),
+        (["t2", "--depth", "24"],
+         "counterexample needs depth <= 23, got 24: its divergence table also builds depth 25"),
+        (["t1", "--depth", "10", "--n-list", "30"], "n_list value 30 outside 0..9 at depth 10")],
+        ids=["t1-depth-24", "t2-depth-24", "t1-bad-order"])
+    def test_table_checks_run_before_any_array(self, argv, message, monkeypatch, capsys):
+        audits = []
+        monkeypatch.setattr(experiments, "audit_family", audits.append)
+        tracemalloc.start()
+        try:
+            code = run_cli(["counterexample", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, audits) == (2, [])
+        assert peak < 20 << 20
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("family, argv", [

@@ -1,8 +1,10 @@
 """Family builders, kernel sweeps, divergence and rate tables."""
 
+import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -249,9 +251,54 @@ class TestOneLacunaryBuilder:
             self.assert_same(fam, reference_t2(L, M))
 
     def test_depth_limit(self):
-        for build in (lambda: build_t1(Fraction(1, 4), 3, 25), lambda: build_t2(2, 25)):
-            with pytest.raises(ValueError, match="^depth 25 would materialize"):
-                build()
+        # a family is its blocks at any depth; each reader of its 2^M arrays refuses
+        # M = 25 before allocating, as the random generator does
+        for fam in (build_t1(Fraction(1, 4), 3, 25), build_t2(2, 25)):
+            for read in (lambda: fam.martingale, lambda: fam.atoms, fam.terminal,
+                         lambda: audit_family(fam)):
+                assert refused_peak(read) < 1 << 20
+        assert refused_peak(lambda: random_decaying_martingale(random.Random(1), 25)) < 1 << 20
+
+    def test_fields_are_the_definition(self):
+        assert [f.name for f in dataclasses.fields(experiments.CounterexampleFamily)] \
+            == ["kind", "p", "levels", "depth", "blocks"]
+
+    def test_block_readers_build_no_martingale(self, monkeypatch):
+        depths, real = [], DyadicMartingale.from_paley_coeffs
+
+        def counting(depth, coeffs):
+            depths.append(depth)
+            return real(depth, coeffs)
+
+        monkeypatch.setattr(DyadicMartingale, "from_paley_coeffs", counting)
+        build_t1(Fraction(1, 4), 12, 13)
+        build_t2(3, 12)
+        rate_table_t1()
+        rate_table_t2()
+        t2_radial_modulus(4, 3, 12)
+        assert depths == []
+        fam = build_t1(Fraction(1, 4), 3, 6)
+        assert fam.martingale is fam.martingale  # built once, when first read
+        assert depths == [6]
+
+    def test_rate_table_t1_past_the_array_limit(self):
+        rows = rate_table_t1(Fraction(1, 4), range(3, 9), 39, 40)
+        near = rate_table_t1(Fraction(1, 4), range(3, 9), 23, 24)
+        assert [r["n"] for r in rows] == list(range(3, 9))
+        for row, other in zip(rows, near):
+            assert 0 < row["modulus"] == pytest.approx(other["modulus"], rel=1e-2)
+
+
+def refused_peak(read):
+    """The tracemalloc peak, in bytes, of `read()` refusing depth 25 with the one capacity error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^depth 25 would materialize 2\^25 cells; the limit is 24$"):
+            read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAudit:
@@ -751,6 +798,17 @@ class TestIdentitySuite:
     def test_no_martingales(self, verify):
         with pytest.raises(ValueError, match="count"):
             verify(4, 0, 1)
+
+    @pytest.mark.parametrize("verify, message", [
+        (lambda: verify_fejer_partial_identity(0, 1, 0), r"^depth must be >= 1, got 0$"),
+        (lambda: verify_fejer_partial_identity(3, 1, 0, m_max=-1),
+         r"^m_max must be in 0\.\.2 at depth 3, got -1$"),
+        (lambda: verify_closed_form(-1), r"^resolution must be >= 0, got -1$")],
+        ids=["fejer-depth-0", "fejer-m_max-negative", "closed-form-negative"])
+    def test_nothing_to_check_is_refused(self, verify, message):
+        # each of these would otherwise pass with nothing checked
+        with pytest.raises(ValueError, match=message):
+            verify()
 
     def test_all_pass(self):
         reports = verify_identities(resolution=6, depth=4, seed=3, count=3)

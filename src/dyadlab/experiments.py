@@ -36,7 +36,7 @@ from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
 from .hardy import (DyadicMartingale, _conjugates, _solved_shift, conjugate, hardy_quasinorm,
                     is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
-from .operators import _fejer_sums, fejer_mean
+from .operators import fejer_mean
 from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, _signed_square_sum,
                     _signed_sup_abs, compose_with_tau, dirichlet, fejer_numerators,
                     kaczmarz_paley_index, kaczmarz_samples, walsh_paley_samples)
@@ -243,6 +243,40 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # kernel bound verifications
 
+def _yano_sums(n_max: int) -> np.ndarray:
+    """int64 sum of |n K_n| over the 2^R cells, R = (n_max-1).bit_length(), at index n <= n_max.
+
+    Order n = 2^k + m, 1 <= m <= 2^k, reads x_0..x_k.  Paley's lemma D_{2^k+i} = D_{2^k} + r_k D_i
+    gives n K_n = a + r_k b with b = m K_m and a = 2^k K_{2^k} + m D_{2^k}, both on x_0..x_{k-1}.
+    By Fine's closed form, at resolution k, a is 2^{k-1}(2^k+1) + m 2^k at 0, 2^{k+t-1} at e_t
+    (t < k) and 0 elsewhere: 2^k n in all.  b(0) = m(m+1)/2, and with h = 2^t, b(e_t) =
+    sum_{j<=m} D_j(e_t), where j -> D_j(e_t) is a triangle wave of period 2h, peak h: each whole
+    period adds h^2, and the last rho = m mod 2h terms add rho(rho+1)/2 if rho <= h, else
+    h^2 - u(u-1)/2 with u = 2h - rho.  As 2h divides 2^k >= m, b(e_t) <= 2^{k-1} h, so
+    0 <= b <= a at those k + 1 points.  With |a+b| + |a-b| = 2 max(|a|, |b|), the sum for n
+    is that for m plus 2^{R-k} (2^k n - the k + 1 values of b).  All orders of one k are one
+    vector step.
+
+    int64: each entry is at most 2^R n(n+1)/2, the `_kernel_l1_fits_int64(n_max, R)` bound; the
+    sum for m and the shifted excess are at most the entry, and with R >= 1 every product
+    (2^k n, rho(rho+1), u(u-1), h^2 per period) is below n^2 < 2^63.
+    """
+    R = (n_max - 1).bit_length()
+    sums = np.zeros(n_max + 1, dtype=np.int64)
+    sums[1] = 1 << R
+    for k in range(R):
+        m = np.arange(1, min(1 << k, n_max - (1 << k)) + 1, dtype=np.int64)
+        excess = ((m + (1 << k)) << k) - m * (m + 1) // 2
+        for t in range(k):
+            h = 1 << t
+            rho = m & (2 * h - 1)
+            u = 2 * h - rho
+            excess -= (m >> (t + 1)) * h * h + np.where(rho <= h, rho * (rho + 1) // 2,
+                                                        h * h - u * (u - 1) // 2)
+        sums[(1 << k) + 1:(1 << k) + m.size + 1] = sums[1:m.size + 1] + (excess << (R - k))
+    return sums
+
+
 def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationReport:
     """Exact sweep of ||K_n^w||_1 for 1 <= n <= n_max; passes iff max <= 2."""
     start = time.perf_counter()
@@ -255,17 +289,15 @@ def verify_yano(n_max: int, N: int, include_rows: bool = False) -> VerificationR
         raise ValueError(f"n_max {n_max} overflows spectrum at resolution {N}")
     if not _kernel_l1_fits_int64(n_max, R):
         raise ValueError("kernel sums would not fit int64; reduce n_max")
-    best = Fraction(0)
-    best_n = 0
-    rows = [] if include_rows else None
-    # the Paley spectrum of 2^R 1_{I_R} is all ones, so n sigma_n of it is n K_n;
-    # ||n K_n||_1 is the mean of |n K_n| over whichever resolution it comes at
-    for n, T in _fejer_sums(np.ones(1 << R, dtype=np.int64), System.PALEY, n_max):
-        norm = Fraction(int(np.sum(np.abs(T))), n * T.size)
-        if norm > best:
-            best, best_n = norm, n
-        if rows is not None:
-            rows.append({"n": n, "l1_norm": norm})
+    # ||K_n||_1 = sums[n] / (n 2^R); the first strict maximum, by cross-multiplication
+    sums = _yano_sums(n_max).tolist()
+    best_n = 1
+    for n in range(2, n_max + 1):
+        if sums[n] * best_n > sums[best_n] * n:
+            best_n = n
+    best = Fraction(sums[best_n], best_n << R)
+    rows = ([{"n": n, "l1_norm": Fraction(sums[n], n << R)} for n in range(1, n_max + 1)]
+            if include_rows else None)
     return VerificationReport(
         claim="fejer-kernel-l1-bound",
         parameters={"n_max": n_max, "resolution": N, "bound": 2},
@@ -295,11 +327,13 @@ def verify_lemma2(A: int) -> VerificationReport:
     The point set at resolution N = 2A fixes x_{2m} = x_{2s} = 1, zeros
     elsewhere below 2s, and enumerates all trailing bits 2s+1..2A-1, for
     m = 0..A-3 and s = m+2..A-1.  Exact integer arithmetic throughout.
+    The 2^{2A}-cell grid of q K_q is held whole, so A stops at _MAX_DEPTH / 2.
     """
     start = time.perf_counter()
     if A < 3:
         raise ValueError(f"the lower bound needs A >= 3, got {A}")
     N = 2 * A
+    _check_depth(N)
     q = q_seq(A - 1)
     T = dirichlet_prefix(q, N)  # q * K_q, integer-valued
     cells = [(m, s) for m in range(0, A - 2) for s in range(m + 2, A)]

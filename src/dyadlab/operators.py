@@ -10,9 +10,8 @@ first 2^r cells, r = (n-1).bit_length(): system functions 0..n-1 read only
 the coordinates below r, so S_n f and sigma_n f come at that resolution,
 tiled.  S_n f is level r (`walsh._level`) of the spectrum zeroed where
 that multiplier vanishes.  `_fejer_sums` builds n sigma_n f, n = 1, 2,
-..., by one running sum for the weighted maximal sweep and `verify_yano`,
-each sum at its own resolution.  The definitional averages are kept as
-test oracles.
+..., by one running sum for the weighted maximal sweep, each sum at its
+own resolution.  The definitional averages are kept as test oracles.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_fejer_partial_identity, verify_identities,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
+from dyadlab.operators import _fejer_sums
 from dyadlab.walsh import _kernel_l1_fits_int64
 
 
@@ -465,16 +466,31 @@ class TestYano:
         # 2^R n(n+1)/2 <= 2^63 - 1 holds for the first and fails for the second
         sizes = []
 
-        def no_sweep(coeffs, system, n_max):
-            sizes.append(coeffs.size)
-            return iter(())
+        def no_sums(n_max):
+            sizes.append(n_max)
+            return np.zeros(n_max + 1, dtype=np.int64)
 
-        monkeypatch.setattr(experiments, "_fejer_sums", no_sweep)
+        monkeypatch.setattr(experiments, "_yano_sums", no_sums)
         verify_yano(2**21, 40)
         assert sizes == [2**21]
         with pytest.raises(ValueError, match="int64"):
             verify_yano(2**21 + 1, 40)
         assert sizes == [2**21]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 5, 17, 64, 300, 1024, 4096])
+    def test_rows_match_running_sums(self, n_max):
+        # the Paley spectrum of 2^R 1_{I_R} is all ones, so its Fejer sums are n K_n
+        R = (n_max - 1).bit_length()
+        rows = [{"n": n, "l1_norm": Fraction(int(np.sum(np.abs(T))), n * T.size)}
+                for n, T in _fejer_sums(np.ones(1 << R, np.int64), System.PALEY, n_max)]
+        assert verify_yano(n_max, R, include_rows=True).rows == rows
+
+    @pytest.mark.parametrize("n_max, norm, n", [
+        (16384, Fraction(50692187, 44736512), 10922),
+        (65536, Fraction(811216987, 715816960), 43690)])
+    def test_witness_recorded_from_running_sums(self, n_max, norm, n):
+        witness = verify_yano(n_max, 16).witness
+        assert (witness["max_l1_norm"], witness["argmax_n"]) == (norm, n)
 
 
 class TestLemma2:
@@ -550,6 +566,19 @@ class TestLemma2:
     def test_too_small(self):
         with pytest.raises(ValueError):
             verify_lemma2(2)
+
+    def test_grid_limit_before_allocation(self, capsys):
+        # A = 13 would build q K_q on 2^26 cells; the family depth limit refuses it first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^depth 26 would materialize 2\^26 cells"):
+                verify_lemma2(13)
+            assert main(["verify", "lemma2", "--A", "13"]) == 2
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("error: depth 26") and err.count("\n") == 1
 
     def test_prefix_matches_fejer(self):
         T = dirichlet_prefix(9, 4)

@@ -24,22 +24,23 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import fsum, ldexp, sqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from math import fsum, lcm, ldexp, sqrt
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
-from .hardy import (DyadicMartingale, _conjugates, _solved_shift, conjugate, hardy_quasinorm,
-                    is_p_atom, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import PLike, lp_quasinorm, normalize_p, translate, weak_lp
+from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift, conjugate,
+                    hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
+from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate, weak_lp
 from .operators import fejer_mean
-from .walsh import (SampledFunction, System, _kernel_l1_fits_int64, _signed_square_sum,
-                    _signed_sup_abs, compose_with_tau, dirichlet, fejer_numerators,
-                    kaczmarz_paley_index, kaczmarz_samples, walsh_paley_samples)
+from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth,
+                    _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs, compose_with_tau,
+                    dirichlet, fejer_numerators, kaczmarz_paley_index, kaczmarz_samples,
+                    walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +105,92 @@ def dirichlet_prefix(n: int, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # counterexample families
 
-_MAX_DEPTH = 24  # the deepest family array or random martingale: 2^24 cells
-
-
-def _check_depth(M: int) -> None:
-    """Refuse a depth M past _MAX_DEPTH before anything of 2^M cells is allocated."""
-    if M > _MAX_DEPTH:
-        raise ValueError(f"depth {M} would materialize 2^{M} cells; the limit is {_MAX_DEPTH}")
-
-
 def _check_table_depth(M: int) -> None:
-    """A divergence table also builds its family at depth M + 1, so M stops one short."""
+    """The t2 divergence table also builds its family at depth M + 1, so M stops one short."""
     if M >= _MAX_DEPTH:
         raise ValueError(f"counterexample needs depth <= {_MAX_DEPTH - 1}, got {M}: "
                          f"its divergence table also builds depth {M + 1}")
+
+
+def _on_shell(m: int, c: int, j: int) -> int:
+    """Block m (Paley spectrum c on [2^m, 2^{m+1})) on the shell I_j \\ I_{j+1}, or on I_j at j = M.
+
+    D_{2^k} is 2^k on I_k and 0 elsewhere (Fine 1949), so c (D_{2^{m+1}} - D_{2^m}) is c 2^m on
+    I_{m+1}, -c 2^m on the rest of I_m and 0 off I_m.
+    """
+    return 0 if j < m else -c << m if j == m else c << m
+
+
+def _radial(blocks: Sequence[tuple[int, int]], depth: int) -> list[int]:
+    """The sum of the blocks (m, c) on each shell I_j \\ I_{j+1}, j < depth, then on I_depth."""
+    return [sum(_on_shell(m, c, j) for m, c in blocks) for j in range(depth + 1)]
+
+
+@dataclass(frozen=True)
+class _Shells:
+    """A function g on the depth-M group that is constant on each shell of I_R.
+
+    `low` is g at resolution R: its cells 1..2^R - 1 (mass 2^-R each) are the rank-R cells
+    off I_R, and its cell 0, which is I_R, is not read.  `values[j - R]` is g on the shell
+    I_j \\ I_{j+1} (mass 2^{-j-1}) for R <= j < M, and `values[M - R]` is g on I_M (mass 2^-M).
+    So the norms and atom clauses below cost O(2^R + M), not O(2^M).  Exact forms hold ints
+    and Fractions, float ones floats, as `low` does.
+    """
+
+    depth: int
+    low: SampledFunction
+    values: list
+
+    @property
+    def exact(self) -> bool:
+        return self.low.is_exact
+
+    def _pieces(self) -> tuple[dict, int]:
+        """{|g| times den: how many rank-M cells hold it}, and den (1 for float forms)."""
+        R, M = self.low.resolution, self.depth
+        mags, counts, low_den = self.low._magnitudes(slice(1, None))
+        den = lcm(low_den, *(v.denominator for v in self.values)) if self.exact else 1
+        cells = {a * (den // low_den): count << (M - R) for a, count in zip(mags, counts)}
+        for j, v in enumerate(self.values, R):
+            a = abs(v.numerator) * (den // v.denominator) if self.exact else abs(v)
+            cells[a] = cells.get(a, 0) + (1 << max(M - j - 1, 0))
+        return cells, den
+
+    def weak(self, p: Fraction | float) -> QuasiNormValue:
+        """`weak_lp` of g over its 2^M cells: the best run end v (count / 2^M)^{1/p}.
+
+        Exact when g is and 1/p is an integer; else each |g| is rounded once, as `weak_lp`
+        rounds each cell.
+        """
+        exact = self.exact and isinstance(p, Fraction) and p.numerator == 1
+        (cells, den), size, total = self._pieces(), 1 << self.depth, 0
+        best = 0 if exact else 0.0
+        for a in sorted(cells, reverse=True):
+            total += cells[a]
+            if not a:
+                break
+            best = max(best, a * total ** p.denominator if exact
+                       else a / den * (total / size) ** (1.0 / float(p)))
+        value = Fraction(best, den * size ** p.denominator) if exact else best
+        return QuasiNormValue(p, value, None, exact)
+
+    def sup(self) -> Scalar:
+        """sup |g| over every cell."""
+        cells, den = self._pieces()
+        return Fraction(max(cells), den) if self.exact else max(cells)
+
+    def vanishes_off(self, r: int) -> bool:
+        """Whether g is 0 off I_r, for r >= R."""
+        R = self.low.resolution
+        return not any(self.low._magnitudes(slice(1, None))[0]) and not any(self.values[:r - R])
+
+    def integral(self, r: int) -> Scalar:
+        """The integral of g over I_r, for r >= R: each shell's value times its mass."""
+        R, M = self.low.resolution, self.depth
+        terms = [(v, min(j + 1, M)) for j, v in enumerate(self.values[r - R:], r)]
+        if self.exact:
+            return sum(Fraction(v, 1 << k) for v, k in terms)
+        return fsum(ldexp(v, -k) for v, k in terms)  # exact terms, so the sum is rounded once
 
 
 @dataclass
@@ -162,20 +235,29 @@ def _inverse(p: Fraction | float) -> int | float:
 
 
 def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, DyadicInterval]]:
-    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached.
-
-    D_{2^k} is 2^k on I_k and 0 elsewhere: the difference is 2^m on I_{m+1}, -2^m on I_m's rest.
-    """
+    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached."""
     M, inv_p = family.depth, _inverse(family.p)
     _check_depth(M)
     for m, _ in family.blocks:
         interval = DyadicInterval.at_zero(m, M)
-        w = np.full(1 << M, -1 << m, dtype=np.int64)  # read on I_m only
-        w[DyadicInterval.at_zero(m + 1, M).cells(M)] = 1 << m
+        w = np.full(1 << M, _on_shell(m, 1, m), dtype=np.int64)  # read on I_m only
+        w[DyadicInterval.at_zero(m + 1, M).cells(M)] = _on_shell(m, 1, m + 1)
         block = SampledFunction.indicator(interval, M)._weighted(w)
         if isinstance(inv_p, float):
             block = block.to_float()
         yield block.scale(2 ** (m * (inv_p - 1))), interval
+
+
+def _shell_atoms(family: CounterexampleFamily) -> Iterator[tuple[_Shells, DyadicInterval]]:
+    """The atoms of `_atoms` as shell forms of I_0, at any depth."""
+    M, inv_p = family.depth, _inverse(family.p)
+    low = SampledFunction.constant(0, 0)
+    if isinstance(inv_p, float):
+        low = low.to_float()
+    for m, _ in family.blocks:
+        scale = 2 ** (m * (inv_p - 1))
+        yield (_Shells(M, low, [scale * _on_shell(m, 1, j) for j in range(M + 1)]),
+               DyadicInterval.at_zero(m, M))
 
 
 def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
@@ -202,29 +284,33 @@ def build_t2(L: int, M: int) -> CounterexampleFamily:
 def audit_family(family: CounterexampleFamily) -> VerificationReport:
     """Re-verify the family: each atom is a p-atom and the weighted atoms sum to f^(M).
 
-    One pass builds each atom once, certifies it and adds it, weighted, to
-    a running total.
+    Every atom and f^(M) are constant on the shells of I_0 (`_on_shell`), so one pass
+    certifies each atom and adds it, weighted, to a running total, shell by shell.
     """
     start = time.perf_counter()
+    exact = isinstance(_inverse(family.p), int)
     total, atom_results = None, []
-    for k, ((atom, interval), w) in enumerate(zip(_atoms(family), family.weights)):
-        cert = is_p_atom(atom, interval, family.p)
-        atom_results.append({"atom": k, "rank": interval.rank, "passed": cert.passed,
+    for k, ((atom, interval), w) in enumerate(zip(_shell_atoms(family), family.weights)):
+        rank = interval.rank
+        cert = _atom_clauses(interval, family.p, atom.vanishes_off(rank), atom.integral(rank),
+                             atom.sup(), exact)
+        atom_results.append({"atom": k, "rank": rank, "passed": cert.passed,
                              "violated": cert.violated})
-        term = atom.scale(w)
-        total = term if total is None else total + term
+        term = [(w if exact else float(w)) * v for v in atom.values]
+        total = term if total is None else [a + b for a, b in zip(total, term)]
     atoms_ok = all(r["passed"] for r in atom_results)
 
-    target = family.terminal()
-    if total.is_exact:
+    target = _radial(family.blocks, family.depth)
+    if exact:
         coeff_ok = total == target
     else:
         # Float atoms (1/p not an integer) carry 2^{i(1/p-1)} and weights
         # 2^{-i(1/p-2)}, each rounded once from an exponent below 1024, so each
-        # term is off by at most a few 1e-13 relative, and no cell's terms add
+        # term is off by at most a few 1e-13 relative, and no shell's terms add
         # up to more than about 2 max|f^(M)| in absolute value.
-        target = target.to_float().values
-        coeff_ok = bool(np.max(np.abs(total.values - target)) <= 1e-12 * np.max(np.abs(target)))
+        target = [float(v) for v in target]
+        coeff_ok = (max(abs(a - b) for a, b in zip(total, target))
+                    <= 1e-12 * max(map(abs, target)))
 
     weight_power = sum(abs(float(w)) ** float(family.p) for w in family.weights)
     passed = coeff_ok and atoms_ok
@@ -236,7 +322,7 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
     return VerificationReport(
         claim=f"family-{family.kind}-audit",
         parameters={"p": family.p, "levels": family.levels, "depth": family.depth},
-        passed=passed, witness=witness, mode=total.mode,
+        passed=passed, witness=witness, mode="exact" if exact else "float",
         rows=atom_results, runtime_s=time.perf_counter() - start)
 
 
@@ -351,43 +437,57 @@ def verify_lemma2(A: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # divergence tables
 
+def _gap(fam: CounterexampleFamily, R: int, read: Callable[[DyadicMartingale], SampledFunction],
+         terminal: list) -> _Shells:
+    """read(f) - f^(M) as a shell form of I_R, for an operator `read` that sees only f^(R).
+
+    read(f) = read(f^(R)) reads x_0..x_{R-1} only, so it is taken at resolution R and is
+    read(f)(0) on I_R; off I_R, f^(M) is f^(R).  `terminal` is f^(M) on the shells (`_radial`).
+    """
+    level = replace(fam, levels=min(fam.levels, R - 1), depth=R,
+                    blocks=[(m, c) for m, c in fam.blocks if m < R])
+    g = read(level.martingale)
+    return _Shells(fam.depth, g - level.terminal(), [g[0] - v for v in terminal[R:]])
+
+
 def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> VerificationReport:
     """weak-L_p distance ||sigma_{2^n+1} f - f^(M)|| for a built t1 family.
 
     Also tabulates the decomposition pieces: the unimodular character
     norm (always 1), the Fejer error at 2^n, the partial-sum error, and
     the weight 2^n/(2^n+1).  Values are recomputed one level deeper as a
-    truncation-stability check.
+    truncation-stability check.  Each distance is a shell form (`_gap`) of
+    I_{n+1} at most, so a row costs O(2^n + M) at any depth M.
     """
     start = time.perf_counter()
     p, L, M = fam.p, fam.levels, fam.depth
+    if not n_list:
+        raise ValueError("n_list must name at least one order")
     for n in n_list:
         if not 0 <= n < M:
             raise ValueError(f"n_list value {n} outside 0..{M - 1} at depth {M}")
-    _check_table_depth(M)
+    _check_depth(max(n_list) + 1)  # the resolution of the deepest row's low cells
     fam_deep = build_t1(p, L + 1, M + 1)
-    term, term_deep = fam.terminal(), fam_deep.terminal()
-    tail = weak_lp(fam_deep.martingale.tail(M).terminal_function(), p)
+    term, term_deep = _radial(fam.blocks, M), _radial(fam_deep.blocks, M + 1)
+    tail_blocks = [(m, c) for m, c in fam_deep.blocks if m >= M]
+    tail = _Shells(M + 1, SampledFunction.constant(0, 0), _radial(tail_blocks, M + 1)).weak(p)
 
-    def table_value(family: CounterexampleFamily, terminal: SampledFunction, n: int):
-        sigma = fejer_mean(family.martingale, System.KACZMARZ, (1 << n) + 1)
-        return weak_lp(sigma - terminal, p).value
+    def sigma(order: int) -> Callable[[DyadicMartingale], SampledFunction]:
+        return lambda f: fejer_mean(f, System.KACZMARZ, order)
 
     rows = []
     for n in n_list:
         order = (1 << n) + 1
-        kappa_row = (dirichlet(System.KACZMARZ, order, M)
-                     - dirichlet(System.KACZMARZ, 1 << n, M))
-        sigma_err = weak_lp(fejer_mean(fam.martingale, System.KACZMARZ, 1 << n) - term, p)
-        partial_err = weak_lp(s2n(fam.martingale, n) - term, p)
+        kappa_row = (dirichlet(System.KACZMARZ, order, n + 1)
+                     - dirichlet(System.KACZMARZ, 1 << n, n + 1))
         rows.append({
             "n": n, "order": order,
-            "weak_norm": table_value(fam, term, n),
+            "weak_norm": _gap(fam, n + 1, sigma(order), term).weak(p).value,
             "kappa_weak_norm": weak_lp(kappa_row, p).value,
-            "fejer_error_2n": sigma_err.value,
-            "partial_error_2n": partial_err.value,
+            "fejer_error_2n": _gap(fam, n, sigma(1 << n), term).weak(p).value,
+            "partial_error_2n": _gap(fam, n, lambda f: s2n(f, n), term).weak(p).value,
             "weight": Fraction(1 << n, order),
-            "weak_norm_depth_plus_1": table_value(fam_deep, term_deep, n),
+            "weak_norm_depth_plus_1": _gap(fam_deep, n + 1, sigma(order), term_deep).weak(p).value,
             "truncation_tail_norm": tail.value,
         })
     min_value = min(float(r["weak_norm"]) for r in rows)
@@ -422,6 +522,8 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
     start = time.perf_counter()
     half = Fraction(1, 2)
     L, M = fam.levels, fam.depth
+    if not i_list:
+        raise ValueError("i_list must name at least one order")
     for i in i_list:  # i <= M keeps q_seq small
         if not 1 <= i <= M or q_seq(1 << (i - 1)) > 1 << M:
             raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
@@ -480,11 +582,10 @@ def _rate_threshold(p: Fraction | float, n: int) -> Optional[float]:
 def _radial_modulus(blocks: Sequence[tuple[int, int]], depth: int, n: int, p: PLike) -> float:
     """omega_{H_p}(1/2^n) of the depth-M family with Paley blocks (m, c), m ascending.
 
-    Block m is c 2^m on I_{m+1} and -c 2^m on the rest of I_m (Fine 1949), so on each
-    shell I_j \\ I_{j+1} (mass 2^{-j-1}) and on I_M (mass 2^{-M}) every level of
-    f - S_{2^n} f is a prefix sum over the blocks n <= m <= j, and f* is the running max of
-    |prefix|.  Equal cells and power-of-two masses make this `fsum` the one of
-    `lp_quasinorm`, bit for bit.
+    Block m is constant on each shell I_j \\ I_{j+1} (mass 2^{-j-1}) and on I_M (mass 2^{-M})
+    (`_on_shell`), so there every level of f - S_{2^n} f is a prefix sum over the blocks
+    n <= m <= j, and f* is the running max of |prefix|.  Equal cells and power-of-two masses
+    make this `fsum` the one of `lp_quasinorm`, bit for bit.
     """
     if not 0 <= n <= depth:
         raise ValueError(f"modulus level {n} outside 0..{depth}")
@@ -493,7 +594,7 @@ def _radial_modulus(blocks: Sequence[tuple[int, int]], depth: int, n: int, p: PL
         prefix = best = 0
         for m, c in blocks:
             if n <= m <= j:
-                prefix += -c << m if m == j else c << m
+                prefix += _on_shell(m, c, j)
                 best = max(best, abs(prefix))
         terms.append(ldexp(best ** pf, -min(j + 1, depth)))
     return fsum(terms) ** (1.0 / pf)

@@ -152,21 +152,30 @@ def is_p_atom(a: SampledFunction, interval: DyadicInterval,
         raise ValueError(f"atoms are defined for 0 < p <= 1, got {p}")
     inside = interval.cells(a.resolution)
     nonzero = a._nonzero()
-    violated = None
+    supported = np.count_nonzero(nonzero) == np.count_nonzero(nonzero[inside])
+    return _atom_clauses(interval, p, supported, a._integral(inside), a._sup(), a.is_exact)
 
-    if np.count_nonzero(nonzero) > np.count_nonzero(nonzero[inside]):
+
+def _atom_clauses(interval: DyadicInterval, p: Fraction | float, supported: bool,
+                  integral: Fraction | float, sup_value: Fraction | float,
+                  exact: bool) -> PAtomCertificate:
+    """The three p-atom clauses, in order, from what a function a shows of them; p is checked.
+
+    `supported` says a vanishes off I, `integral` is its integral over I, `sup_value` is
+    sup |a|, and `exact` says its values are ints and Fractions.
+    """
+    violated = None
+    if not supported:
         violated = "support"
 
-    integral = a._integral(inside)
-    mean_ok = integral == 0 if a.is_exact else abs(integral) < 1e-12
+    mean_ok = integral == 0 if exact else abs(integral) < 1e-12
     if violated is None and not mean_ok:
         violated = "mean"
 
-    sup_value = a._sup()
     rank = interval.rank
     exponent = rank / float(p)  # 2^1024 is past the float range; exact atoms need no float
     bound = 2.0 ** exponent if exponent < 1024 else math.inf
-    if a.is_exact and isinstance(p, Fraction):
+    if exact and isinstance(p, Fraction):
         # |v| <= 2^{rank/p}  <=>  |v|^num <= 2^{rank*den}, all integers/rationals
         sup_ok = Fraction(sup_value) ** p.numerator <= Fraction(2) ** (rank * p.denominator)
     else:

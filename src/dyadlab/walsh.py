@@ -28,8 +28,8 @@ Fraction even where integral, integer-only routes give ints.  Input
 cells read out by the same rule, so a bool input reads as an int.  Only
 this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
-`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_sup_abs`,
-`_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
+`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_magnitudes`,
+`_sup_abs`, `_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
 `_fejer_weighted` and `_translate_power_sums`.  The last gives
 sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
 p, exactly, as integers over one power of two: a signed sum of dyadic
@@ -161,6 +161,13 @@ def kaczmarz_samples(n: int, N: int) -> list[int]:
 # sampled functions
 
 _INT64_MAX = (1 << 63) - 1
+_MAX_DEPTH = 24  # the most cells a kernel or family array may hold: 2^24
+
+
+def _check_depth(N: int) -> None:
+    """Refuse a resolution N past _MAX_DEPTH before anything of 2^N cells is allocated."""
+    if N > _MAX_DEPTH:
+        raise ValueError(f"depth {N} would materialize 2^{N} cells; the limit is {_MAX_DEPTH}")
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -403,6 +410,15 @@ class _Cells:
         best = max((v * (count + 1) ** k
                     for v, count in zip(mags[ends].tolist(), ends.tolist())), default=0)
         return Fraction(best, self._den)
+
+    def _magnitudes(self, cells=slice(None)) -> tuple[list, list[int], int]:
+        """The distinct |cell| of the cells a slice selects, largest first, with their counts.
+
+        Exact magnitudes come as integer numerators over the returned denominator, float
+        ones as floats over 1.
+        """
+        mags, counts = np.unique(np.abs(self._num[cells]), return_counts=True)
+        return mags[::-1].tolist(), counts[::-1].tolist(), self._den
 
     def __len__(self) -> int:
         return 1 << self.resolution
@@ -800,6 +816,7 @@ def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
         raise ValueError(f"kernel order {n} overflows spectrum at resolution {N}")
     if not _kernel_l1_fits_int64(n, 0):
         raise ValueError(f"kernel order {n} would overflow int64 sums; reduce n")
+    _check_depth(N)
     return _synthesis(_fejer_spectrum(system, n), N)
 
 
@@ -810,6 +827,7 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
         raise ValueError(f"resolution must be >= 0, got {N}")
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
+    _check_depth(N)
     return SampledFunction._of(N, _synthesis(np.minimum(_fejer_spectrum(system, n), 1), N))
 
 

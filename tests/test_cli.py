@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,21 @@ class TestKernelCommand:
         lines = out.read_text().splitlines()
         header = next(line for line in lines if not line.startswith("#"))
         assert header == "index,value"
+
+    @pytest.mark.parametrize("flags", [["--kind", "dirichlet"], ["--kind", "fejer"],
+                                       ["--kind", "fejer", "--float"]], ids=" ".join)
+    def test_resolution_past_the_cell_limit(self, flags, capsys):
+        # refused by `dirichlet` or `fejer` before any of the 2^25 cells is allocated
+        tracemalloc.start()
+        try:
+            code = run_cli(["kernel", *flags, "--n", "3", "--resolution", "25"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == (
+            "error: depth 25 would materialize 2^25 cells; the limit is 24\n")
 
     def test_capacity_error(self, capsys):
         code = run_cli(["kernel", "--kind", "dirichlet", "--n", "100",
@@ -179,12 +195,12 @@ class TestCounterexampleCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["t1", "--depth", "24"],
-         "counterexample needs depth <= 23, got 24: its divergence table also builds depth 25"),
+        (["t1", "--depth", "64", "--n-list", "4,24"],
+         "depth 25 would materialize 2^25 cells; the limit is 24"),
         (["t2", "--depth", "24"],
          "counterexample needs depth <= 23, got 24: its divergence table also builds depth 25"),
         (["t1", "--depth", "10", "--n-list", "30"], "n_list value 30 outside 0..9 at depth 10")],
-        ids=["t1-depth-24", "t2-depth-24", "t1-bad-order"])
+        ids=["t1-row-past-cell-limit", "t2-depth-24", "t1-bad-order"])
     def test_table_checks_run_before_any_array(self, argv, message, monkeypatch, capsys):
         audits = []
         monkeypatch.setattr(experiments, "audit_family", audits.append)
@@ -197,6 +213,32 @@ class TestCounterexampleCommand:
         assert (code, audits) == (2, [])
         assert peak < 20 << 20
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_t1_past_the_array_limit(self, tmp_path):
+        # the table and the audit read shells, so depths 40 and 64 run in little memory,
+        # and rows n = 4..8 keep the depth-14 values exactly
+        def report(depth):
+            out = tmp_path / f"t1-{depth}.json"
+            tracemalloc.start()
+            try:
+                code = run_cli(["counterexample", "t1", "--p", "1/4", "--depth", str(depth),
+                                "--out", str(out)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 20 << 20
+            return json.loads(out.read_text())["reports"]
+
+        _, near = report(14)
+        for depth in (40, 64):
+            audit, table = report(depth)
+            assert audit["verdict"] == table["verdict"] == "pass"
+            assert [row["rank"] for row in audit["rows"]] == list(range(depth))
+            assert [row["n"] for row in table["rows"]] == [4, 5, 6, 7, 8]
+            for row, other in zip(table["rows"], near["rows"]):
+                for key in ("weak_norm", "fejer_error_2n", "partial_error_2n"):
+                    assert Fraction(row[key]) == Fraction(other[key]), (depth, row["n"], key)
 
     @pytest.mark.parametrize("family, argv", [
         ("t1", ["--p", "1/4", "--depth", "7", "--n-list", "4,5,6"]),

@@ -253,11 +253,12 @@ class TestOneLacunaryBuilder:
 
     def test_depth_limit(self):
         # a family is its blocks at any depth; each reader of its 2^M arrays refuses
-        # M = 25 before allocating, as the random generator does
+        # M = 25 before allocating, as the random generator does, and the audit,
+        # which reads shells, runs
         for fam in (build_t1(Fraction(1, 4), 3, 25), build_t2(2, 25)):
-            for read in (lambda: fam.martingale, lambda: fam.atoms, fam.terminal,
-                         lambda: audit_family(fam)):
+            for read in (lambda: fam.martingale, lambda: fam.atoms, fam.terminal):
                 assert refused_peak(read) < 1 << 20
+            assert audit_family(fam).passed
         assert refused_peak(lambda: random_decaying_martingale(random.Random(1), 25)) < 1 << 20
 
     def test_fields_are_the_definition(self):
@@ -330,7 +331,7 @@ class TestAudit:
 
 
 class TestAtomsBuiltWhenRead:
-    """Only the audit and `atoms` build a family's atoms, one per block."""
+    """Only `atoms` builds a family's atom arrays, one per block; the audit reads shells."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -358,8 +359,13 @@ class TestAtomsBuiltWhenRead:
                                        lambda: build_t2(2, 6), lambda: build_t1(0.3, 6, 8)],
                              ids=["t1", "t2", "t1-float"])
     def test_audit_builds_one_per_block(self, built, build):
+        # one shell atom per block, in block order, and no atom array
         fam = build()
-        assert audit_family(fam).passed
+        report = audit_family(fam)
+        assert report.passed
+        assert [row["rank"] for row in report.rows] == [m for m, _ in fam.blocks]
+        assert built == []
+        assert len(fam.atoms) == len(fam.blocks)
         assert built == [m for m, _ in fam.blocks]
 
 
@@ -657,6 +663,10 @@ class TestDivergenceT1:
         with pytest.raises(ValueError, match=f"n_list value {n} outside 0..6 at depth 7"):
             divergence_t1(build_t1(Fraction(1, 4), 6, 7), [4, n])
 
+    def test_empty_order_list_named(self):
+        with pytest.raises(ValueError, match=r"^n_list must name at least one order$"):
+            divergence_t1(build_t1(Fraction(1, 4), 6, 7), [])
+
 
 class TestDivergenceT2:
     def test_table(self):
@@ -680,6 +690,10 @@ class TestDivergenceT2:
     def test_order_range_named(self, i):
         with pytest.raises(ValueError, match=rf"i_list value {i} needs i >= 1 and .* <= 2\^6"):
             divergence_t2(build_t2(2, 6), [2, i])
+
+    def test_empty_order_list_named(self):
+        with pytest.raises(ValueError, match=r"^i_list must name at least one order$"):
+            divergence_t2(build_t2(2, 6), [])
 
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel

@@ -1,0 +1,231 @@
+"""The t1 divergence table and the family audit on shells, against the array route.
+
+`divergence_t1` and `audit_family` read shell forms (`experiments._Shells`):
+functions on the depth-M group that are constant on each shell
+I_j \\ I_(j+1) of I_R, with 2^R low cells.  The array route they replaced is
+rebuilt here from `fejer_mean`, `s2n`, `dirichlet`, `weak_lp` and
+`is_p_atom` on all 2^M cells.  Every column and audit field must equal it:
+exact values as Fractions, float-p values bit for bit.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dyadlab import SampledFunction, System, dirichlet, fejer_mean, is_p_atom, s2n, weak_lp
+from dyadlab import experiments
+from dyadlab.experiments import audit_family, build_t1, build_t2, divergence_t1
+from dyadlab.group import DyadicInterval
+from dyadlab.hardy import _atom_clauses
+
+P_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), 0.3]
+FLOAT_P = [p for p in P_VALUES if not (isinstance(p, Fraction) and p.numerator == 1)]
+
+
+def same(a, b) -> bool:
+    """Equal values of one type; floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def run_end_max(g: SampledFunction, p) -> float:
+    """max over the ends of runs of equal |cell| of v (count / 2^N)^(1/p), as `weak_lp` forms it."""
+    mags = np.sort(np.abs(g._floats()))[::-1]
+    ends = np.flatnonzero(np.append(mags[:-1] != mags[1:], True) & (mags > 0))
+    e, size = 1.0 / float(p), len(g)
+    return max((v * ((k + 1) / size) ** e for v, k in zip(mags[ends].tolist(), ends.tolist())),
+               default=0.0)
+
+
+def weak(g: SampledFunction, p):
+    """`weak_lp(g, p)`; at float p, first shown to be its best run end."""
+    value = weak_lp(g, p)
+    if not value.exact:
+        assert same(value.value, run_end_max(g, p))
+    return value
+
+
+def array_divergence_t1(fam, n_list) -> list[dict]:
+    """The t1 table on 2^M and 2^(M+1) cells, as `divergence_t1` computed it before shells."""
+    p, L, M = fam.p, fam.levels, fam.depth
+    fam_deep = build_t1(p, L + 1, M + 1)
+    term, term_deep = fam.terminal(), fam_deep.terminal()
+    tail = weak(fam_deep.martingale.tail(M).terminal_function(), p)
+    rows = []
+    for n in n_list:
+        order = (1 << n) + 1
+        kappa_row = (dirichlet(System.KACZMARZ, order, M)
+                     - dirichlet(System.KACZMARZ, 1 << n, M))
+        sigma = fejer_mean(fam.martingale, System.KACZMARZ, order)
+        sigma_deep = fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
+        rows.append({
+            "n": n, "order": order,
+            "weak_norm": weak(sigma - term, p).value,
+            "kappa_weak_norm": weak(kappa_row, p).value,
+            "fejer_error_2n": weak(fejer_mean(fam.martingale, System.KACZMARZ, 1 << n) - term,
+                                   p).value,
+            "partial_error_2n": weak(s2n(fam.martingale, n) - term, p).value,
+            "weight": Fraction(1 << n, order),
+            "weak_norm_depth_plus_1": weak(sigma_deep - term_deep, p).value,
+            "truncation_tail_norm": tail.value,
+        })
+    return rows
+
+
+def array_audit(family) -> dict:
+    """The audit on the 2^M-cell atoms, as `audit_family` computed it before shells."""
+    total, rows = None, []
+    for k, ((atom, interval), w) in enumerate(zip(family.atoms, family.weights)):
+        cert = is_p_atom(atom, interval, family.p)
+        rows.append({"atom": k, "rank": interval.rank, "passed": cert.passed,
+                     "violated": cert.violated})
+        term = atom.scale(w)
+        total = term if total is None else total + term
+    atoms_ok = all(r["passed"] for r in rows)
+    target = family.terminal()
+    if total.is_exact:
+        coeff_ok = total == target
+    else:
+        target = target.to_float().values
+        coeff_ok = bool(np.max(np.abs(total.values - target)) <= 1e-12 * np.max(np.abs(target)))
+    weight_power = sum(abs(float(w)) ** float(family.p) for w in family.weights)
+    return {"passed": coeff_ok and atoms_ok, "rows": rows, "coefficients_match": coeff_ok,
+            "atoms_pass": atoms_ok, "weight_power_sum": weight_power, "mode": total.mode}
+
+
+def assert_same_rows(got: list[dict], want: list[dict]) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in w:
+            assert same(g[key], w[key]), (g["n"], key, g[key], w[key])
+
+
+def assert_same_audit(family) -> None:
+    report, want = audit_family(family), array_audit(family)
+    got = {"passed": report.passed, "rows": report.rows, "mode": report.mode, **report.witness}
+    assert got.keys() == want.keys()
+    for key in ("passed", "rows", "coefficients_match", "atoms_pass", "mode"):
+        assert got[key] == want[key], key
+    assert same(got["weight_power_sum"], want["weight_power_sum"])
+
+
+@pytest.mark.parametrize("p", P_VALUES, ids=str)
+@pytest.mark.parametrize("M", range(1, 17))
+def test_t1_table_equals_array_route(M, p):
+    fam = build_t1(p, M - 1, M)
+    report = divergence_t1(fam, range(M))
+    assert report.mode == ("float" if p in FLOAT_P else "exact")
+    assert_same_rows(report.rows, array_divergence_t1(fam, range(M)))
+
+
+@pytest.mark.parametrize("p", P_VALUES, ids=str)
+def test_t1_table_equals_array_route_below_the_top_block(p):
+    # L < M - 1: the depth + 1 family gains a block below the top, and the tail is 0
+    for M in range(2, 9):
+        for L in range(M - 1):
+            fam = build_t1(p, L, M)
+            assert_same_rows(divergence_t1(fam, range(M)).rows,
+                             array_divergence_t1(fam, range(M)))
+
+
+@pytest.mark.parametrize("p", P_VALUES, ids=str)
+def test_t1_audit_equals_array_route(p):
+    for M in range(1, 17):
+        for L in {0, M // 2, M - 1}:
+            assert_same_audit(build_t1(p, L, M))
+
+
+def test_t2_audit_equals_array_route():
+    for L in range(1, 4):
+        for M in range((1 << L) + 1, 13):
+            assert_same_audit(build_t2(L, M))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_t1(Fraction(1, 4), 5, 7), lambda: build_t2(2, 6), lambda: build_t1(0.3, 6, 8),
+    lambda: build_t1(Fraction(2, 5), 4, 9)], ids=["t1", "t2", "t1-0.3", "t1-2/5"])
+def test_perturbed_audit_equals_array_route(build):
+    for k in range(2):
+        fam = build()
+        fam.weights[k] = fam.weights[k] * (1 + Fraction(1, 1 << 20))
+        assert_same_audit(fam)
+        assert not audit_family(fam).witness["coefficients_match"]
+
+
+# ---------------------------------------------------------------------------
+# the shell form against its expansion on 2^M cells
+
+def expand(shells: experiments._Shells) -> SampledFunction:
+    """The shell form's function on all 2^M cells (an oracle for small M)."""
+    R, M = shells.low.resolution, shells.depth
+    low = shells.low.values
+    cells = [low[x % (1 << R)] for x in range(1 << M)]
+    for j, v in enumerate(shells.values, R):
+        for x in range(0, 1 << M, 1 << j):
+            cells[x] = v  # deeper shells overwrite: the last write is x's own shell
+    if shells.exact:
+        return SampledFunction(M, cells)
+    return SampledFunction(M, np.array(cells, dtype=np.float64))
+
+
+def random_shells(rng: random.Random, exact: bool) -> experiments._Shells:
+    M = rng.randint(0, 7)
+    R = rng.randint(0, M)
+
+    def value():
+        v = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6]))
+        return v if exact else float(v) * 1.5 ** rng.randint(-3, 3)
+
+    low = [value() for _ in range(1 << R)]
+    low = SampledFunction(R, low) if exact else SampledFunction(R, np.array(low))
+    return experiments._Shells(M, low, [value() for _ in range(M - R + 1)])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_shell_form_equals_its_expansion(exact):
+    rng = random.Random(5)
+    for _ in range(300):
+        shells = random_shells(rng, exact)
+        g, R, M = expand(shells), shells.low.resolution, shells.depth
+        for p in P_VALUES:
+            if exact:
+                assert same(shells.weak(p).value, weak(g, p).value)
+            else:  # weak_lp powers float cells with numpy, which may round differently
+                assert shells.weak(p).value == pytest.approx(weak_lp(g, p).value, rel=1e-12)
+        assert shells.sup() == g._sup()
+        for r in range(R, M + 1):
+            inside = DyadicInterval.at_zero(r, M).cells(M)
+            nonzero = g._nonzero()
+            assert shells.vanishes_off(r) == (np.count_nonzero(nonzero)
+                                              == np.count_nonzero(nonzero[inside]))
+            got, want = shells.integral(r), g._integral(inside)
+            assert got == (want if exact else pytest.approx(want, abs=1e-12))
+
+
+def test_atom_clauses_name_each_violation():
+    # the audit's clauses on shells see what is_p_atom sees on the cells
+    M, p = 5, Fraction(1, 2)
+    zero = SampledFunction.constant(0, 0)
+    cases = {None: [0, 0, -2, 2, 2, 2], "support": [0, 1, -2, 2, 2, 2],
+             "mean": [0, 0, -2, 2, 2, 4], "sup_bound": [0, 0, -32, 32, 32, 32]}
+    for violated, values in cases.items():
+        shells, interval = experiments._Shells(M, zero, values), DyadicInterval.at_zero(2, M)
+        cert = _atom_clauses(interval, p, shells.vanishes_off(2), shells.integral(2),
+                             shells.sup(), shells.exact)
+        assert cert.violated == is_p_atom(expand(shells), interval, p).violated == violated
+
+
+@pytest.mark.parametrize("cells", [
+    [3, -3, Fraction(1, 2), 0], [2**70, -2**70, 1, Fraction(-1, 3)],
+    np.array([1.5, -1.5, 0.25, 0.0])], ids=["int64", "object", "float"])
+def test_magnitudes_count_each_distinct_cell(cells):
+    f = SampledFunction(2, cells)
+    mags, counts, den = f._magnitudes(slice(1, None))
+    assert mags == sorted(mags, reverse=True)
+    assert dict(zip((Fraction(a) / den for a in mags), counts)) == Counter(
+        abs(Fraction(v)) for v in list(cells)[1:])

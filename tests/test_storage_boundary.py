@@ -22,12 +22,13 @@ PACKAGE = Path(dyadlab.__file__).resolve().parent
 MODULES = ("group", "norms", "hardy", "operators", "experiments", "cli")
 FIELDS = {"_num", "_den", "_frac", "_read"}
 WRAPPERS = {"_of", "_like", "_store"}
-# the documented operations on whole objects, plus one int64 bound check
+# the int64 bound check and the cell-count limit
+LIMITS = {"_kernel_l1_fits_int64", "_check_depth", "_MAX_DEPTH"}
+# the documented operations on whole objects, plus the limits
 ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
-           "_block_means", "_abs_power_sum", "_weak_peak", "_sup_abs", "_level",
+           "_block_means", "_abs_power_sum", "_weak_peak", "_magnitudes", "_sup_abs", "_level",
            "_signed_sup_abs", "_signed_square_sum", "_fejer_spectrum",
-           "_fejer_weighted", "_translate_power_sums",
-           "_kernel_l1_fits_int64"}
+           "_fejer_weighted", "_translate_power_sums"} | LIMITS
 
 
 def storage_reaches(source: str) -> list[str]:
@@ -51,7 +52,7 @@ def test_no_storage_reach_outside_walsh(module):
 
 def test_allowlist_is_the_documented_operations():
     documented = set(re.findall(r"`(_\w+)`", walsh.__doc__))
-    assert ALLOWED == documented | {"_kernel_l1_fits_int64"}
+    assert ALLOWED == documented | LIMITS
     assert all(hasattr(walsh, name) or hasattr(walsh.SampledFunction, name)
                or hasattr(walsh.CoefficientSequence, name) for name in ALLOWED)
 

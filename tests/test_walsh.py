@@ -13,6 +13,7 @@ from dyadlab import (DyadicInterval, GroupPoint, SampledFunction, System,
                      fejer_numerators, fwht, inverse_fwht, kaczmarz, kaczmarz_paley_index,
                      kaczmarz_samples, partial_sum, sigma_permutation,
                      walsh_paley, walsh_paley_samples)
+from dyadlab import walsh
 from dyadlab.walsh import _fejer_spectrum
 
 
@@ -258,6 +259,25 @@ class TestFejer:
     def test_denominator_divides_order(self):
         for v in fejer("paley", 12, 4).values:
             assert 12 % v.denominator == 0
+
+
+class TestCellLimit:
+    """The kernels refuse 2^25 cells before allocating; 2^24 reach the synthesis."""
+
+    @pytest.mark.parametrize("build", [dirichlet, fejer, fejer_numerators])
+    def test_edge(self, build, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(num, N):
+            raise Reached(N)
+
+        monkeypatch.setattr(walsh, "_synthesis", stop)
+        with pytest.raises(Reached):
+            build(System.KACZMARZ, 3, 24)
+        with pytest.raises(ValueError,
+                           match=r"^depth 25 would materialize 2\^25 cells; the limit is 24$"):
+            build(System.KACZMARZ, 3, 25)
 
 
 class TestFejerSpectrum:

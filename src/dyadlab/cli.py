@@ -157,16 +157,10 @@ def _csv_cell(value) -> str:
 
 def render_csv(config: RunConfig, reports: Sequence[VerificationReport],
                table_columns: Optional[list[str]] = None) -> str:
-    lines = []
-    for key, val in sorted(config.to_dict().items()):
-        lines.append(f"# {key}={val}")
-    for report in reports:
-        lines.append(f"# claim={report.claim} verdict="
-                     f"{'pass' if report.passed else 'fail'} mode={report.mode}")
-    rows: list[dict] = []
-    for report in reports:
-        if report.rows:
-            rows.extend(report.rows)
+    lines = [f"# {key}={val}" for key, val in sorted(config.to_dict().items())]
+    lines += [f"# claim={r.claim} verdict={'pass' if r.passed else 'fail'} mode={r.mode}"
+              for r in reports]
+    rows = [row for report in reports for row in report.rows or []]
     if rows:
         if table_columns is None:
             table_columns = list(dict.fromkeys(key for row in rows for key in row))

@@ -35,12 +35,13 @@ import numpy as np
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
 from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift, conjugate,
                     hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import PLike, QuasiNormValue, lp_quasinorm, normalize_p, translate, weak_lp
+from .norms import (PLike, QuasiNormValue, _weak_of_runs, lp_quasinorm, normalize_p, translate,
+                    weak_lp)
 from .operators import fejer_mean
-from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth,
-                    _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs, compose_with_tau,
-                    dirichlet, fejer_numerators, kaczmarz_paley_index, kaczmarz_samples,
-                    walsh_paley_samples)
+from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth, _equal_rows,
+                    _fejer_rows, _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs,
+                    compose_with_tau, dirichlet, fejer_numerators, fwht, kaczmarz_paley_index,
+                    kaczmarz_samples, walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +158,10 @@ class _Shells:
         return cells, den
 
     def weak(self, p: Fraction | float) -> QuasiNormValue:
-        """`weak_lp` of g over its 2^M cells: the best run end v (count / 2^M)^{1/p}.
-
-        Exact when g is and 1/p is an integer; else each |g| is rounded once, as `weak_lp`
-        rounds each cell.
-        """
-        exact = self.exact and isinstance(p, Fraction) and p.numerator == 1
-        (cells, den), size, total = self._pieces(), 1 << self.depth, 0
-        best = 0 if exact else 0.0
-        for a in sorted(cells, reverse=True):
-            total += cells[a]
-            if not a:
-                break
-            best = max(best, a * total ** p.denominator if exact
-                       else a / den * (total / size) ** (1.0 / float(p)))
-        value = Fraction(best, den * size ** p.denominator) if exact else best
-        return QuasiNormValue(p, value, None, exact)
+        """`weak_lp` of g over its 2^M cells; exact when g is and 1/p is an integer."""
+        cells, den = self._pieces()
+        return _weak_of_runs(p, sorted(cells.items(), reverse=True), den, 1 << self.depth,
+                             self.exact and isinstance(p, Fraction) and p.numerator == 1)
 
     def sup(self) -> Scalar:
         """sup |g| over every cell."""
@@ -313,16 +302,12 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
                     <= 1e-12 * max(map(abs, target)))
 
     weight_power = sum(abs(float(w)) ** float(family.p) for w in family.weights)
-    passed = coeff_ok and atoms_ok
-    witness = {
-        "coefficients_match": coeff_ok,  # the weighted atoms sum to f^(M)
-        "atoms_pass": atoms_ok,
-        "weight_power_sum": weight_power,
-    }
     return VerificationReport(
         claim=f"family-{family.kind}-audit",
         parameters={"p": family.p, "levels": family.levels, "depth": family.depth},
-        passed=passed, witness=witness, mode="exact" if exact else "float",
+        passed=coeff_ok and atoms_ok, mode="exact" if exact else "float",
+        witness={"coefficients_match": coeff_ok,  # the weighted atoms sum to f^(M)
+                 "atoms_pass": atoms_ok, "weight_power_sum": weight_power},
         rows=atom_results, runtime_s=time.perf_counter() - start)
 
 
@@ -438,14 +423,16 @@ def verify_lemma2(A: int) -> VerificationReport:
 # divergence tables
 
 def _gap(fam: CounterexampleFamily, R: int, read: Callable[[DyadicMartingale], SampledFunction],
-         terminal: list) -> _Shells:
+         terminal: list, built: dict) -> _Shells:
     """read(f) - f^(M) as a shell form of I_R, for an operator `read` that sees only f^(R).
 
     read(f) = read(f^(R)) reads x_0..x_{R-1} only, so it is taken at resolution R and is
     read(f)(0) on I_R; off I_R, f^(M) is f^(R).  `terminal` is f^(M) on the shells (`_radial`).
+    The level family is built once per `built`, keyed on its levels, R and blocks.
     """
-    level = replace(fam, levels=min(fam.levels, R - 1), depth=R,
-                    blocks=[(m, c) for m, c in fam.blocks if m < R])
+    blocks, levels = tuple((m, c) for m, c in fam.blocks if m < R), min(fam.levels, R - 1)
+    level = built.setdefault((levels, R, blocks),
+                             replace(fam, levels=levels, depth=R, blocks=list(blocks)))
     g = read(level.martingale)
     return _Shells(fam.depth, g - level.terminal(), [g[0] - v for v in terminal[R:]])
 
@@ -475,19 +462,20 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
     def sigma(order: int) -> Callable[[DyadicMartingale], SampledFunction]:
         return lambda f: fejer_mean(f, System.KACZMARZ, order)
 
-    rows = []
+    rows, built = [], {}
     for n in n_list:
         order = (1 << n) + 1
         kappa_row = (dirichlet(System.KACZMARZ, order, n + 1)
                      - dirichlet(System.KACZMARZ, 1 << n, n + 1))
         rows.append({
             "n": n, "order": order,
-            "weak_norm": _gap(fam, n + 1, sigma(order), term).weak(p).value,
+            "weak_norm": _gap(fam, n + 1, sigma(order), term, built).weak(p).value,
             "kappa_weak_norm": weak_lp(kappa_row, p).value,
-            "fejer_error_2n": _gap(fam, n, sigma(1 << n), term).weak(p).value,
-            "partial_error_2n": _gap(fam, n, lambda f: s2n(f, n), term).weak(p).value,
+            "fejer_error_2n": _gap(fam, n, sigma(1 << n), term, built).weak(p).value,
+            "partial_error_2n": _gap(fam, n, lambda f: s2n(f, n), term, built).weak(p).value,
             "weight": Fraction(1 << n, order),
-            "weak_norm_depth_plus_1": _gap(fam_deep, n + 1, sigma(order), term_deep).weak(p).value,
+            "weak_norm_depth_plus_1": _gap(fam_deep, n + 1, sigma(order), term_deep,
+                                           built).weak(p).value,
             "truncation_tail_norm": tail.value,
         })
     min_value = min(float(r["weak_norm"]) for r in rows)
@@ -549,14 +537,11 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
         sigma_d = fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
         qn_d = lp_quasinorm(sigma_d - term_deep, half)
         row["quasi_norm_depth_plus_1"] = qn_d.value
-        base = qn.value if qn.value else 1.0
-        row["depth_drift"] = abs(qn_d.value - qn.value) / base
+        row["depth_drift"] = abs(qn_d.value - qn.value) / (qn.value or 1.0)
         rows.append(row)
-    growth = {}
-    for a, b in zip(rows, rows[1:]):
-        key = f"kernel_growth_{a['i']}_to_{b['i']}"
-        growth[key] = (b["kernel_half_integral_inner_minus_1"]
-                       / a["kernel_half_integral_inner_minus_1"])
+    inner = "kernel_half_integral_inner_minus_1"
+    growth = {f"kernel_growth_{a['i']}_to_{b['i']}": b[inner] / a[inner]
+              for a, b in zip(rows, rows[1:])}
     min_value = min(float(r["quasi_norm"]) for r in rows)
     return VerificationReport(
         claim="t2-half-norm-divergence",
@@ -663,14 +648,10 @@ def verify_closed_form(N: int) -> VerificationReport:
     start = time.perf_counter()
     if N < 0:
         raise ValueError(f"resolution must be >= 0, got {N}")
-    failures = []
-    for system in (System.PALEY, System.KACZMARZ):
-        for m in range(N + 1):
-            expected = SampledFunction.indicator(
-                DyadicInterval.at_zero(m, N), N, scale=1 << m)
-            got = dirichlet(system, 1 << m, N)
-            if got != expected:
-                failures.append({"system": system.value, "m": m})
+    failures = [{"system": system.value, "m": m}
+                for system in (System.PALEY, System.KACZMARZ) for m in range(N + 1)
+                if dirichlet(system, 1 << m, N)
+                != SampledFunction.indicator(DyadicInterval.at_zero(m, N), N, scale=1 << m)]
     return VerificationReport(
         claim="block-dirichlet-closed-form",
         parameters={"resolution": N, "m_max": N},
@@ -708,15 +689,15 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
     """sigma_n^k S_{2^m} f - S_{2^m} f = (2^m/n) S_{2^m}(sigma_{2^m}^k f - f).
 
     Exact, for seeded integer-coefficient martingales, every m below the
-    depth and every 2^m < n <= 2^{m+1}.
+    depth and every 2^m < n <= 2^{m+1}: one stack of means (`_fejer_rows`) per m,
+    whose rows are checked in one integer comparison (`_equal_rows`).
     """
     start = time.perf_counter()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if m_max is None:
-        m_max = depth - 1
+    m_max = depth - 1 if m_max is None else m_max
     if not 0 <= m_max < depth:
         raise ValueError(f"m_max must be in 0..{depth - 1} at depth {depth}, got {m_max}")
     rng = random.Random(seed)
@@ -727,11 +708,11 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
             term = f.terminal_function()
             for m in range(m_max + 1):
                 smf = s2n(f, m)
-                smf_spectrum = DyadicMartingale.from_function(smf)  # one transform for every n
                 inner = s2n(fejer_mean(f, System.KACZMARZ, 1 << m) - term, m)
-                for n in range((1 << m) + 1, (1 << (m + 1)) + 1):
-                    lhs = fejer_mean(smf_spectrum, System.KACZMARZ, n) - smf
-                    yield {"trial": trial, "m": m, "n": n}, lhs == inner.scale(Fraction(1 << m, n))
+                orders = range((1 << m) + 1, (2 << m) + 1)
+                rows = _fejer_rows(fwht(smf), System.KACZMARZ, orders)
+                held = _equal_rows(rows, smf, inner, [Fraction(1 << m, n) for n in orders])
+                yield from (({"trial": trial, "m": m, "n": n}, ok) for n, ok in zip(orders, held))
 
     checked, failure = _first_failure(cases())
     return VerificationReport(
@@ -838,8 +819,7 @@ def verify_identities(resolution: int = 8, depth: int = 5, seed: int = 0,
     return [
         verify_closed_form(resolution),
         verify_permutation_equivalence(min(resolution, 10)),
-        verify_fejer_partial_identity(min(depth + 2, 7), count, seed,
-                                      m_max=min(depth, 5)),
+        verify_fejer_partial_identity(min(depth + 2, 7), count, seed, m_max=min(depth, 5)),
         verify_kernel_decomposition(max(resolution, 5)),
         verify_conjugate_translation(depth, count, seed),
     ]

@@ -164,14 +164,7 @@ def _atom_clauses(interval: DyadicInterval, p: Fraction | float, supported: bool
     `supported` says a vanishes off I, `integral` is its integral over I, `sup_value` is
     sup |a|, and `exact` says its values are ints and Fractions.
     """
-    violated = None
-    if not supported:
-        violated = "support"
-
     mean_ok = integral == 0 if exact else abs(integral) < 1e-12
-    if violated is None and not mean_ok:
-        violated = "mean"
-
     rank = interval.rank
     exponent = rank / float(p)  # 2^1024 is past the float range; exact atoms need no float
     bound = 2.0 ** exponent if exponent < 1024 else math.inf
@@ -180,9 +173,8 @@ def _atom_clauses(interval: DyadicInterval, p: Fraction | float, supported: bool
         sup_ok = Fraction(sup_value) ** p.numerator <= Fraction(2) ** (rank * p.denominator)
     else:
         sup_ok = float(sup_value) <= bound * (1 + 1e-12)
-    if violated is None and not sup_ok:
-        violated = "sup_bound"
-
+    violated = next((clause for clause, held in (("support", supported), ("mean", mean_ok),
+                                                 ("sup_bound", sup_ok)) if not held), None)
     return PAtomCertificate(violated is None, violated, p, interval,
                             sup_value, bound, integral)
 

@@ -10,10 +10,10 @@ weak-L_p is sup_{lambda>0} lambda * mu{|f| > lambda}^{1/p}.  For a step
 function the supremum is attained as lambda increases to a value of |f|,
 so it equals the maximum of v * mu{|f| >= v}^{1/p} over the distinct
 values v; with 1/p an integer this is an exact rational.  Exact mode
-sorts the integer |numerators| and forms v * count^{1/p} in Python ints
-only at the end of each run of equal values, over the common
-denominator.  Float exponents on exact cells round each cell's quotient
-once (as float(Fraction) does) before the float arithmetic.
+counts the distinct integer |numerators| and forms v * count^{1/p} only
+at the end of each run of equal values (`_weak_of_runs`): in Python ints
+over the common denominator, or, at float exponents, with each value's
+quotient rounded once (as float(Fraction) does) before Python's **.
 
 The translation profile ||f(.+h) - f||_p^p over every shift h gives
 every modulus of continuity omega_p(1/2^n, f) as a masked maximum.  At
@@ -95,20 +95,32 @@ def lp_quasinorm(f: SampledFunction, p: PLike) -> QuasiNormValue:
     return QuasiNormValue(p, power_sum ** (1.0 / pf), power_sum, False)
 
 
+def _weak_of_runs(p: Fraction | float, runs, den: int, size: int, exact: bool) -> QuasiNormValue:
+    """weak-L_p on `size` cells from the runs (|value| over `den`, cells holding it), largest first.
+
+    Within a run v * mu{|f| >= v}^{1/p} grows with the count, so only run ends are formed:
+    `exact` ones in Python ints, else with |value| rounded once and Python's ** (numpy's
+    vectorised power differs in the last bits from the per-cell definition)."""
+    total, best = 0, 0 if exact else 0.0
+    for a, count in runs:
+        total += count
+        if a:
+            best = max(best, a * total ** p.denominator if exact
+                       else a / den * (total / size) ** (1.0 / float(p)))
+    return QuasiNormValue(p, Fraction(best, den * size ** p.denominator) if exact else best,
+                          None, exact)
+
+
 def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     """sup_lambda lambda * mu{|f| > lambda}^{1/p}, exact when 1/p is an integer."""
     p = normalize_p(p)
     _check_p_positive(p)
     size = 1 << f.resolution
-    if f.is_exact and isinstance(p, Fraction) and p.numerator == 1:
-        k = p.denominator  # 1/p
-        return QuasiNormValue(p, f._weak_peak(k) / size ** k, None, True)
+    if f.is_exact:
+        mags, counts, den = f._magnitudes()
+        return _weak_of_runs(p, zip(mags, counts), den, size,
+                             isinstance(p, Fraction) and p.numerator == 1)
     mags = np.sort(np.abs(f._floats()))[::-1]
-    if f.is_exact:  # Python's ** per cell: numpy's vectorised power differs in the last bits
-        e = 1.0 / float(p)
-        best = max((v * (count / size) ** e
-                    for count, v in enumerate(mags.tolist(), start=1) if v), default=0.0)
-        return QuasiNormValue(p, best, None, False)
     # nonboundary positions only underestimate their candidate, never the max
     tail = np.arange(1, size + 1, dtype=np.float64) / size
     cands = mags * tail ** (1.0 / float(p))

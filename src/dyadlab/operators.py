@@ -9,9 +9,11 @@ sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i on its
 first 2^r cells, r = (n-1).bit_length(): system functions 0..n-1 read only
 the coordinates below r, so S_n f and sigma_n f come at that resolution,
 tiled.  S_n f is level r (`walsh._level`) of the spectrum zeroed where
-that multiplier vanishes.  `_fejer_sums` builds n sigma_n f, n = 1, 2,
-..., by one running sum for the weighted maximal sweep, each sum at its
-own resolution.  The definitional averages are kept as test oracles.
+that multiplier vanishes.  `fejer_mean` is the one-row case of
+`walsh._fejer_rows`, which stacks the orders of one r through one
+butterfly.  `_fejer_sums` builds n sigma_n f, n = 1, 2, ..., by one
+running sum for the weighted maximal sweep, each sum at its own
+resolution.  The definitional averages are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
-from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_spectrum,
-                    _fejer_weighted, _level, _zeroed, fwht, sigma_permutation)
+from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_rows, _fejer_spectrum,
+                    _level, _zeroed, fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
 
@@ -50,14 +52,14 @@ def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
-    """sigma_n f via the diagonal weights (n - i)/n, i < n, in `system` order."""
+    """sigma_n f via the diagonal weights (n - i)/n, i < n, in `system` order: one stacked row."""
     system = System.coerce(system)
     spec = _paley_spectrum(f)
     if n < 1:
         raise ValueError("Fejer mean order must be >= 1")
     if n > len(spec):
         raise ValueError(f"Fejer order {n} outside spectrum 0..{len(spec)}")
-    return _fejer_weighted(spec, _fejer_spectrum(system, n), n)
+    return _fejer_rows(spec, system, [n])[0]
 
 
 def _fejer_sums(coeffs: np.ndarray, system: System,

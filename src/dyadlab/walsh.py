@@ -28,16 +28,16 @@ Fraction even where integral, integer-only routes give ints.  Input
 cells read out by the same rule, so a bool input reads as an int.  Only
 this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
-`_integral`, `_block_means`, `_abs_power_sum`, `_weak_peak`, `_magnitudes`,
+`_integral`, `_block_means`, `_abs_power_sum`, `_magnitudes`,
 `_sup_abs`, `_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
-`_fejer_weighted` and `_translate_power_sums`.  The last gives
+`_fejer_rows`, `_equal_rows` and `_translate_power_sums`.  The last gives
 sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
 p, exactly, as integers over one power of two: a signed sum of dyadic
 correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
 D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
 one synthesis step butterflies that head and tiles it for all of them.
-The butterfly runs along the last axis, so the signed operations fold a
-stack of +-1-signed spectra, one per row, through one set of stages.
+The butterfly runs along the last axis, so one set of stages folds a stack
+of +-1-signed spectra, or of the Fejer means of one head size, one per row.
 """
 
 from __future__ import annotations
@@ -403,14 +403,6 @@ class _Cells:
         """sum |cell|^k over exact cells, for an integer k >= 1."""
         return Fraction(sum(abs(v) ** k for v in self._num.tolist()), self._den ** k)
 
-    def _weak_peak(self, k: int) -> Fraction:
-        """max over values v > 0 of |cell| of v * #{|cell| >= v}^k; exact cells, 0 if none."""
-        mags = np.sort(np.abs(self._num))[::-1]
-        ends = np.flatnonzero(np.append(mags[:-1] != mags[1:], True) & (mags > 0))
-        best = max((v * (count + 1) ** k
-                    for v, count in zip(mags[ends].tolist(), ends.tolist())), default=0)
-        return Fraction(best, self._den)
-
     def _magnitudes(self, cells=slice(None)) -> tuple[list, list[int], int]:
         """The distinct |cell| of the cells a slice selects, largest first, with their counts.
 
@@ -654,12 +646,13 @@ def _butterfly_stages(arr: np.ndarray) -> Iterator[np.ndarray]:
     """
     out = arr.copy()
     yield out
-    h = 1
+    lead, h = out.shape[:-1], 1
     while h < out.shape[-1]:
-        view = out.reshape(*out.shape[:-1], -1, 2 * h)
-        left = view[..., :h].copy()
-        np.add(left, view[..., h:], out=view[..., :h])
-        np.subtract(left, view[..., h:], out=view[..., h:])
+        view = out.reshape(*lead, -1, 2 * h)
+        left, right = view[..., :h], view[..., h:]
+        old = left.copy()
+        np.add(old, right, out=left)
+        np.subtract(old, right, out=right)
         h <<= 1
         yield out
 
@@ -692,16 +685,13 @@ def fwht(f: SampledFunction, ordering: System | str = System.PALEY) -> Coefficie
     return paley.to_ordering(ordering)
 
 
-def _synthesis(num: np.ndarray, N: int) -> np.ndarray:
-    """Samples at resolution N of the Paley spectrum `num` (2^r cells) padded with 0s.
-
-    They read only the coordinates below r: the butterfly of `num`, tiled.
-    """
-    cells = _butterflied(num)
-    if cells.size == 1 << N:
+def _synthesis(cells: np.ndarray, N: int) -> np.ndarray:
+    """Samples at resolution N from `cells`, the butterflies of Paley heads of 2^r cells in rows:
+    with the spectrum 0 past the head they read only the coordinates below r, so each row tiles."""
+    if cells.shape[-1] == 1 << N:
         return cells
-    out = np.empty(1 << N, dtype=cells.dtype)
-    out.reshape(-1, cells.size)[:] = cells
+    out = np.empty((*cells.shape[:-1], 1 << N), dtype=cells.dtype)
+    out.reshape(*cells.shape[:-1], -1, cells.shape[-1])[:] = cells[..., None, :]
     return out
 
 
@@ -713,8 +703,8 @@ def inverse_fwht(coeffs: CoefficientSequence) -> SampledFunction:
 def _level(spec: CoefficientSequence, n: int) -> SampledFunction:
     """The function whose Paley spectrum is the Paley `spec`'s first 2^n cells, in lowest terms."""
     num, den = _reduced(spec._num[:1 << n], spec._den)
-    return SampledFunction._of(spec.resolution, _synthesis(num, spec.resolution), den,
-                               _level_frac(spec, n))
+    return SampledFunction._of(spec.resolution, _synthesis(_butterflied(num), spec.resolution),
+                               den, _level_frac(spec, n))
 
 
 def _level_frac(spec: CoefficientSequence, n: int) -> bool:
@@ -771,17 +761,47 @@ def _signed_square_sum(spec: CoefficientSequence, signs: np.ndarray) -> Iterator
                                   _level_frac(spec, spec.resolution))
 
 
-def _fejer_weighted(spec: CoefficientSequence, w: np.ndarray, n: int) -> SampledFunction:
-    """The function with Paley spectrum `spec` * w / n, w a head multiplier (`_fejer_spectrum`).
+def _fejer_rows(spec: CoefficientSequence, system: System,
+                orders: Sequence[int]) -> list[SampledFunction]:
+    """sigma_n of the Paley `spec` for each order n, ascending, all of one head size 2^r.
 
-    Exact cells butterfly c * w, not put in lowest terms, then divide by n.  The cells w drops
-    are zeroed first, so `_product`'s bound max|c| * w[0] (w[0] = n) counts the kept cells only.
+    The head times the multipliers n - i (`_fejer_spectrum`), one row each, runs one butterfly:
+    float rows as head * (w / n), exact ones as c * w over den * n.  Row n's values are at most
+    max|c| n(n+1)/2 over the cells it keeps, which grow with n, so the stack widens once, on
+    the largest row; past it a row whose products (max|c| n) and butterfly (sum |c| (n - i))
+    fit int64 narrows back, to the dtype it has alone.
     """
-    head, N = spec._num[:w.size], spec.resolution
-    if not spec.is_exact:
-        return SampledFunction._of(N, _synthesis(head * (w / n), N))
-    num = _product(np.where(w != 0, head, 0), w)
-    return SampledFunction._of(N, _synthesis(num, N), spec._den * n, True)
+    N, top, exact, k = spec.resolution, orders[-1], spec.is_exact, len(orders)
+    col = top if k == 1 else np.array(orders)[:, None]  # `fejer_mean`'s one row stays 1-D
+    w = _fejer_spectrum(system, col)
+    head = spec._num[:w.shape[-1]]
+    num = (_fit(head, _peak(head[w.reshape(k, -1)[-1] != 0]) * (top * (top + 1) // 2)) * w
+           if exact else head * (w / col))
+    rows = _synthesis(_butterfly_array(num), N).reshape(k, -1)
+    if rows.dtype != head.dtype:
+        peaks = np.where(w != 0, np.abs(head), 0).reshape(k, -1).max(axis=1).tolist()
+        rows = [row.astype(np.int64) if max(c * n, s) <= _INT64_MAX else row for n, c, s, row
+                in zip(orders, peaks, np.abs(num).reshape(k, -1).sum(axis=1).tolist(), rows)]
+    return [SampledFunction._of(N, row, spec._den * n if exact else 1, True)
+            for n, row in zip(orders, rows)]
+
+
+def _equal_rows(rows: Iterable[SampledFunction], base: SampledFunction, step: SampledFunction,
+                ts: Sequence[Fraction]) -> list[bool]:
+    """Whether row k == base + ts[k] step, for each k, on exact cells: one integer comparison.
+
+    Row k's, base's and step's numerators scale to row k's common denominator d by the
+    columns d/d_row, d/d_base and t d/d_step, widened first if a product could leave int64.
+    """
+    rows = list(rows)
+    dens = [math.lcm(r._den, base._den, t.denominator * step._den) for r, t in zip(rows, ts)]
+    cols = ([d // r._den for d, r in zip(dens, rows)], [d // base._den for d in dens],
+            [t.numerator * d // (t.denominator * step._den) for d, t in zip(dens, ts)])
+    nums = (np.stack([r._num for r in rows]), base._num, step._num)
+    bound = 2 * max(_peak(num) * max(map(abs, c)) for num, c in zip(nums, cols))
+    R, A, B = (_fit(num, bound) for num in nums)
+    u, v, s = (np.array(c, dtype=_int_dtype(max(map(abs, c))))[:, None] for c in cols)
+    return np.all(R * u == A * v + s * B, axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +815,15 @@ def _kernel_l1_fits_int64(n: int, N: int) -> bool:
     return (n * (n + 1) // 2) << N <= _INT64_MAX
 
 
-def _fejer_spectrum(system: System, n: int) -> np.ndarray:
+def _fejer_spectrum(system: System, n: int | np.ndarray) -> np.ndarray:
     """int64 Paley coefficients of n K_n, n - i at system index i < n, on their first 2^r cells.
 
     r = (n-1).bit_length() (0 for n = 0): sigma keeps each block [2^k, 2^{k+1}) in place,
     so every later coefficient is 0.  Their butterfly is n K_n = sum_{k=1..n} D_k, and D_n has
-    coefficient 1 where they are nonzero: sigma_n weights by them over n, S_n keeps their support.
+    coefficient 1 where they are nonzero: sigma_n weights by them over n, S_n keeps their support;
+    a column of orders gives one row each, on the head of the largest.
     """
-    r = max(n - 1, 0).bit_length()
+    r = max((int(n.max()) if isinstance(n, np.ndarray) else n) - 1, 0).bit_length()
     pos = np.arange(1 << r, dtype=np.int64) if system is System.PALEY else sigma_permutation(r)
     return np.maximum(n - pos, 0)
 
@@ -817,7 +838,7 @@ def fejer_numerators(system: System | str, n: int, N: int) -> np.ndarray:
     if not _kernel_l1_fits_int64(n, 0):
         raise ValueError(f"kernel order {n} would overflow int64 sums; reduce n")
     _check_depth(N)
-    return _synthesis(_fejer_spectrum(system, n), N)
+    return _synthesis(_butterflied(_fejer_spectrum(system, n)), N)
 
 
 def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
@@ -828,7 +849,8 @@ def dirichlet(system: System | str, n: int, N: int) -> SampledFunction:
     if n < 0 or n > 1 << N:
         raise ValueError(f"Dirichlet order {n} overflows spectrum at resolution {N}")
     _check_depth(N)
-    return SampledFunction._of(N, _synthesis(np.minimum(_fejer_spectrum(system, n), 1), N))
+    kernel = _butterflied(np.minimum(_fejer_spectrum(system, n), 1))
+    return SampledFunction._of(N, _synthesis(kernel, N))
 
 
 def fejer(system: System | str, n: int, N: int) -> SampledFunction:
@@ -877,9 +899,7 @@ def fejer_by_average(system: System | str, n: int, N: int) -> SampledFunction:
     """Definitional Fejer kernel (1/n) sum of Dirichlet kernels (test oracle)."""
     if n < 1:
         raise ValueError("Fejer kernel order must be >= 1")
-    size = 1 << N
-    acc = [0] * size
+    acc = [0] * (1 << N)
     for k in range(1, n + 1):
-        dk = dirichlet(system, k, N)
-        acc = [a + v for a, v in zip(acc, dk.values)]
+        acc = [a + v for a, v in zip(acc, dirichlet(system, k, N).values)]
     return SampledFunction(N, [Fraction(v, n) for v in acc])

@@ -1,6 +1,7 @@
 """Family builders, kernel sweeps, divergence and rate tables."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -663,6 +664,23 @@ class TestDivergenceT1:
         with pytest.raises(ValueError, match=f"n_list value {n} outside 0..6 at depth 7"):
             divergence_t1(build_t1(Fraction(1, 4), 6, 7), [4, n])
 
+    def test_each_level_family_built_once(self, monkeypatch):
+        # the default table (n = 4 .. 8, L = 13, M = 14) reads levels R = 4 .. 9; the depth + 1
+        # family adds no block below R, so it shares every level with the family
+        built = []
+        real = experiments.CounterexampleFamily.martingale.func
+
+        def counted(fam):
+            built.append((fam.levels, fam.depth))
+            return real(fam)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(experiments.CounterexampleFamily, "martingale")
+        monkeypatch.setattr(experiments.CounterexampleFamily, "martingale", prop)
+        report = divergence_t1(build_t1(Fraction(1, 4), 13, 14), [4, 5, 6, 7, 8])
+        assert sorted(built) == [(R - 1, R) for R in range(4, 10)]
+        assert report.passed
+
     def test_empty_order_list_named(self):
         with pytest.raises(ValueError, match=r"^n_list must name at least one order$"):
             divergence_t1(build_t1(Fraction(1, 4), 6, 7), [])
@@ -927,9 +945,14 @@ class TestIdentityVerdictsCanFail:
         assert report.witness == {"first_mismatch": {"n": 6, "sigma_n": kaczmarz_paley_index(6)}}
 
     def test_fejer_partial_identity(self, monkeypatch):
-        # each m makes one inner call, then one per n in (2^m, 2^(m+1)]: 19 per trial
-        # at depth 4; call 19 + 8 is trial 1's n = 6
-        self.break_call(monkeypatch, "fejer_mean", 27, plus_one)
+        # each m stacks one row per n in (2^m, 2^(m+1)]: 15 rows per trial at depth 4;
+        # row 15 + 1 + 2 + 2 is trial 1's m = 2, n = 6
+        real, rows = experiments._fejer_rows, itertools.count(1)
+
+        def broken(*args):  # the 20th row over all stacks comes out one too large
+            return [plus_one(row) if next(rows) == 20 else row for row in real(*args)]
+
+        monkeypatch.setattr(experiments, "_fejer_rows", broken)
         report = verify_fejer_partial_identity(4, 2, seed=0)
         assert report.passed is False
         assert report.witness == {"checked": 15 + 5,

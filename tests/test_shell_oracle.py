@@ -41,6 +41,22 @@ def run_end_max(g: SampledFunction, p) -> float:
                default=0.0)
 
 
+def per_cell_weak(g: SampledFunction, p):
+    """weak-L_p of exact cells by its definition: the best v mu{|g| >= v}^(1/p) over every cell.
+
+    At float p each cell's |value| is rounded once and powered with Python's `**`; when 1/p
+    is an integer the maximum is an exact Fraction.
+    """
+    size = len(g)
+    if isinstance(p, Fraction) and p.numerator == 1:
+        mags = sorted((abs(v) for v in g.values.tolist()), reverse=True)
+        return max((v * Fraction(count, size) ** p.denominator
+                    for count, v in enumerate(mags, start=1)), default=0)
+    mags, e = np.sort(np.abs(g._floats()))[::-1], 1.0 / float(p)
+    return max((v * (count / size) ** e for count, v in enumerate(mags.tolist(), start=1) if v),
+               default=0.0)
+
+
 def weak(g: SampledFunction, p):
     """`weak_lp(g, p)`; at float p, first shown to be its best run end."""
     value = weak_lp(g, p)
@@ -229,3 +245,33 @@ def test_magnitudes_count_each_distinct_cell(cells):
     assert mags == sorted(mags, reverse=True)
     assert dict(zip((Fraction(a) / den for a in mags), counts)) == Counter(
         abs(Fraction(v)) for v in list(cells)[1:])
+
+
+def runs_of(lengths: list[int], rng: random.Random) -> list:
+    """Cells holding magnitude len(lengths) - k in a run of lengths[k] cells, signs and
+    readouts mixed, then shuffled; the last magnitude is 0."""
+    cells = []
+    for k, length in enumerate(lengths):
+        a = len(lengths) - 1 - k
+        cells += [rng.choice((1, -1)) * (Fraction(3 * a, 3) if rng.random() < 0.5 else a)
+                  for _ in range(length)]
+    rng.shuffle(cells)
+    return cells
+
+
+@pytest.mark.parametrize("p", P_VALUES + [Fraction(7, 10), 1.5, Fraction(1, 2)], ids=str)
+def test_exact_weak_lp_equals_its_per_cell_definition(p):
+    rng = random.Random(11)
+    cases = [
+        runs_of([1, 2, 4, 8, 1], rng),  # cumulative counts 1, 3, 7, 15: each 2^k - 1, then a 0
+        runs_of([1, 1, 1, 1, 12], rng),  # single-cell runs over twelve zeros
+        runs_of([3, 4, 8, 1], rng),  # counts 3, 7, 15 and a single zero cell
+        [0] * 16,
+        [Fraction(1, 3)] + [0] * 15,
+        runs_of([1, 31, 32, 64], rng),  # 2^k - 1 cells up to the run ends 1, 32, 64
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(64)],
+        [rng.choice((2**70, -2**70, 3, 0)) for _ in range(32)],  # object numerators
+    ]
+    for cells in cases:
+        g = SampledFunction((len(cells) - 1).bit_length(), cells)
+        assert weak_lp(g, p).value == per_cell_weak(g, p)

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import fsum, lcm, ldexp, sqrt
+from math import fsum, lcm, ldexp
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
 from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift, conjugate,
                     hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import (PLike, QuasiNormValue, _weak_of_runs, lp_quasinorm, normalize_p, translate,
+from .norms import (PLike, QuasiNormValue, _lp_of_runs, _weak_of_runs, normalize_p, translate,
                     weak_lp)
 from .operators import fejer_mean
 from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth, _equal_rows,
@@ -107,7 +107,7 @@ def dirichlet_prefix(n: int, N: int) -> np.ndarray:
 # counterexample families
 
 def _check_table_depth(M: int) -> None:
-    """The t2 divergence table also builds its family at depth M + 1, so M stops one short."""
+    """Refuse M past _MAX_DEPTH - 1 for the t2 table, whose kernel columns read 2^M cells."""
     if M >= _MAX_DEPTH:
         raise ValueError(f"counterexample needs depth <= {_MAX_DEPTH - 1}, got {M}: "
                          f"its divergence table also builds depth {M + 1}")
@@ -149,9 +149,9 @@ class _Shells:
     def _pieces(self) -> tuple[dict, int]:
         """{|g| times den: how many rank-M cells hold it}, and den (1 for float forms)."""
         R, M = self.low.resolution, self.depth
-        mags, counts, low_den = self.low._magnitudes(slice(1, None))
+        runs, low_den = self.low._magnitudes(slice(1, None))
         den = lcm(low_den, *(v.denominator for v in self.values)) if self.exact else 1
-        cells = {a * (den // low_den): count << (M - R) for a, count in zip(mags, counts)}
+        cells = {a * (den // low_den): count << (M - R) for a, count in runs}
         for j, v in enumerate(self.values, R):
             a = abs(v.numerator) * (den // v.denominator) if self.exact else abs(v)
             cells[a] = cells.get(a, 0) + (1 << max(M - j - 1, 0))
@@ -163,6 +163,11 @@ class _Shells:
         return _weak_of_runs(p, sorted(cells.items(), reverse=True), den, 1 << self.depth,
                              self.exact and isinstance(p, Fraction) and p.numerator == 1)
 
+    def lp(self, p: Fraction | float) -> QuasiNormValue:
+        """`lp_quasinorm` of g over its 2^M cells; an exact power sum when g is and p is an int."""
+        cells, den = self._pieces()
+        return _lp_of_runs(p, cells.items(), den, 1 << self.depth, self.exact)
+
     def sup(self) -> Scalar:
         """sup |g| over every cell."""
         cells, den = self._pieces()
@@ -171,7 +176,7 @@ class _Shells:
     def vanishes_off(self, r: int) -> bool:
         """Whether g is 0 off I_r, for r >= R."""
         R = self.low.resolution
-        return not any(self.low._magnitudes(slice(1, None))[0]) and not any(self.values[:r - R])
+        return not self.low._nonzero()[1:].any() and not any(self.values[:r - R])
 
     def integral(self, r: int) -> Scalar:
         """The integral of g over I_r, for r >= R: each shell's value times its mass."""
@@ -428,13 +433,20 @@ def _gap(fam: CounterexampleFamily, R: int, read: Callable[[DyadicMartingale], S
 
     read(f) = read(f^(R)) reads x_0..x_{R-1} only, so it is taken at resolution R and is
     read(f)(0) on I_R; off I_R, f^(M) is f^(R).  `terminal` is f^(M) on the shells (`_radial`).
-    The level family is built once per `built`, keyed on its levels, R and blocks.
+    The level family and its f^(R) are built once per `built`, keyed on its levels, R and blocks.
     """
     blocks, levels = tuple((m, c) for m, c in fam.blocks if m < R), min(fam.levels, R - 1)
-    level = built.setdefault((levels, R, blocks),
-                             replace(fam, levels=levels, depth=R, blocks=list(blocks)))
+    if (levels, R, blocks) not in built:
+        level = replace(fam, levels=levels, depth=R, blocks=list(blocks))
+        built[levels, R, blocks] = level, level.terminal()
+    level, low_terminal = built[levels, R, blocks]
     g = read(level.martingale)
-    return _Shells(fam.depth, g - level.terminal(), [g[0] - v for v in terminal[R:]])
+    return _Shells(fam.depth, g - low_terminal, [g[0] - v for v in terminal[R:]])
+
+
+def _kaczmarz_fejer(order: int) -> Callable[[DyadicMartingale], SampledFunction]:
+    """f -> sigma^kappa_order f, an operator for `_gap`."""
+    return lambda f: fejer_mean(f, System.KACZMARZ, order)
 
 
 def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> VerificationReport:
@@ -458,10 +470,6 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
     term, term_deep = _radial(fam.blocks, M), _radial(fam_deep.blocks, M + 1)
     tail_blocks = [(m, c) for m, c in fam_deep.blocks if m >= M]
     tail = _Shells(M + 1, SampledFunction.constant(0, 0), _radial(tail_blocks, M + 1)).weak(p)
-
-    def sigma(order: int) -> Callable[[DyadicMartingale], SampledFunction]:
-        return lambda f: fejer_mean(f, System.KACZMARZ, order)
-
     rows, built = [], {}
     for n in n_list:
         order = (1 << n) + 1
@@ -469,12 +477,12 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
                      - dirichlet(System.KACZMARZ, 1 << n, n + 1))
         rows.append({
             "n": n, "order": order,
-            "weak_norm": _gap(fam, n + 1, sigma(order), term, built).weak(p).value,
+            "weak_norm": _gap(fam, n + 1, _kaczmarz_fejer(order), term, built).weak(p).value,
             "kappa_weak_norm": weak_lp(kappa_row, p).value,
-            "fejer_error_2n": _gap(fam, n, sigma(1 << n), term, built).weak(p).value,
+            "fejer_error_2n": _gap(fam, n, _kaczmarz_fejer(1 << n), term, built).weak(p).value,
             "partial_error_2n": _gap(fam, n, lambda f: s2n(f, n), term, built).weak(p).value,
             "weight": Fraction(1 << n, order),
-            "weak_norm_depth_plus_1": _gap(fam_deep, n + 1, sigma(order), term_deep,
+            "weak_norm_depth_plus_1": _gap(fam_deep, n + 1, _kaczmarz_fejer(order), term_deep,
                                            built).weak(p).value,
             "truncation_tail_norm": tail.value,
         })
@@ -493,11 +501,9 @@ def kernel_half_integral(order: int, tau_width: int, N: int) -> float:
     """integral |order * K_order(tau_width-reversed x)|^{1/2} dmu, float of exact values."""
     if tau_width > N:
         raise ValueError(f"coordinate reversal width {tau_width} exceeds resolution {N}")
-    T = dirichlet_prefix(order, N)
-    total = 0.0
-    for v in np.abs(T[tau_permutation(tau_width, N)]).tolist():
-        total += sqrt(v)  # sequential sum keeps the reported floats stable
-    return total / (1 << N)
+    T = np.abs(dirichlet_prefix(order, N)[tau_permutation(tau_width, N)])
+    # a running (sequential) sum, not numpy's pairwise one, keeps the reported floats stable
+    return float(np.add.accumulate(np.sqrt(T))[-1]) / (1 << N)
 
 
 def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> VerificationReport:
@@ -517,13 +523,13 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
             raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
     _check_table_depth(M)
     fam_deep = build_t2(L, M + 1)
-    term, term_deep = fam.terminal(), fam_deep.terminal()
-    rows = []
+    term, term_deep = _radial(fam.blocks, M), _radial(fam_deep.blocks, M + 1)
+    rows, built = [], {}
     for i in i_list:
         A = 1 << (i - 1)
         order = q_seq(A)
-        sigma = fejer_mean(fam.martingale, System.KACZMARZ, order)
-        qn = lp_quasinorm(sigma - term, half)
+        R, sigma = (order - 1).bit_length(), _kaczmarz_fejer(order)
+        qn = _gap(fam, R, sigma, term, built).lp(half)
         row = {
             "i": i, "q_index": A, "order": order,
             "half_power_integral": qn.power_sum,
@@ -534,8 +540,7 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
                 order - 1, 1 << i, M),
         }
         row["kernel_ratio_vs_2i"] = row["kernel_half_integral_inner_minus_1"] / (1 << i)
-        sigma_d = fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
-        qn_d = lp_quasinorm(sigma_d - term_deep, half)
+        qn_d = _gap(fam_deep, R, sigma, term_deep, built).lp(half)
         row["quasi_norm_depth_plus_1"] = qn_d.value
         row["depth_drift"] = abs(qn_d.value - qn.value) / (qn.value or 1.0)
         rows.append(row)
@@ -569,20 +574,20 @@ def _radial_modulus(blocks: Sequence[tuple[int, int]], depth: int, n: int, p: PL
 
     Block m is constant on each shell I_j \\ I_{j+1} (mass 2^{-j-1}) and on I_M (mass 2^{-M})
     (`_on_shell`), so there every level of f - S_{2^n} f is a prefix sum over the blocks
-    n <= m <= j, and f* is the running max of |prefix|.  Equal cells and power-of-two masses
-    make this `fsum` the one of `lp_quasinorm`, bit for bit.
+    n <= m <= j, and f* is the running max of |prefix|: a shell form of I_0, whose L_p norm
+    is `lp_quasinorm`'s of f* on the 2^M cells, bit for bit.
     """
     if not 0 <= n <= depth:
         raise ValueError(f"modulus level {n} outside 0..{depth}")
-    pf, terms = float(p), []
+    sups = []
     for j in range(depth + 1):
         prefix = best = 0
         for m, c in blocks:
             if n <= m <= j:
                 prefix += _on_shell(m, c, j)
                 best = max(best, abs(prefix))
-        terms.append(ldexp(best ** pf, -min(j + 1, depth)))
-    return fsum(terms) ** (1.0 / pf)
+        sups.append(best)
+    return _Shells(depth, SampledFunction.constant(0, 0), sups).lp(p).value
 
 
 def rate_table_t1(p: PLike = Fraction(1, 4), n_values: Sequence[int] = range(3, 9),

@@ -4,7 +4,9 @@ All norms are integrals against the normalized Haar measure, so on 2^N
 cells ||f||_p^p = 2^{-N} sum_j |f(j)|^p.  For p >= 1 this is a norm; for
 0 < p < 1 only the p-th-power subadditivity holds and results are
 reported with the p-th-power sum retained, so acceptance checks can
-compare powers instead of extracting noisy roots.
+compare powers instead of extracting noisy roots.  Exact cells fold their
+runs of equal |value| (`_lp_of_runs`): a Fraction sum at integer p, else
+an `fsum` of exact 2^b multiples of float(|value|)^p, rounded once.
 
 weak-L_p is sup_{lambda>0} lambda * mu{|f| > lambda}^{1/p}.  For a step
 function the supremum is attained as lambda increases to a value of |f|,
@@ -77,22 +79,30 @@ def _check_p_positive(p: Fraction | float) -> None:
         raise ValueError(f"exponent p must be > 0, got {p}")
 
 
+def _lp_of_runs(p: Fraction | float, runs, den: int, size: int, exact: bool) -> QuasiNormValue:
+    """L_p on `size` cells from the runs (|value| over `den`, cells holding it), in any order.
+
+    A Fraction power sum on `exact` cells at integer p; else each run adds 2^b float(|value|)^p
+    per set bit b of its count, exact terms, so the `fsum` rounds once, as per cell (Shewchuk)."""
+    if exact and isinstance(p, Fraction) and p.denominator == 1:
+        k = p.numerator
+        power_sum = Fraction(sum(a ** k * count for a, count in runs), den ** k * size)
+        return QuasiNormValue(p, power_sum if k == 1 else float(power_sum) ** (1.0 / k),
+                              power_sum, True)
+    pf = float(p)
+    power_sum = math.fsum(math.ldexp((a / den) ** pf, b) for a, count in runs
+                          for b in range(count.bit_length()) if count >> b & 1) / size
+    return QuasiNormValue(p, power_sum ** (1.0 / pf), power_sum, False)
+
+
 def lp_quasinorm(f: SampledFunction, p: PLike) -> QuasiNormValue:
     """(2^{-N} sum |f|^p)^{1/p}; exact power sum for integer p in exact mode."""
     p = normalize_p(p)
     _check_p_positive(p)
-    size = 1 << f.resolution
-    if f.is_exact and isinstance(p, Fraction) and p.denominator == 1:
-        power_sum = f._abs_power_sum(p.numerator) / size
-        value = power_sum if p == 1 else float(power_sum) ** (1.0 / p.numerator)
-        return QuasiNormValue(p, value, power_sum, True)
-    pf = float(p)
     if f.is_exact:
-        cells = f._floats().tolist()
-        power_sum = math.fsum(abs(v) ** pf for v in cells) / size
-    else:
-        power_sum = float(np.sum(np.abs(f.values) ** pf)) / size
-    return QuasiNormValue(p, power_sum ** (1.0 / pf), power_sum, False)
+        return _lp_of_runs(p, *f._magnitudes(), len(f), True)
+    power_sum = float(np.sum(np.abs(f.values) ** float(p))) / len(f)
+    return QuasiNormValue(p, power_sum ** (1.0 / float(p)), power_sum, False)
 
 
 def _weak_of_runs(p: Fraction | float, runs, den: int, size: int, exact: bool) -> QuasiNormValue:
@@ -117,8 +127,7 @@ def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     _check_p_positive(p)
     size = 1 << f.resolution
     if f.is_exact:
-        mags, counts, den = f._magnitudes()
-        return _weak_of_runs(p, zip(mags, counts), den, size,
+        return _weak_of_runs(p, *f._magnitudes(), size,
                              isinstance(p, Fraction) and p.numerator == 1)
     mags = np.sort(np.abs(f._floats()))[::-1]
     # nonboundary positions only underestimate their candidate, never the max

@@ -28,8 +28,8 @@ Fraction even where integral, integer-only routes give ints.  Input
 cells read out by the same rule, so a bool input reads as an int.  Only
 this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
-`_integral`, `_block_means`, `_abs_power_sum`, `_magnitudes`,
-`_sup_abs`, `_level`, `_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
+`_integral`, `_block_means`, `_magnitudes`, `_sup_abs`, `_level`,
+`_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
 `_fejer_rows`, `_equal_rows` and `_translate_power_sums`.  The last gives
 sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
 p, exactly, as integers over one power of two: a signed sum of dyadic
@@ -399,18 +399,14 @@ class _Cells:
         """|cell| of the first cell of largest magnitude, read out."""
         return abs(self[int(np.argmax(np.abs(self._num)))])
 
-    def _abs_power_sum(self, k: int) -> Fraction:
-        """sum |cell|^k over exact cells, for an integer k >= 1."""
-        return Fraction(sum(abs(v) ** k for v in self._num.tolist()), self._den ** k)
-
-    def _magnitudes(self, cells=slice(None)) -> tuple[list, list[int], int]:
-        """The distinct |cell| of the cells a slice selects, largest first, with their counts.
+    def _magnitudes(self, cells=slice(None)) -> tuple[list[tuple], int]:
+        """The runs (distinct |cell|, count) of the cells a slice selects, largest first.
 
         Exact magnitudes come as integer numerators over the returned denominator, float
         ones as floats over 1.
         """
         mags, counts = np.unique(np.abs(self._num[cells]), return_counts=True)
-        return mags[::-1].tolist(), counts[::-1].tolist(), self._den
+        return list(zip(mags[::-1].tolist(), counts[::-1].tolist())), self._den
 
     def __len__(self) -> int:
         return 1 << self.resolution

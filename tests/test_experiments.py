@@ -26,6 +26,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_fejer_partial_identity, verify_identities,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
+from dyadlab.group import tau_permutation
 from dyadlab.operators import _fejer_sums
 from dyadlab.walsh import _kernel_l1_fits_int64
 
@@ -686,6 +687,31 @@ class TestDivergenceT1:
             divergence_t1(build_t1(Fraction(1, 4), 6, 7), [])
 
 
+def synthesized_terminals(monkeypatch) -> list[int]:
+    """The depth of every martingale whose terminal level is synthesized from here on."""
+    depths = []
+    real = DyadicMartingale.terminal_function
+
+    def counted(f):
+        depths.append(f.depth)
+        return real(f)
+
+    monkeypatch.setattr(DyadicMartingale, "terminal_function", counted)
+    return depths
+
+
+def test_each_level_terminal_synthesized_once_per_table(monkeypatch):
+    # the default t1 table reads 20 gaps over levels R = 4 .. 9, and t2's rows at orders
+    # 5, 21 and 341 read levels 3, 5 and 9 twice each (depth M and M + 1); neither
+    # synthesizes f^(M) or f^(M+1)
+    depths = synthesized_terminals(monkeypatch)
+    divergence_t1(build_t1(Fraction(1, 4), 13, 14), [4, 5, 6, 7, 8])
+    assert sorted(depths) == list(range(4, 10))
+    depths.clear()
+    divergence_t2(build_t2(3, 12), [1, 2, 3])
+    assert depths == [3, 5, 9]
+
+
 class TestDivergenceT2:
     def test_table(self):
         report = divergence_t2(build_t2(2, 6), [2])
@@ -712,6 +738,19 @@ class TestDivergenceT2:
     def test_empty_order_list_named(self):
         with pytest.raises(ValueError, match=r"^i_list must name at least one order$"):
             divergence_t2(build_t2(2, 6), [])
+
+    @pytest.mark.parametrize("M", [6, 12, 16])
+    def test_kernel_half_integral_equals_sequential_loop(self, M):
+        # the running sum is the definition's left-to-right sum of math.sqrt, bit for bit
+        orders = [q_seq(1), q_seq(2) - 1, q_seq(3), q_seq(4) - 1, (1 << M) - 1, 1 << M]
+        for order in (n for n in orders if n <= 1 << M):
+            for width in (0, 2, 4, M):
+                total = 0.0
+                for v in np.abs(dirichlet_prefix(order, M)[tau_permutation(width, M)]).tolist():
+                    total += math.sqrt(v)
+                got = kernel_half_integral(order, width, M)
+                assert type(got) is float
+                assert got.hex() == (total / (1 << M)).hex(), (order, width)
 
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel

@@ -1,13 +1,16 @@
-"""The t1 divergence table and the family audit on shells, against the array route.
+"""The divergence tables and the family audit on shells, against the array route.
 
-`divergence_t1` and `audit_family` read shell forms (`experiments._Shells`):
-functions on the depth-M group that are constant on each shell
-I_j \\ I_(j+1) of I_R, with 2^R low cells.  The array route they replaced is
-rebuilt here from `fejer_mean`, `s2n`, `dirichlet`, `weak_lp` and
-`is_p_atom` on all 2^M cells.  Every column and audit field must equal it:
-exact values as Fractions, float-p values bit for bit.
+`divergence_t1`, `divergence_t2` and `audit_family` read shell forms
+(`experiments._Shells`): functions on the depth-M group that are constant on
+each shell I_j \\ I_(j+1) of I_R, with 2^R low cells.  The array route they
+replaced is rebuilt here from `fejer_mean`, `s2n`, `dirichlet`, `weak_lp`,
+the per-cell L_p sums and `is_p_atom` on all 2^M cells.  Every column and
+audit field must equal it: exact values as Fractions, float-p values bit for
+bit.
 """
 
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,14 +18,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab import SampledFunction, System, dirichlet, fejer_mean, is_p_atom, s2n, weak_lp
+from dyadlab import (SampledFunction, System, dirichlet, fejer_mean, is_p_atom, lp_quasinorm,
+                     normalize_p, s2n, weak_lp)
 from dyadlab import experiments
-from dyadlab.experiments import audit_family, build_t1, build_t2, divergence_t1
+from dyadlab.experiments import (audit_family, build_t1, build_t2, divergence_t1, divergence_t2,
+                                 q_seq)
 from dyadlab.group import DyadicInterval
 from dyadlab.hardy import _atom_clauses
 
 P_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), 0.3]
 FLOAT_P = [p for p in P_VALUES if not (isinstance(p, Fraction) and p.numerator == 1)]
+LP_VALUES = [1, 2, 3, 4, Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), 0.3]
 
 
 def same(a, b) -> bool:
@@ -65,6 +71,28 @@ def weak(g: SampledFunction, p):
     return value
 
 
+def per_cell_lp(g: SampledFunction, p) -> tuple:
+    """(value, power_sum) of `lp_quasinorm` on exact cells by its definition, cell by cell.
+
+    At integer p the power sum is the Fraction sum of |cell|^p; at other p it is the `fsum`
+    of float(|cell|) ** p, each cell rounded once.  Both are over the 2^N cells.
+    """
+    size = len(g)
+    if isinstance(p, int):
+        power_sum = sum(abs(Fraction(v)) ** p for v in g.values.tolist()) / size
+        return (power_sum if p == 1 else float(power_sum) ** (1.0 / p)), power_sum
+    pf = float(p)
+    power_sum = math.fsum(abs(float(v)) ** pf for v in g.values.tolist()) / size
+    return power_sum ** (1.0 / pf), power_sum
+
+
+def half_norm(g: SampledFunction):
+    """`lp_quasinorm(g, 1/2)`, first shown equal to its per-cell definition."""
+    value, (want, want_power) = lp_quasinorm(g, Fraction(1, 2)), per_cell_lp(g, 0.5)
+    assert same(value.value, want) and same(value.power_sum, want_power)
+    return value
+
+
 def array_divergence_t1(fam, n_list) -> list[dict]:
     """The t1 table on 2^M and 2^(M+1) cells, as `divergence_t1` computed it before shells."""
     p, L, M = fam.p, fam.levels, fam.depth
@@ -89,6 +117,22 @@ def array_divergence_t1(fam, n_list) -> list[dict]:
             "weak_norm_depth_plus_1": weak(sigma_deep - term_deep, p).value,
             "truncation_tail_norm": tail.value,
         })
+    return rows
+
+
+def array_divergence_t2(fam, i_list) -> list[dict]:
+    """The t2 table's L_(1/2) columns on 2^M and 2^(M+1) cells, as `divergence_t2` computed
+    them before shells."""
+    fam_deep = build_t2(fam.levels, fam.depth + 1)
+    rows = []
+    for i in i_list:
+        order = q_seq(1 << (i - 1))
+        qn = half_norm(fejer_mean(fam.martingale, System.KACZMARZ, order) - fam.terminal())
+        qn_d = half_norm(fejer_mean(fam_deep.martingale, System.KACZMARZ, order)
+                         - fam_deep.terminal())
+        rows.append({"i": i, "half_power_integral": qn.power_sum, "quasi_norm": qn.value,
+                     "quasi_norm_depth_plus_1": qn_d.value,
+                     "depth_drift": abs(qn_d.value - qn.value) / (qn.value or 1.0)})
     return rows
 
 
@@ -118,7 +162,7 @@ def assert_same_rows(got: list[dict], want: list[dict]) -> None:
     for g, w in zip(got, want):
         assert g.keys() == w.keys()
         for key in w:
-            assert same(g[key], w[key]), (g["n"], key, g[key], w[key])
+            assert same(g[key], w[key]), (g.get("n", g.get("i")), key, g[key], w[key])
 
 
 def assert_same_audit(family) -> None:
@@ -154,6 +198,17 @@ def test_t1_audit_equals_array_route(p):
     for M in range(1, 17):
         for L in {0, M // 2, M - 1}:
             assert_same_audit(build_t1(p, L, M))
+
+
+@pytest.mark.parametrize("L, M", [(2, 6), (3, 9), (3, 12), (3, 16)])
+def test_t2_table_equals_array_route(L, M):
+    fam = build_t2(L, M)
+    i_list = list(itertools.takewhile(lambda i: q_seq(1 << (i - 1)) <= 1 << M,
+                                      itertools.count(1)))
+    want = array_divergence_t2(fam, i_list)
+    got = divergence_t2(fam, i_list).rows
+    assert [row["i"] for row in got] == i_list
+    assert_same_rows([{key: row[key] for key in want[0]} for row in got], want)
 
 
 def test_t2_audit_equals_array_route():
@@ -213,6 +268,13 @@ def test_shell_form_equals_its_expansion(exact):
                 assert same(shells.weak(p).value, weak(g, p).value)
             else:  # weak_lp powers float cells with numpy, which may round differently
                 assert shells.weak(p).value == pytest.approx(weak_lp(g, p).value, rel=1e-12)
+        for p in LP_VALUES:
+            got, want = shells.lp(normalize_p(p)), lp_quasinorm(g, p)
+            if exact:
+                assert got.exact is want.exact
+                assert same(got.value, want.value) and same(got.power_sum, want.power_sum)
+            else:  # float cells sum with numpy's pairwise sum, the shells with one fsum
+                assert got.power_sum == pytest.approx(want.power_sum, rel=1e-12)
         assert shells.sup() == g._sup()
         for r in range(R, M + 1):
             inside = DyadicInterval.at_zero(r, M).cells(M)
@@ -241,9 +303,9 @@ def test_atom_clauses_name_each_violation():
     np.array([1.5, -1.5, 0.25, 0.0])], ids=["int64", "object", "float"])
 def test_magnitudes_count_each_distinct_cell(cells):
     f = SampledFunction(2, cells)
-    mags, counts, den = f._magnitudes(slice(1, None))
-    assert mags == sorted(mags, reverse=True)
-    assert dict(zip((Fraction(a) / den for a in mags), counts)) == Counter(
+    runs, den = f._magnitudes(slice(1, None))
+    assert runs == sorted(runs, reverse=True)
+    assert {Fraction(a) / den: count for a, count in runs} == Counter(
         abs(Fraction(v)) for v in list(cells)[1:])
 
 
@@ -275,3 +337,26 @@ def test_exact_weak_lp_equals_its_per_cell_definition(p):
     for cells in cases:
         g = SampledFunction((len(cells) - 1).bit_length(), cells)
         assert weak_lp(g, p).value == per_cell_weak(g, p)
+
+
+@pytest.mark.parametrize("p", LP_VALUES, ids=str)
+def test_exact_lp_quasinorm_equals_its_per_cell_definition(p):
+    rng = random.Random(13)
+    wide = [Fraction(2**53 + 65, 3), Fraction(-(2**53) - 65, 3), Fraction(1, 2**54 + 1),
+            Fraction(-(2**60) - 1, 2**55 + 3), Fraction(7, 2**53 + 1), 0, 0, 1]
+    cases = [
+        runs_of([1, 3, 7, 15, 6], rng),  # runs of 2^k - 1 cells, then six zeros
+        runs_of([31, 1], rng),  # a 31-cell run and one zero
+        runs_of([2, 6, 12, 8, 4], rng),  # counts with several set bits
+        [0] * 16,
+        [Fraction(1, 3)] + [0] * 15,
+        wide,  # numerators and denominators past 2^53
+        [rng.choice(wide) for _ in range(64)],
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(64)],
+        [rng.choice((2**70, -2**70, 3, 0)) for _ in range(32)],  # object numerators
+    ]
+    for cells in cases:
+        g = SampledFunction((len(cells) - 1).bit_length(), cells)
+        got, (value, power_sum) = lp_quasinorm(g, p), per_cell_lp(g, p)
+        assert got.exact is isinstance(p, int)
+        assert same(got.value, value) and same(got.power_sum, power_sum), cells

@@ -26,7 +26,7 @@ WRAPPERS = {"_of", "_like", "_store"}
 LIMITS = {"_kernel_l1_fits_int64", "_check_depth", "_MAX_DEPTH"}
 # the documented operations on whole objects, plus the limits
 ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
-           "_block_means", "_abs_power_sum", "_magnitudes", "_sup_abs", "_level",
+           "_block_means", "_magnitudes", "_sup_abs", "_level",
            "_signed_sup_abs", "_signed_square_sum", "_fejer_spectrum",
            "_fejer_rows", "_equal_rows", "_translate_power_sums"} | LIMITS
 

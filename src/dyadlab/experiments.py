@@ -23,11 +23,12 @@ extremal witness.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import fsum, lcm, ldexp
+from math import fsum, lcm, ldexp, log2
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,10 +39,10 @@ from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift,
 from .norms import (PLike, QuasiNormValue, _lp_of_runs, _weak_of_runs, normalize_p, translate,
                     weak_lp)
 from .operators import fejer_mean
-from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth, _equal_rows,
-                    _fejer_rows, _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs,
-                    compose_with_tau, dirichlet, fejer_numerators, fwht, kaczmarz_paley_index,
-                    kaczmarz_samples, walsh_paley_samples)
+from .walsh import (SampledFunction, Scalar, System, _check_depth, _equal_rows, _fejer_rows,
+                    _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs, compose_with_tau,
+                    dirichlet, fejer_numerators, fwht, kaczmarz_paley_index, kaczmarz_samples,
+                    walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +106,6 @@ def dirichlet_prefix(n: int, N: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # counterexample families
-
-def _check_table_depth(M: int) -> None:
-    """Refuse M past _MAX_DEPTH - 1 for the t2 table, whose kernel columns read 2^M cells."""
-    if M >= _MAX_DEPTH:
-        raise ValueError(f"counterexample needs depth <= {_MAX_DEPTH - 1}, got {M}: "
-                         f"its divergence table also builds depth {M + 1}")
-
 
 def _on_shell(m: int, c: int, j: int) -> int:
     """Block m (Paley spectrum c on [2^m, 2^{m+1})) on the shell I_j \\ I_{j+1}, or on I_j at j = M.
@@ -191,9 +185,10 @@ class _Shells:
 class CounterexampleFamily:
     """A depth-M family given by its Paley blocks: spectrum c on [2^m, 2^{m+1}) per (m, c).
 
-    Block m is the p-atom of `_atoms` with weight 2^{(2-1/p)m} c / 2^m, so the weighted
-    atoms sum to the terminal level; both are exact when 1/p is an integer, float otherwise.
-    The martingale (always exact), weights and atoms are built from the blocks when read.
+    Block m is its weight times the p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, so the
+    weighted atoms sum to the terminal level; both are exact when 1/p is an integer, float
+    otherwise.  The martingale (always exact) and the weights are built from the blocks when
+    read; the atoms are read on shells (`_shell_atoms`).
     """
 
     kind: str
@@ -212,15 +207,13 @@ class CounterexampleFamily:
 
     @cached_property
     def weights(self) -> list:
+        """Block (m, c)'s weight 2^{(2-1/p)m} c / 2^m: times the p-atom 2^{m(1/p-1)}
+        (D_{2^{m+1}} - D_{2^m}) on I_m, it gives the block c (D_{2^{m+1}} - D_{2^m})."""
         inv_p = _inverse(self.p)
         return [Fraction(2) ** ((2 - inv_p) * m) * Fraction(c, 1 << m) for m, c in self.blocks]
 
     def terminal(self) -> SampledFunction:
         return self.martingale.terminal_function()
-
-    @property
-    def atoms(self) -> list[tuple[SampledFunction, DyadicInterval]]:
-        return list(_atoms(self))
 
 
 def _inverse(p: Fraction | float) -> int | float:
@@ -228,22 +221,11 @@ def _inverse(p: Fraction | float) -> int | float:
     return p.denominator if isinstance(p, Fraction) and p.numerator == 1 else 1.0 / float(p)
 
 
-def _atoms(family: CounterexampleFamily) -> Iterator[tuple[SampledFunction, DyadicInterval]]:
-    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached."""
-    M, inv_p = family.depth, _inverse(family.p)
-    _check_depth(M)
-    for m, _ in family.blocks:
-        interval = DyadicInterval.at_zero(m, M)
-        w = np.full(1 << M, _on_shell(m, 1, m), dtype=np.int64)  # read on I_m only
-        w[DyadicInterval.at_zero(m + 1, M).cells(M)] = _on_shell(m, 1, m + 1)
-        block = SampledFunction.indicator(interval, M)._weighted(w)
-        if isinstance(inv_p, float):
-            block = block.to_float()
-        yield block.scale(2 ** (m * (inv_p - 1))), interval
-
-
 def _shell_atoms(family: CounterexampleFamily) -> Iterator[tuple[_Shells, DyadicInterval]]:
-    """The atoms of `_atoms` as shell forms of I_0, at any depth."""
+    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, as a shell form of I_0.
+
+    It is constant on each shell (`_on_shell`), so it costs O(M) at any depth M.
+    """
     M, inv_p = family.depth, _inverse(family.p)
     low = SampledFunction.constant(0, 0)
     if isinstance(inv_p, float):
@@ -261,6 +243,14 @@ def build_t1(p: PLike, L: int, M: int) -> CounterexampleFamily:
         raise ValueError(f"family t1 needs 0 < p < 1/2, got {p}")
     if not 0 <= L < M:
         raise ValueError(f"need 0 <= L < M, got L={L}, M={M}")
+    # At p = 1/k the weights are 1/2^{(k-2)m}, m < M, and a weak norm over the 2^M cells is
+    # v (count/2^M)^k, v = sigma f - f^(M) with denominator at most 2^M and |v| < 2 sum |c| 2^m
+    # < 2^{2M}: fractions of integers below 2^{M(k+3)}, which `str` prints only under its limit
+    # (0 for none; Python before 3.10.7 has none)
+    k, limit = _inverse(p), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if isinstance(k, int) and limit and M * (k + 3) > limit * log2(10):
+        raise ValueError(f"p = 1/{k} at depth {M} forms integers of up to {M * (k + 3)} bits, "
+                         f"past the {limit}-digit limit on printing an int")
     return CounterexampleFamily("t1", p, L, M, [(i, 1 << i) for i in range(L + 1)])
 
 
@@ -521,7 +511,7 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
     for i in i_list:  # i <= M keeps q_seq small
         if not 1 <= i <= M or q_seq(1 << (i - 1)) > 1 << M:
             raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
-    _check_table_depth(M)
+    _check_depth(M)  # the kernel columns sample 2^M cells
     fam_deep = build_t2(L, M + 1)
     term, term_deep = _radial(fam.blocks, M), _radial(fam_deep.blocks, M + 1)
     rows, built = [], {}

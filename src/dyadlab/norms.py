@@ -43,13 +43,16 @@ PLike = Union[int, float, Fraction, str]
 
 
 def normalize_p(p: PLike) -> Fraction | float:
-    """Keep rational p rational (enables exact paths); finite floats stay floats."""
+    """Keep rational p rational (enables exact paths); finite floats stay floats.
+
+    A nonzero rational p whose float is 0 is refused: the float routes divide by it.
+    """
+    if isinstance(p, (int, str)):
+        p = Fraction(p)
     if isinstance(p, Fraction):
+        if p.denominator.bit_length() > 1074 and float(p) == 0:  # the least float is 2^-1074
+            raise ValueError("exponent p is nonzero but its float is 0")
         return p
-    if isinstance(p, int):
-        return Fraction(p)
-    if isinstance(p, str):
-        return Fraction(p)
     if isinstance(p, float):
         if not math.isfinite(p):
             raise ValueError(f"exponent p must be finite, got {p}")

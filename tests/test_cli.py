@@ -197,10 +197,9 @@ class TestCounterexampleCommand:
     @pytest.mark.parametrize("argv, message", [
         (["t1", "--depth", "64", "--n-list", "4,24"],
          "depth 25 would materialize 2^25 cells; the limit is 24"),
-        (["t2", "--depth", "24"],
-         "counterexample needs depth <= 23, got 24: its divergence table also builds depth 25"),
+        (["t2", "--depth", "25"], "depth 25 would materialize 2^25 cells; the limit is 24"),
         (["t1", "--depth", "10", "--n-list", "30"], "n_list value 30 outside 0..9 at depth 10")],
-        ids=["t1-row-past-cell-limit", "t2-depth-24", "t1-bad-order"])
+        ids=["t1-row-past-cell-limit", "t2-depth-25", "t1-bad-order"])
     def test_table_checks_run_before_any_array(self, argv, message, monkeypatch, capsys):
         audits = []
         monkeypatch.setattr(experiments, "audit_family", audits.append)
@@ -239,6 +238,44 @@ class TestCounterexampleCommand:
             for row, other in zip(table["rows"], near["rows"]):
                 for key in ("weak_norm", "fejer_error_2n", "partial_error_2n"):
                     assert Fraction(row[key]) == Fraction(other[key]), (depth, row["n"], key)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["counterexample", "t1", "--p", "3e-400", "--depth", "8"],
+         "exponent p is nonzero but its float is 0"),
+        (["converge", "--family", "t1", "--p", "1e-400"],
+         "exponent p is nonzero but its float is 0"),
+        (["counterexample", "t1", "--p", "1e-300", "--depth", "8"],
+         f"p = 1/{10 ** 300} at depth 8 forms integers of up to {8 * (10 ** 300 + 3)} bits, "
+         "past the 4300-digit limit on printing an int"),
+        (["counterexample", "t1", "--p", "1/2000", "--depth", "64"],
+         "p = 1/2000 at depth 64 forms integers of up to 128192 bits, "
+         "past the 4300-digit limit on printing an int"),
+        # the table's depth + 1 family is the first whose integers could not print
+        (["counterexample", "t1", "--p", "1/217", "--depth", "64"],
+         "p = 1/217 at depth 65 forms integers of up to 14300 bits, "
+         "past the 4300-digit limit on printing an int")],
+        ids=["float-zero", "converge-float-zero", "1e-300", "1/2000", "past-the-edge"])
+    def test_p_refused_before_any_work(self, argv, message, int_digits, monkeypatch, capsys):
+        work = []
+        for name in ("_gap", "audit_family", "convergence_table"):
+            monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, work) == (2, [])
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_p_at_the_print_edge_runs(self, int_digits, tmp_path):
+        # 65 (k + 3) bits fit in 4300 digits for k = 216, not for 217
+        out = tmp_path / "edge.json"
+        assert run_cli(["counterexample", "t1", "--p", "1/216", "--depth", "64",
+                        "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["verdict"] for r in reports] == ["pass", "pass"]
 
     @pytest.mark.parametrize("family, argv", [
         ("t1", ["--p", "1/4", "--depth", "7", "--n-list", "4,5,6"]),

@@ -18,6 +18,7 @@ from dyadlab import (CoefficientSequence, DyadicInterval, DyadicMartingale, Grou
                      inverse_fwht, maximal, maximal_by_averages, partial_sum,
                      random_exact_martingale, random_lacunary_martingale, s2n,
                      s2n_by_averaging, square_function_squared, translate)
+from test_shell_oracle import array_atoms
 
 N = 4
 F = SampledFunction(N, [Fraction(j - 7, 3) if j % 3 else j - 5 for j in range(1 << N)])
@@ -71,8 +72,8 @@ OPERATORS = {
     "random_lacunary_martingale": lambda: random_lacunary_martingale(random.Random(4), N),
     "t1_terminal": lambda: build_t1(Fraction(1, 4), 3, 5).terminal(),
     "t2_terminal": lambda: build_t2(2, 5).terminal(),
-    "t1_atom": lambda: build_t1(Fraction(1, 4), 3, 5).atoms[2][0],
-    "t2_atom": lambda: build_t2(2, 5).atoms[1][0],
+    "t1_atom": lambda: list(array_atoms(build_t1(Fraction(1, 4), 3, 5)))[2][0],
+    "t2_atom": lambda: list(array_atoms(build_t2(2, 5)))[1][0],
 }
 
 

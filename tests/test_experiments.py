@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
 from dyadlab.group import tau_permutation
 from dyadlab.operators import _fejer_sums
 from dyadlab.walsh import _kernel_l1_fits_int64
+from test_shell_oracle import array_atoms
 
 
 class TestQSeq:
@@ -64,7 +66,7 @@ class TestBuildT1:
 
     def test_atom_support_and_mean(self):
         fam = build_t1(Fraction(1, 4), 5, 7)
-        for i, (atom, interval) in enumerate(fam.atoms):
+        for i, (atom, interval) in enumerate(array_atoms(fam)):
             assert interval.rank == i
             inside = set(interval.indices(7))
             assert all(atom[j] == 0 for j in range(128) if j not in inside)
@@ -72,7 +74,7 @@ class TestBuildT1:
 
     def test_atoms_certified(self):
         fam = build_t1(Fraction(1, 4), 5, 7)
-        for atom, interval in fam.atoms:
+        for atom, interval in array_atoms(fam):
             assert is_p_atom(atom, interval, Fraction(1, 4)).passed
 
     def test_partial_sums_select_whole_atoms(self):
@@ -80,7 +82,7 @@ class TestBuildT1:
         fam = build_t1(Fraction(1, 4), 4, 6)
         zero = SampledFunction.constant(0, 6)
         for A in range(1, 6):
-            for i, (atom, _) in enumerate(fam.atoms):
+            for i, (atom, _) in enumerate(array_atoms(fam)):
                 projected = s2n(atom, A)
                 assert projected == (atom if i < A else zero)
 
@@ -94,13 +96,27 @@ class TestBuildT1:
         with pytest.raises(ValueError):
             build_t1(Fraction(1, 4), 5, 5)
 
+    @pytest.mark.parametrize("M", [1, 8, 24, 65])
+    def test_print_limit_edge(self, M, int_digits):
+        # at p = 1/k a depth-M family forms integers below 2^(M(k+3)); it is refused once
+        # they could print with more digits than the int-to-str limit allows
+        k = int(4300 * math.log2(10)) // M - 3
+        assert build_t1(Fraction(1, k), M - 1, M).p == Fraction(1, k)
+        bits = M * (k + 4)
+        with pytest.raises(ValueError, match=rf"^p = 1/{k + 1} at depth {M} forms integers of "
+                                             rf"up to {bits} bits, past the 4300-digit limit "
+                                             r"on printing an int$"):
+            build_t1(Fraction(1, k + 1), 0, M)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert build_t1(Fraction(1, 10 ** 300), M - 1, M).levels == M - 1
+
     @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(2, 5)], ids=["1/4", "2/5"])
     def test_atoms_equal_the_two_indicator_difference(self, p):
         # D_{2^(m+1)} - D_{2^m} as two indicators, scaled as the atom is
         inv_p = experiments._inverse(p)  # 4, or the float 2.5
         for M in range(1, 11):
             fam = build_t1(p, M - 1, M)
-            for m, (atom, interval) in enumerate(fam.atoms):
+            for m, (atom, interval) in enumerate(array_atoms(fam)):
                 block = (SampledFunction.indicator(DyadicInterval.at_zero(m + 1, M), M, 2 << m)
                          - SampledFunction.indicator(DyadicInterval.at_zero(m, M), M, 1 << m))
                 if isinstance(inv_p, float):
@@ -112,7 +128,7 @@ class TestBuildT1:
 
     def test_float_p_allowed(self):
         fam = build_t1(0.3, 3, 5)
-        assert not fam.atoms[1][0].is_exact
+        assert not list(array_atoms(fam))[1][0].is_exact
         assert fam.martingale.is_exact  # spectrum itself stays integer
 
 
@@ -130,7 +146,7 @@ class TestBuildT2:
 
     def test_atom_sup_bound(self):
         fam = build_t2(3, 10)
-        for i, (atom, interval) in enumerate(fam.atoms, start=1):
+        for i, (atom, interval) in enumerate(array_atoms(fam), start=1):
             sup = max(abs(v) for v in atom.values)
             assert sup <= (1 << (1 << i)) ** 2
             assert interval.rank == 1 << i
@@ -169,14 +185,14 @@ class TestBlockAtoms:
     @pytest.mark.parametrize("M", range(1, 9))
     def test_t1(self, M):
         fam = build_t1(Fraction(1, 4), M - 1, M)
-        for i, (atom, _) in enumerate(fam.atoms):
+        for i, (atom, _) in enumerate(array_atoms(fam)):
             expected = self.dirichlet_block(i, M).scale(1 << (3 * i))  # 2^{i(1/p-1)}
             assert typed_cells(atom) == typed_cells(expected)
 
     @pytest.mark.parametrize("M", range(3, 9))
     def test_t2(self, M):
         fam = build_t2((M - 1).bit_length() - 1, M)  # every block with 2^L + 1 <= M
-        for i, (atom, _) in enumerate(fam.atoms, start=1):
+        for i, (atom, _) in enumerate(array_atoms(fam), start=1):
             expected = self.dirichlet_block(1 << i, M).scale(1 << (1 << i))
             assert typed_cells(atom) == typed_cells(expected)
 
@@ -231,8 +247,9 @@ class TestOneLacunaryBuilder:
         assert fam.martingale.terminal == mart.terminal
         assert [type(c) for c in fam.martingale.terminal.coeffs.tolist()] \
             == [type(c) for c in mart.terminal.coeffs.tolist()]
-        assert len(fam.atoms) == len(atoms)
-        for (atom, interval), (want, want_interval) in zip(fam.atoms, atoms):
+        got = list(array_atoms(fam))
+        assert len(got) == len(atoms)
+        for (atom, interval), (want, want_interval) in zip(got, atoms):
             assert interval == want_interval
             assert atom.mode == want.mode
             assert typed_cells(atom) == typed_cells(want)
@@ -258,7 +275,7 @@ class TestOneLacunaryBuilder:
         # M = 25 before allocating, as the random generator does, and the audit,
         # which reads shells, runs
         for fam in (build_t1(Fraction(1, 4), 3, 25), build_t2(2, 25)):
-            for read in (lambda: fam.martingale, lambda: fam.atoms, fam.terminal):
+            for read in (lambda: fam.martingale, lambda: list(array_atoms(fam)), fam.terminal):
                 assert refused_peak(read) < 1 << 20
             assert audit_family(fam).passed
         assert refused_peak(lambda: random_decaying_martingale(random.Random(1), 25)) < 1 << 20
@@ -325,50 +342,18 @@ class TestAudit:
 
     @pytest.mark.parametrize("fam", [build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6),
                                      build_t1(0.3, 6, 8)], ids=["t1", "t2", "t1-float"])
+    def test_one_row_per_block_in_block_order(self, fam):
+        report = audit_family(fam)
+        assert report.passed
+        assert [row["rank"] for row in report.rows] == [m for m, _ in fam.blocks]
+
+    @pytest.mark.parametrize("fam", [build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6),
+                                     build_t1(0.3, 6, 8)], ids=["t1", "t2", "t1-float"])
     def test_perturbed_weight_fails(self, fam):
         fam.weights[1] = fam.weights[1] * (1 + Fraction(1, 1 << 20))
         report = audit_family(fam)
         assert not report.passed
         assert not report.witness["coefficients_match"]
-
-
-class TestAtomsBuiltWhenRead:
-    """Only `atoms` builds a family's atom arrays, one per block; the audit reads shells."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The rank of every atom the atom generator yields, in order."""
-        real, ranks = experiments._atoms, []
-
-        def counting(family):
-            for atom, interval in real(family):
-                ranks.append(interval.rank)
-                yield atom, interval
-
-        monkeypatch.setattr(experiments, "_atoms", counting)
-        return ranks
-
-    def test_builders_and_tables_build_none(self, built, tmp_path):
-        fam1, fam2 = build_t1(Fraction(1, 4), 5, 7), build_t2(2, 6)
-        divergence_t1(fam1, [2, 3])
-        divergence_t2(fam2, [2])
-        rate_table_t1(Fraction(1, 4), [3], 5, 6)
-        assert main(["converge", "--family", "t1", "--p", "1/4", "--depth", "5",
-                     "--n-max", "4", "--out", str(tmp_path / "c.json")]) == 0
-        assert built == []
-
-    @pytest.mark.parametrize("build", [lambda: build_t1(Fraction(1, 4), 5, 7),
-                                       lambda: build_t2(2, 6), lambda: build_t1(0.3, 6, 8)],
-                             ids=["t1", "t2", "t1-float"])
-    def test_audit_builds_one_per_block(self, built, build):
-        # one shell atom per block, in block order, and no atom array
-        fam = build()
-        report = audit_family(fam)
-        assert report.passed
-        assert [row["rank"] for row in report.rows] == [m for m, _ in fam.blocks]
-        assert built == []
-        assert len(fam.atoms) == len(fam.blocks)
-        assert built == [m for m, _ in fam.blocks]
 
 
 class TestAtomicDecomposition:
@@ -380,7 +365,7 @@ class TestAtomicDecomposition:
         mart = fam.martingale
         for n in range(8):
             acc = SampledFunction.constant(0, 7)
-            for weight, (atom, _) in zip(fam.weights, fam.atoms):
+            for weight, (atom, _) in zip(fam.weights, array_atoms(fam)):
                 acc = acc + s2n(atom, n).scale(weight)
             assert acc == mart.level(n)
 
@@ -729,6 +714,23 @@ class TestDivergenceT2:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             divergence_t2(build_t2(3, 8), [3])
+
+    def test_depth_limit_is_the_kernel_columns(self, monkeypatch):
+        # depth 24 passes the one cell-limit check and reaches the first kernel column,
+        # whose 2^24 cells are the table's largest array; depth 25 is refused before it
+        class Reached(Exception):
+            pass
+
+        def stop(order, N):
+            raise Reached(order, N)
+
+        monkeypatch.setattr(experiments, "dirichlet_prefix", stop)
+        with pytest.raises(Reached) as reached:
+            divergence_t2(build_t2(3, 24), [2])
+        assert reached.value.args == (q_seq(1), 24)
+        with pytest.raises(ValueError,
+                           match=r"^depth 25 would materialize 2\^25 cells; the limit is 24$"):
+            divergence_t2(build_t2(3, 25), [2])
 
     @pytest.mark.parametrize("i", [3, 0, -2, 10 ** 12])
     def test_order_range_named(self, i):

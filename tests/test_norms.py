@@ -57,6 +57,16 @@ class TestLp:
         with pytest.raises(ValueError):
             lp_quasinorm(f, Fraction(-1, 2))
 
+    def test_exponent_whose_float_is_zero(self):
+        # 2^-1074 is the least positive float; 2^-1075 and below round to 0
+        for p in (Fraction(1, 1 << 1075), Fraction(-3, 10 ** 400), "1e-400"):
+            with pytest.raises(ValueError, match="^exponent p is nonzero but its float is 0$"):
+                normalize_p(p)
+        tiny = Fraction(1, 1 << 1074)
+        assert normalize_p(tiny) == tiny and float(tiny) == 2.0 ** -1074
+        assert normalize_p(Fraction(3, 1 << 1076)) == Fraction(3, 1 << 1076)  # rounds up
+        assert normalize_p(0) == 0 and normalize_p(10 ** 400) == 10 ** 400
+
     def test_float_matches_exact(self):
         rng = random.Random(0)
         f = random_exact(rng, 6)

@@ -4,9 +4,9 @@
 (`experiments._Shells`): functions on the depth-M group that are constant on
 each shell I_j \\ I_(j+1) of I_R, with 2^R low cells.  The array route they
 replaced is rebuilt here from `fejer_mean`, `s2n`, `dirichlet`, `weak_lp`,
-the per-cell L_p sums and `is_p_atom` on all 2^M cells.  Every column and
-audit field must equal it: exact values as Fractions, float-p values bit for
-bit.
+the per-cell L_p sums, `is_p_atom` and the atoms (`array_atoms`) on all 2^M
+cells.  Every column, audit field and shell atom must equal it: exact values
+as Fractions, float-p values bit for bit.
 """
 
 import itertools
@@ -21,10 +21,11 @@ import pytest
 from dyadlab import (SampledFunction, System, dirichlet, fejer_mean, is_p_atom, lp_quasinorm,
                      normalize_p, s2n, weak_lp)
 from dyadlab import experiments
-from dyadlab.experiments import (audit_family, build_t1, build_t2, divergence_t1, divergence_t2,
-                                 q_seq)
+from dyadlab.experiments import (_inverse, _on_shell, audit_family, build_t1, build_t2,
+                                 divergence_t1, divergence_t2, q_seq)
 from dyadlab.group import DyadicInterval
 from dyadlab.hardy import _atom_clauses
+from dyadlab.walsh import _check_depth
 
 P_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), 0.3]
 FLOAT_P = [p for p in P_VALUES if not (isinstance(p, Fraction) and p.numerator == 1)]
@@ -136,10 +137,28 @@ def array_divergence_t2(fam, i_list) -> list[dict]:
     return rows
 
 
+def array_atoms(family):
+    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, built when reached.
+
+    The family's atoms on all 2^M cells, as `experiments` built them before the audit read
+    shells.
+    """
+    M, inv_p = family.depth, _inverse(family.p)
+    _check_depth(M)
+    for m, _ in family.blocks:
+        interval = DyadicInterval.at_zero(m, M)
+        w = np.full(1 << M, _on_shell(m, 1, m), dtype=np.int64)  # read on I_m only
+        w[DyadicInterval.at_zero(m + 1, M).cells(M)] = _on_shell(m, 1, m + 1)
+        block = SampledFunction.indicator(interval, M)._weighted(w)
+        if isinstance(inv_p, float):
+            block = block.to_float()
+        yield block.scale(2 ** (m * (inv_p - 1))), interval
+
+
 def array_audit(family) -> dict:
     """The audit on the 2^M-cell atoms, as `audit_family` computed it before shells."""
     total, rows = None, []
-    for k, ((atom, interval), w) in enumerate(zip(family.atoms, family.weights)):
+    for k, ((atom, interval), w) in enumerate(zip(array_atoms(family), family.weights)):
         cert = is_p_atom(atom, interval, family.p)
         rows.append({"atom": k, "rank": interval.rank, "passed": cert.passed,
                      "violated": cert.violated})
@@ -242,6 +261,29 @@ def expand(shells: experiments._Shells) -> SampledFunction:
     if shells.exact:
         return SampledFunction(M, cells)
     return SampledFunction(M, np.array(cells, dtype=np.float64))
+
+
+def assert_same_atoms(family) -> None:
+    """Each shell atom, expanded, equals the array atom cell for cell, on the same interval."""
+    got, want = list(experiments._shell_atoms(family)), list(array_atoms(family))
+    assert len(got) == len(want) == len(family.blocks)
+    for (shells, interval), (atom, want_interval) in zip(got, want):
+        g = expand(shells)
+        assert interval == want_interval and g == atom
+        assert all(same(a, b) for a, b in zip(g.values.tolist(), atom.values.tolist()))
+
+
+@pytest.mark.parametrize("p", P_VALUES, ids=str)
+def test_t1_shell_atoms_equal_the_array_atoms(p):
+    for M in range(1, 13):
+        for L in {0, M // 2, M - 1}:
+            assert_same_atoms(build_t1(p, L, M))
+
+
+def test_t2_shell_atoms_equal_the_array_atoms():
+    for L in range(1, 4):
+        for M in range((1 << L) + 1, 13):
+            assert_same_atoms(build_t2(L, M))
 
 
 def random_shells(rng: random.Random, exact: bool) -> experiments._Shells:

@@ -121,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     t1 = leaf(families, "t1", run_t1, "the p < 1/2 family")
     t1.add_argument("--p", type=_parse_p, default="1/4")
     t1.add_argument("--n-list", type=_parse_int_list, default=None,
-                    help="exponents n for orders 2^n+1")
+                    help="exponents n for orders 2^n+1 (default 4..8 below depth, else depth-1)")
     t2 = leaf(families, "t2", run_t2, "the p = 1/2 family")
     t2.add_argument("--i-list", type=_parse_int_list, default=None,
-                    help="indices i for orders q_{2^{i-1}}")
-    for c in (t1, t2):
-        c.add_argument("--levels", type=int, default=None)
+                    help="indices i for orders q_{2^{i-1}} (default 2, 3 if <= 2^depth, else 1)")
+    for c, levels in ((t1, "depth-1"), (t2, "the largest L <= 3 with 2^L+1 <= depth")):
+        c.add_argument("--levels", type=int, default=None, help=f"default {levels}")
         c.add_argument("--depth", type=int, default=10)
 
     g = leaf(sub, "converge", run_converge, "modulus/threshold/error tables")
@@ -240,24 +240,27 @@ def run_identities(config: RunConfig) -> list[VerificationReport]:
 
 
 def _family(config: RunConfig) -> experiments.CounterexampleFamily:
-    """The t1 or t2 family the flags name; --levels defaults to depth - 1 for t1, 3 for t2."""
+    """The t1 or t2 family the flags name, at the default --levels that `--help` states."""
     if config.family == "t1":
         levels = config.depth - 1 if config.levels is None else config.levels
         return experiments.build_t1(Fraction(config.p), levels, config.depth)
-    return experiments.build_t2(3 if config.levels is None else config.levels, config.depth)
+    top = max(1, min(3, (config.depth - 1).bit_length() - 1))
+    return experiments.build_t2(top if config.levels is None else config.levels, config.depth)
 
 
 def run_t1(config: RunConfig) -> list[VerificationReport]:
     fam = _family(config)
     # the table runs first, so a bad order list exits before the audit; both run on shells
-    table = experiments.divergence_t1(fam, config.n_list or [4, 5, 6, 7, 8])
+    orders = range(min(4, fam.depth - 1), min(9, fam.depth))  # 4..8 below the depth, or depth-1
+    table = experiments.divergence_t1(fam, config.n_list or list(orders))
     return [experiments.audit_family(fam), table]
 
 
 def run_t2(config: RunConfig) -> list[VerificationReport]:
     fam = _family(config)
     # the table runs first, so its checks come before the audit builds any 2^M array
-    table = experiments.divergence_t2(fam, config.i_list or [2, 3])
+    orders = [i for i in (2, 3) if experiments.q_seq(1 << (i - 1)) <= 1 << fam.depth] or [1]
+    table = experiments.divergence_t2(fam, config.i_list or orders)
     return [experiments.audit_family(fam), table]
 
 

@@ -491,9 +491,11 @@ def kernel_half_integral(order: int, tau_width: int, N: int) -> float:
     """integral |order * K_order(tau_width-reversed x)|^{1/2} dmu, float of exact values."""
     if tau_width > N:
         raise ValueError(f"coordinate reversal width {tau_width} exceeds resolution {N}")
-    T = np.abs(dirichlet_prefix(order, N)[tau_permutation(tau_width, N)])
+    tau = tau_permutation(tau_width, N)  # first, so its scratch arrays and the kernel never meet
+    cells = dirichlet_prefix(order, N)[tau]
+    roots = np.sqrt(np.abs(cells, out=cells))
     # a running (sequential) sum, not numpy's pairwise one, keeps the reported floats stable
-    return float(np.add.accumulate(np.sqrt(T))[-1]) / (1 << N)
+    return float(np.add.accumulate(roots, out=roots)[-1]) / (1 << N)
 
 
 def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> VerificationReport:

@@ -97,8 +97,8 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
 
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
-    """f* = max_n |f^(n)| pointwise over all levels 0..M: the one-row `_signed_sup_abs`."""
-    return next(_signed_sup_abs(f.terminal, np.ones((1, 1), dtype=np.int64)))[1]
+    """f* = max_n |f^(n)| pointwise over all levels 0..M: `_signed_sup_abs` with no signs."""
+    return next(_signed_sup_abs(f.terminal))
 
 
 def maximal_by_averages(f: SampledFunction) -> SampledFunction:
@@ -118,7 +118,7 @@ def square_function_squared(f: DyadicMartingale) -> SampledFunction:
     unchanged pointwise, which is the exactly-preserved quantity behind
     the conjugate transform's isometry.
     """
-    return next(_signed_square_sum(f.terminal, np.ones((1, 1), dtype=np.int64)))
+    return next(_signed_square_sum(f.terminal))
 
 
 def modulus_hp(f: DyadicMartingale, n: int, p: PLike) -> QuasiNormValue:

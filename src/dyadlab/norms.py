@@ -22,9 +22,9 @@ every modulus of continuity omega_p(1/2^n, f) as a masked maximum.  At
 even p it is exact: the float cells, scaled to integers over one power
 of two, give integer power sums for all shifts at once by dyadic
 correlation (`_translate_power_sums`), and each value is rounded once.
-Other p, and cells that are not finite, take a float64 XOR gather over
-all 4^N (shift, cell) pairs.  `modulus_lp` gathers only its 2^{N-n}
-shifts (float mode) or loops over as many exact translates.
+Other p, and cells that are not finite, sum each pair {j, j + h} once and
+double it (`_shift_power_sums`), with no 4^N index.  `modulus_lp` sums
+only its 2^{N-n} shifts (float mode) or loops over as many exact translates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .group import DyadicInterval, GroupPoint
+from .group import GroupPoint
 from .walsh import SampledFunction, _level, _zeroed, fwht
 
 PLike = Union[int, float, Fraction, str]
@@ -149,20 +149,31 @@ def translate(f: SampledFunction, h: GroupPoint) -> SampledFunction:
     return f._gathered(np.arange(len(f)) ^ h.index)
 
 
-def _shift_power_sums(arr: np.ndarray, shifts: np.ndarray, p: float) -> np.ndarray:
-    """sum_j |arr[j XOR h] - arr[j]|^p for every h in `shifts`, one float64 gather.
+def _shift_power_sums(arr: np.ndarray, n: int, p: float) -> np.ndarray:
+    """sum_j |arr[j XOR h] - arr[j]|^p for every h in I_n (low n bits zero), ascending.
 
-    The gather runs in row chunks so its matrix stays near 4e6 cells.
-    """
-    size = arr.size
-    idx = np.arange(size)
-    out = np.empty(shifts.size)
-    chunk = max(1, 4_000_000 // size)
-    for start in range(0, shifts.size, chunk):
-        hs = shifts[start:start + chunk]
-        gathered = arr[hs[:, None] ^ idx[None, :]]
-        out[start:start + chunk] = np.sum(np.abs(gathered - arr[None, :]) ** p, axis=1)
-    return out
+    For h of top bit k, j and j XOR h give one term: twice the sum over the j with bit k clear.
+    Their partners' translates by h' < 2^s in I_n double (flipping bit m reverses each pair of
+    2^m-cell blocks) while under 4e6 cells; a higher h' permutes 2^s-cell blocks."""
+    size, N = arr.size, arr.size.bit_length() - 1
+    sums = [np.sum(np.abs(arr - arr) ** p, keepdims=True)]  # h = 0: 0, NaN if a cell is not finite
+    for k in range(n, N):
+        s = min(k, n + max(0, (4_000_000 // size).bit_length() - 1))  # translates in 4e6 cells
+        blocks = arr.reshape(-1, 2, 1 << (k - s), 1 << s)  # 2^s-cell blocks; bit k picks the half
+        base = np.empty((1 << (s - n), *blocks[:, 1].shape))
+        base[0] = blocks[:, 1]
+        for m in range(n, s):
+            c, pairs = 1 << (m - n), (1 << (m - n), -1, 2, 1 << m)
+            base[c:2 * c].reshape(pairs)[:] = base[:c].reshape(pairs)[:, :, ::-1]
+        work = base if k == s else np.empty_like(base)
+        for hh in range(1 << (k - s)):  # h = 2^k + hh 2^s + h'
+            moved = np.take(base, np.arange(1 << (k - s)) ^ hh, 2, work, "clip") if hh else base
+            np.abs(np.subtract(moved, blocks[:, 0], out=work), out=work)
+            if p != 1:
+                work **= p
+            sums.append(2 * work.reshape(len(work), -1).sum(axis=1))
+        del base, work, moved  # before the next k allocates twice as many cells
+    return np.concatenate(sums)
 
 
 def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
@@ -176,11 +187,10 @@ def modulus_lp(f: SampledFunction, n: int, p: PLike) -> QuasiNormValue:
     p = normalize_p(p)
     _check_p_positive(p)
     N = f.resolution
-    shifts = range(len(f))[DyadicInterval.at_zero(n, N).cells(N)]  # h in I_n
     if not f.is_exact:
-        sums = _shift_power_sums(f.values, np.array(shifts), float(p))
-        best_power = float(np.max(sums)) / len(f)
+        best_power = float(np.max(_shift_power_sums(f.values, n, float(p)))) / len(f)
         return QuasiNormValue(p, best_power ** (1.0 / float(p)), best_power, False)
+    shifts = range(0, len(f), 1 << n)  # h in I_n
     return max((lp_quasinorm(translate(f, GroupPoint(N, h)) - f, p) for h in shifts),
                key=lambda q: q.power_sum)  # the first shift of largest power sum
 
@@ -198,17 +208,17 @@ def translate_norm_profile(f: SampledFunction, p: PLike) -> np.ndarray:
 
     At even p, with finite cells, each value is the exact power sum of
     `_translate_power_sums` rounded once.  Other p, and cells that are
-    not finite, take one float64 XOR gather over every (shift, cell)
-    pair.  Since I_n consists of the shifts whose low n bits vanish, a
-    single profile serves every modulus omega_p(1/2^n, f) as a masked
-    maximum.
+    not finite, take `_shift_power_sums`: each unordered pair of cells
+    is summed once and the sum doubled, with no 4^N index.  Since I_n
+    consists of the shifts whose low n bits vanish, a single profile
+    serves every modulus omega_p(1/2^n, f) as a masked maximum.
     """
     p = normalize_p(p)
     _check_p_positive(p)
     cells = f._floats()
     even = isinstance(p, Fraction) and p.denominator == 1 and p.numerator % 2 == 0
     if not (even and np.all(np.isfinite(cells))):
-        return _shift_power_sums(cells, np.arange(len(f)), float(p)) / len(f)
+        return _shift_power_sums(cells, 0, float(p)) / len(f)
     sums, unit = f._translate_power_sums(p.numerator)
     den = unit << f.resolution
     return np.array([_rounded(s, den) for s in sums.tolist()], dtype=np.float64)

@@ -708,9 +708,9 @@ def _level_frac(spec: CoefficientSequence, n: int) -> bool:
     return spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[:1 << n].any())
 
 
-def _signed_sup_abs(spec: CoefficientSequence,
-                    signs: np.ndarray) -> Iterator[tuple[SampledFunction, SampledFunction]]:
-    """(f^(N), max_n |f^(n)|) of the Paley spectrum spec * s, for each row s of the +-1 `signs`.
+def _signed_sup_abs(spec: CoefficientSequence, signs=None) -> Iterator:
+    """(f^(N), max_n |f^(n)|) of the Paley spectrum spec * s, for each row s of the +-1 `signs`;
+    with no signs, max_n |f^(n)| of spec alone, and no terminal.
 
     Each row's butterfly stages for bits 0..n-1 leave level n on its first
     2^n cells (see `_level`) over spec's denominator, so one butterfly of
@@ -718,7 +718,8 @@ def _signed_sup_abs(spec: CoefficientSequence,
     A tie keeps the earlier level's cell, as in `_sup_abs`.  Signs keep
     every row within spec's own bound, so spec widens once, before it stacks.
     """
-    stages = _butterfly_stages(_widened(_l1, spec._num)[0] * signs)
+    num = _widened(_l1, spec._num)[0]
+    stages = _butterfly_stages(num if signs is None else num * signs)
     cells = next(stages)
     acc, frac = np.abs(cells[..., :1]), _level_frac(spec, 0)
     for n, cells in enumerate(stages, 1):
@@ -728,14 +729,17 @@ def _signed_sup_abs(spec: CoefficientSequence,
         if _level_frac(spec, n) is not frac:  # the cell read out is the level's that wins it
             frac = np.where(mag > acc, _level_frac(spec, n), frac)
         acc = np.maximum(acc, mag)
+    if signs is None:
+        yield SampledFunction._of(spec.resolution, acc, spec._den, frac)
+        return
     whole = _level_frac(spec, spec.resolution)
     for terminal, peak, marks in zip(cells, acc, np.broadcast_to(frac, acc.shape)):
         yield (SampledFunction._of(spec.resolution, terminal, spec._den, whole),
                SampledFunction._of(spec.resolution, peak, spec._den, marks))
 
 
-def _signed_square_sum(spec: CoefficientSequence, signs: np.ndarray) -> Iterator[SampledFunction]:
-    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, for f = spec * s as in `_signed_sup_abs`.
+def _signed_square_sum(spec: CoefficientSequence, signs=None) -> Iterator[SampledFunction]:
+    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, for f = spec * s as in `_signed_sup_abs`, or spec.
 
     Difference n has the spectrum's block [2^(n-1), 2^n) ([0, 1) for
     n = 0), so the squared sums of |numerator| over the blocks add up
@@ -745,14 +749,15 @@ def _signed_square_sum(spec: CoefficientSequence, signs: np.ndarray) -> Iterator
         starts = [0] + [1 << k for k in range(spec.resolution)]
         return sum(b * b for b in np.add.reduceat(np.abs(_fit(num, _l1(num))), starts).tolist())
 
-    stages = _butterfly_stages(_widened(bound, spec._num)[0] * signs)
+    num = _widened(bound, spec._num)[0]
+    stages = _butterfly_stages(num if signs is None else num * signs)
     prev = next(stages)[..., :1].copy()  # each stage overwrites the level before it
     acc = prev * prev
     for n, cells in enumerate(stages, 1):
         level = cells[..., :1 << n]
         diff = level - np.concatenate((prev, prev), axis=-1)
         acc, prev = np.concatenate((acc, acc), axis=-1) + diff * diff, level.copy()
-    for row in acc:
+    for row in acc.reshape(-1, acc.shape[-1]):
         yield SampledFunction._of(spec.resolution, row, spec._den ** 2,
                                   _level_frac(spec, spec.resolution))
 

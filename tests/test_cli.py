@@ -277,6 +277,32 @@ class TestCounterexampleCommand:
         reports = json.loads(out.read_text())["reports"]
         assert [r["verdict"] for r in reports] == ["pass", "pass"]
 
+    @pytest.mark.parametrize("depth, t1_orders, t2_levels, t2_orders", [
+        (2, [1], None, None), (3, [2], 1, [1]), (4, [3], 1, [1]), (5, [4], 2, [2]),
+        (6, [4, 5], 2, [2]), (7, [4, 5, 6], 2, [2]), (8, [4, 5, 6, 7], 2, [2]),
+        (9, [4, 5, 6, 7, 8], 3, [2, 3]), (10, [4, 5, 6, 7, 8], 3, [2, 3])])
+    def test_defaults_follow_the_depth(self, depth, t1_orders, t2_levels, t2_orders, tmp_path,
+                                       capsys):
+        # t1: levels depth - 1 and the orders 4..8 below the depth, else depth - 1 alone;
+        # t2: the largest L <= 3 with 2^L + 1 <= depth, and the i of 2, 3 whose order
+        # q_(2^(i-1)) is at most 2^depth, else 1.  The header echoes none of them.
+        out = tmp_path / "r.json"
+        assert run_cli(["counterexample", "t1", "--depth", str(depth), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["reports"][1]["parameters"]["n_list"] == t1_orders
+        assert payload["reports"][1]["parameters"]["levels"] == depth - 1
+        assert "n_list" not in payload["config"] and "levels" not in payload["config"]
+        code = run_cli(["counterexample", "t2", "--depth", str(depth), "--out", str(out)])
+        if t2_levels is None:  # no block fits, so the family itself is refused
+            assert code == 2
+            assert capsys.readouterr().err == "error: block 1 needs depth >= 3, got 2\n"
+            return
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["reports"][1]["parameters"]["i_list"] == t2_orders
+        assert payload["reports"][1]["parameters"]["levels"] == t2_levels
+        assert "i_list" not in payload["config"] and "levels" not in payload["config"]
+
     @pytest.mark.parametrize("family, argv", [
         ("t1", ["--p", "1/4", "--depth", "7", "--n-list", "4,5,6"]),
         ("t2", ["--levels", "2", "--depth", "6", "--i-list", "2"])])

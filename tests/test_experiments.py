@@ -754,6 +754,18 @@ class TestDivergenceT2:
                 assert type(got) is float
                 assert got.hex() == (total / (1 << M)).hex(), (order, width)
 
+    @pytest.mark.parametrize("M", [12, 16, 20])
+    @pytest.mark.parametrize("order, width", [(85, 8), (340, 16)])
+    def test_kernel_half_integral_equals_the_one_expression(self, order, width, M):
+        # the in-place steps give the bits of the one-expression form they replaced
+        if width > M:
+            with pytest.raises(ValueError, match=f"width {width} exceeds resolution {M}"):
+                kernel_half_integral(order, width, M)
+            return
+        T = np.abs(dirichlet_prefix(order, M)[tau_permutation(width, M)])
+        want = float(np.add.accumulate(np.sqrt(T))[-1]) / (1 << M)
+        assert kernel_half_integral(order, width, M).hex() == want.hex()
+
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel
         # integral must not depend on the reversal width

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -314,8 +315,33 @@ def profile_by_fractions(cells, p):
     return np.array(out)
 
 
+def shift_power_sums_by_gather(arr, shifts, p):
+    """sum_j |arr[j XOR h] - arr[j]|^p for every h in `shifts`, one float64 gather (reference).
+
+    The gather runs in row chunks so its matrix stays near 4e6 cells.
+    """
+    size = arr.size
+    idx = np.arange(size)
+    out = np.empty(shifts.size)
+    chunk = max(1, 4_000_000 // size)
+    for start in range(0, shifts.size, chunk):
+        hs = shifts[start:start + chunk]
+        gathered = arr[hs[:, None] ^ idx[None, :]]
+        out[start:start + chunk] = np.sum(np.abs(gathered - arr[None, :]) ** p, axis=1)
+    return out
+
+
 def gather_profile(cells, p):
-    return _shift_power_sums(cells, np.arange(cells.size), float(p)) / cells.size
+    return shift_power_sums_by_gather(cells, np.arange(cells.size), float(p)) / cells.size
+
+
+def assert_within_ulps(got, want, ulps=4):
+    """Equal inf, NaN and zero cells, and every finite cell within `ulps` ulp of the reference."""
+    assert got.shape == want.shape
+    for pattern in (np.isnan, np.isposinf, np.isneginf, lambda x: x == 0):
+        assert np.array_equal(pattern(got), pattern(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= ulps * np.spacing(np.abs(want[finite])))
 
 
 def profile_inputs(rng, N, p):
@@ -361,6 +387,67 @@ class TestProfileOracle:
         cells[5] = bad
         got = translate_norm_profile(SampledFunction(4, cells), p)
         assert got.tobytes() == gather_profile(cells, p).tobytes()
+
+
+class TestShiftPowerSums:
+    """The pair-once doubling against the per-shift gather it replaced."""
+
+    @pytest.mark.parametrize("p", [1, 0.5, 0.3, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3, 6, 10, 12])
+    def test_within_four_ulp_of_the_gather(self, N, p):
+        rng = random.Random(10 * N + int(10 * p))
+        inputs = dict(profile_inputs(rng, N, p)) if N <= 6 else {
+            "uniform": np.array([rng.uniform(-1, 1) for _ in range(1 << N)])}
+        for cells in inputs.values():
+            for n in range(N + 1):
+                shifts = np.arange(0, 1 << N, 1 << n)
+                assert_within_ulps(_shift_power_sums(cells, n, p),
+                                   shift_power_sums_by_gather(cells, shifts, p))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("p", [1, 0.5, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cells(self, bad, p):
+        rng = random.Random(4)
+        cells = np.array([rng.uniform(-1, 1) for _ in range(64)])
+        for where in (0, 37):
+            cells[where] = bad
+            for n in (0, 2, 6):
+                got = _shift_power_sums(cells, n, p)
+                assert math.isnan(got[0])  # |f - f|^p is NaN on the bad cell, never 0
+                assert_within_ulps(got, shift_power_sums_by_gather(
+                    cells, np.arange(0, 64, 1 << n), p))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_overflow_to_inf(self, p):
+        rng = random.Random(p)
+        cells = np.array([rng.choice([-1e308, 0.0, 1e103, -3e102, 1e77]) for _ in range(64)])
+        for n in (0, 1, 3):
+            got = _shift_power_sums(cells, n, p)
+            assert np.isinf(got).sum() > 0
+            assert_within_ulps(got, shift_power_sums_by_gather(
+                cells, np.arange(0, 64, 1 << n), p))
+
+    @pytest.mark.parametrize("p", [1, Fraction(1, 2), 3, 0.3])
+    def test_float_modulus_is_the_masked_profile_maximum(self, p):
+        rng = random.Random(12)
+        for N in (0, 5, 9):
+            f = random_float(rng, N)
+            profile = translate_norm_profile(f, p)
+            for n in range(N + 1):
+                assert modulus_lp(f, n, p).power_sum == np.max(profile[::1 << n])
+
+    def test_memory_stays_near_the_chunk(self):
+        # 4^12 cells would be 134 MB; the translates stay within 4e6 float64 cells
+        cells = np.random.default_rng(5).uniform(-1, 1, 1 << 12)
+        tracemalloc.start()
+        try:
+            _shift_power_sums(cells, 0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4_000_000
 
 
 class TestApproxBracket:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import fsum, lcm, ldexp, log2
+from math import lcm, log2
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,13 +36,13 @@ import numpy as np
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
 from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift, conjugate,
                     hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
-from .norms import (PLike, QuasiNormValue, _lp_of_runs, _weak_of_runs, normalize_p, translate,
-                    weak_lp)
+from .norms import (PLike, QuasiNormValue, _inverse, _lp_of_runs, _weak_of_runs, normalize_p,
+                    translate, weak_lp)
 from .operators import fejer_mean
-from .walsh import (SampledFunction, Scalar, System, _check_depth, _equal_rows, _fejer_rows,
-                    _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs, compose_with_tau,
-                    dirichlet, fejer_numerators, fwht, kaczmarz_paley_index, kaczmarz_samples,
-                    walsh_paley_samples)
+from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth, _equal_rows,
+                    _fejer_rows, _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs,
+                    compose_with_tau, dirichlet, fejer_numerators, fwht, kaczmarz_paley_index,
+                    kaczmarz_samples, walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -128,44 +128,39 @@ class _Shells:
     `low` is g at resolution R: its cells 1..2^R - 1 (mass 2^-R each) are the rank-R cells
     off I_R, and its cell 0, which is I_R, is not read.  `values[j - R]` is g on the shell
     I_j \\ I_{j+1} (mass 2^{-j-1}) for R <= j < M, and `values[M - R]` is g on I_M (mass 2^-M).
-    So the norms and atom clauses below cost O(2^R + M), not O(2^M).  Exact forms hold ints
-    and Fractions, float ones floats, as `low` does.
+    So the norms and atom clauses below cost O(2^R + M), not O(2^M).  The values are ints and
+    Fractions, and `low` is exact.
     """
 
     depth: int
     low: SampledFunction
     values: list
 
-    @property
-    def exact(self) -> bool:
-        return self.low.is_exact
-
     def _pieces(self) -> tuple[dict, int]:
-        """{|g| times den: how many rank-M cells hold it}, and den (1 for float forms)."""
+        """{|g| times den: how many rank-M cells hold it}, and den, the lcm of every denominator."""
         R, M = self.low.resolution, self.depth
         runs, low_den = self.low._magnitudes(slice(1, None))
-        den = lcm(low_den, *(v.denominator for v in self.values)) if self.exact else 1
+        den = lcm(low_den, *(v.denominator for v in self.values))
         cells = {a * (den // low_den): count << (M - R) for a, count in runs}
         for j, v in enumerate(self.values, R):
-            a = abs(v.numerator) * (den // v.denominator) if self.exact else abs(v)
+            a = abs(v.numerator) * (den // v.denominator)
             cells[a] = cells.get(a, 0) + (1 << max(M - j - 1, 0))
         return cells, den
 
     def weak(self, p: Fraction | float) -> QuasiNormValue:
-        """`weak_lp` of g over its 2^M cells; exact when g is and 1/p is an integer."""
+        """`weak_lp` of g over its 2^M cells; exact when 1/p is an integer."""
         cells, den = self._pieces()
-        return _weak_of_runs(p, sorted(cells.items(), reverse=True), den, 1 << self.depth,
-                             self.exact and isinstance(p, Fraction) and p.numerator == 1)
+        return _weak_of_runs(p, sorted(cells.items(), reverse=True), den, 1 << self.depth)
 
     def lp(self, p: Fraction | float) -> QuasiNormValue:
-        """`lp_quasinorm` of g over its 2^M cells; an exact power sum when g is and p is an int."""
+        """`lp_quasinorm` of g over its 2^M cells; an exact power sum when p is an int."""
         cells, den = self._pieces()
-        return _lp_of_runs(p, cells.items(), den, 1 << self.depth, self.exact)
+        return _lp_of_runs(p, cells.items(), den, 1 << self.depth)
 
     def sup(self) -> Scalar:
         """sup |g| over every cell."""
         cells, den = self._pieces()
-        return Fraction(max(cells), den) if self.exact else max(cells)
+        return Fraction(max(cells), den)
 
     def vanishes_off(self, r: int) -> bool:
         """Whether g is 0 off I_r, for r >= R."""
@@ -175,10 +170,7 @@ class _Shells:
     def integral(self, r: int) -> Scalar:
         """The integral of g over I_r, for r >= R: each shell's value times its mass."""
         R, M = self.low.resolution, self.depth
-        terms = [(v, min(j + 1, M)) for j, v in enumerate(self.values[r - R:], r)]
-        if self.exact:
-            return sum(Fraction(v, 1 << k) for v, k in terms)
-        return fsum(ldexp(v, -k) for v, k in terms)  # exact terms, so the sum is rounded once
+        return sum(Fraction(v, 1 << min(j + 1, M)) for j, v in enumerate(self.values[r - R:], r))
 
 
 @dataclass
@@ -216,23 +208,15 @@ class CounterexampleFamily:
         return self.martingale.terminal_function()
 
 
-def _inverse(p: Fraction | float) -> int | float:
-    """1/p as an int when it is one, so atoms and weights stay exact, else as a float."""
-    return p.denominator if isinstance(p, Fraction) and p.numerator == 1 else 1.0 / float(p)
+def _shell_atoms(family: CounterexampleFamily) -> Iterator[tuple[Scalar, _Shells, DyadicInterval]]:
+    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m: (scale, block, I_m).
 
-
-def _shell_atoms(family: CounterexampleFamily) -> Iterator[tuple[_Shells, DyadicInterval]]:
-    """Block m's p-atom 2^{m(1/p-1)} (D_{2^{m+1}} - D_{2^m}) on I_m, as a shell form of I_0.
-
-    It is constant on each shell (`_on_shell`), so it costs O(M) at any depth M.
+    The scale is an int when 1/p is one, else a float.  The block is exact at every p and
+    constant on each shell (`_on_shell`): a shell form of I_0 that costs O(M) at any depth M.
     """
-    M, inv_p = family.depth, _inverse(family.p)
-    low = SampledFunction.constant(0, 0)
-    if isinstance(inv_p, float):
-        low = low.to_float()
+    M, inv_p, low = family.depth, _inverse(family.p), SampledFunction.constant(0, 0)
     for m, _ in family.blocks:
-        scale = 2 ** (m * (inv_p - 1))
-        yield (_Shells(M, low, [scale * _on_shell(m, 1, j) for j in range(M + 1)]),
+        yield (2 ** (m * (inv_p - 1)), _Shells(M, low, [_on_shell(m, 1, j) for j in range(M + 1)]),
                DyadicInterval.at_zero(m, M))
 
 
@@ -274,13 +258,13 @@ def audit_family(family: CounterexampleFamily) -> VerificationReport:
     start = time.perf_counter()
     exact = isinstance(_inverse(family.p), int)
     total, atom_results = None, []
-    for k, ((atom, interval), w) in enumerate(zip(_shell_atoms(family), family.weights)):
+    for k, ((scale, block, interval), w) in enumerate(zip(_shell_atoms(family), family.weights)):
         rank = interval.rank
-        cert = _atom_clauses(interval, family.p, atom.vanishes_off(rank), atom.integral(rank),
-                             atom.sup(), exact)
+        cert = _atom_clauses(interval, family.p, block.vanishes_off(rank),
+                             scale * block.integral(rank), scale * block.sup(), exact)
         atom_results.append({"atom": k, "rank": rank, "passed": cert.passed,
                              "violated": cert.violated})
-        term = [(w if exact else float(w)) * v for v in atom.values]
+        term = [(w if exact else float(w)) * (scale * v) for v in block.values]
         total = term if total is None else [a + b for a, b in zip(total, term)]
     atoms_ok = all(r["passed"] for r in atom_results)
 
@@ -488,12 +472,19 @@ def divergence_t1(fam: CounterexampleFamily, n_list: Sequence[int]) -> Verificat
 
 
 def kernel_half_integral(order: int, tau_width: int, N: int) -> float:
-    """integral |order * K_order(tau_width-reversed x)|^{1/2} dmu, float of exact values."""
+    """integral |order * K_order(tau_width-reversed x)|^{1/2} dmu, float of exact values.
+
+    order * K_order reads only the low R = (order - 1).bit_length() coordinates (Paley) and the
+    reversal only the low tau_width, so the gathered cells repeat with period 2^P,
+    P = max(R, tau_width): one period's roots, tiled to 2^N cells, give the running sum.
+    """
     if tau_width > N:
         raise ValueError(f"coordinate reversal width {tau_width} exceeds resolution {N}")
-    tau = tau_permutation(tau_width, N)  # first, so its scratch arrays and the kernel never meet
-    cells = dirichlet_prefix(order, N)[tau]
-    roots = np.sqrt(np.abs(cells, out=cells))
+    # at P = N an order outside 0..2^N is refused, naming resolution N
+    P = min(max((order - 1).bit_length(), tau_width), N) if order >= 0 else N
+    cells = dirichlet_prefix(order, P)[tau_permutation(tau_width, P)]
+    _check_depth(N)  # the tiled roots are 2^N floats
+    roots = np.tile(np.sqrt(np.abs(cells)), 1 << (N - P))
     # a running (sequential) sum, not numpy's pairwise one, keeps the reported floats stable
     return float(np.add.accumulate(roots, out=roots)[-1]) / (1 << N)
 
@@ -513,7 +504,7 @@ def divergence_t2(fam: CounterexampleFamily, i_list: Sequence[int]) -> Verificat
     for i in i_list:  # i <= M keeps q_seq small
         if not 1 <= i <= M or q_seq(1 << (i - 1)) > 1 << M:
             raise ValueError(f"i_list value {i} needs i >= 1 and q_(2^(i-1)) <= 2^{M}")
-    _check_depth(M)  # the kernel columns sample 2^M cells
+    _check_depth(M)  # the kernel columns tile 2^M float roots
     fam_deep = build_t2(L, M + 1)
     term, term_deep = _radial(fam.blocks, M), _radial(fam_deep.blocks, M + 1)
     rows, built = [], {}
@@ -760,6 +751,9 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
     start = time.perf_counter()
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if 2 * depth + 1 > _MAX_DEPTH:  # 2^(depth+1) sign points of 2^depth cells each
+        raise ValueError(f"depth {depth} signs 2^{2 * depth + 1} cells; "
+                         f"the limit is 2^{_MAX_DEPTH}")
     rng = random.Random(seed)
 
     def cases():

@@ -82,12 +82,17 @@ def _check_p_positive(p: Fraction | float) -> None:
         raise ValueError(f"exponent p must be > 0, got {p}")
 
 
-def _lp_of_runs(p: Fraction | float, runs, den: int, size: int, exact: bool) -> QuasiNormValue:
-    """L_p on `size` cells from the runs (|value| over `den`, cells holding it), in any order.
+def _inverse(p: Fraction | float) -> int | float:
+    """1/p as an int when it is one, so atoms, weights and weak norms stay exact, else a float."""
+    return p.denominator if isinstance(p, Fraction) and p.numerator == 1 else 1.0 / float(p)
 
-    A Fraction power sum on `exact` cells at integer p; else each run adds 2^b float(|value|)^p
-    per set bit b of its count, exact terms, so the `fsum` rounds once, as per cell (Shewchuk)."""
-    if exact and isinstance(p, Fraction) and p.denominator == 1:
+
+def _lp_of_runs(p: Fraction | float, runs, den: int, size: int) -> QuasiNormValue:
+    """L_p on `size` exact cells from the runs (|value| over `den`, cells holding it), any order.
+
+    A Fraction power sum at integer p; else each run adds 2^b float(|value|)^p per set bit b
+    of its count, exact terms, so the `fsum` rounds once, as per cell (Shewchuk)."""
+    if isinstance(p, Fraction) and p.denominator == 1:
         k = p.numerator
         power_sum = Fraction(sum(a ** k * count for a, count in runs), den ** k * size)
         return QuasiNormValue(p, power_sum if k == 1 else float(power_sum) ** (1.0 / k),
@@ -103,25 +108,24 @@ def lp_quasinorm(f: SampledFunction, p: PLike) -> QuasiNormValue:
     p = normalize_p(p)
     _check_p_positive(p)
     if f.is_exact:
-        return _lp_of_runs(p, *f._magnitudes(), len(f), True)
+        return _lp_of_runs(p, *f._magnitudes(), len(f))
     power_sum = float(np.sum(np.abs(f.values) ** float(p))) / len(f)
     return QuasiNormValue(p, power_sum ** (1.0 / float(p)), power_sum, False)
 
 
-def _weak_of_runs(p: Fraction | float, runs, den: int, size: int, exact: bool) -> QuasiNormValue:
-    """weak-L_p on `size` cells from the runs (|value| over `den`, cells holding it), largest first.
-
-    Within a run v * mu{|f| >= v}^{1/p} grows with the count, so only run ends are formed:
-    `exact` ones in Python ints, else with |value| rounded once and Python's ** (numpy's
-    vectorised power differs in the last bits from the per-cell definition)."""
+def _weak_of_runs(p: Fraction | float, runs, den: int, size: int) -> QuasiNormValue:
+    """weak-L_p on `size` cells from the exact runs (|value| over `den`, cells holding it),
+    largest first.  Within a run v * mu{|f| >= v}^{1/p} grows with the count, so only run ends
+    are formed: in Python ints when 1/p is an integer (`_inverse`), else with |value| rounded
+    once and Python's ** (numpy's vectorised power differs in the last bits per cell)."""
+    k = _inverse(p)
+    exact = isinstance(k, int)
     total, best = 0, 0 if exact else 0.0
     for a, count in runs:
         total += count
         if a:
-            best = max(best, a * total ** p.denominator if exact
-                       else a / den * (total / size) ** (1.0 / float(p)))
-    return QuasiNormValue(p, Fraction(best, den * size ** p.denominator) if exact else best,
-                          None, exact)
+            best = max(best, a * total ** k if exact else a / den * (total / size) ** k)
+    return QuasiNormValue(p, Fraction(best, den * size ** k) if exact else best, None, exact)
 
 
 def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
@@ -130,8 +134,7 @@ def weak_lp(f: SampledFunction, p: PLike) -> QuasiNormValue:
     _check_p_positive(p)
     size = 1 << f.resolution
     if f.is_exact:
-        return _weak_of_runs(p, *f._magnitudes(), size,
-                             isinstance(p, Fraction) and p.numerator == 1)
+        return _weak_of_runs(p, *f._magnitudes(), size)
     mags = np.sort(np.abs(f._floats()))[::-1]
     # nonboundary positions only underestimate their candidate, never the max
     tail = np.arange(1, size + 1, dtype=np.float64) / size

@@ -126,6 +126,12 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_identities_depth_past_the_cell_limit(self, capsys):
+        # the conjugate sweep would sign 2^25 cells; refused before any martingale is drawn
+        assert run_cli(["verify", "identities", "--resolution", "4", "--depth", "12"]) == 2
+        assert capsys.readouterr().err == (
+            "error: depth 12 signs 2^25 cells; the limit is 2^24\n")
+
     @pytest.mark.parametrize("argv", [
         ["verify", "yano", "--n-max", "0", "--resolution", "4"],
         ["verify", "identities", "--count", "0", "--resolution", "4", "--depth", "3"],

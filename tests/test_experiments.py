@@ -28,6 +28,7 @@ from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  verify_kernel_decomposition, verify_lemma2,
                                  verify_permutation_equivalence, verify_yano)
 from dyadlab.group import tau_permutation
+from dyadlab.norms import _inverse
 from dyadlab.operators import _fejer_sums
 from dyadlab.walsh import _kernel_l1_fits_int64
 from test_shell_oracle import array_atoms
@@ -113,7 +114,7 @@ class TestBuildT1:
     @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(2, 5)], ids=["1/4", "2/5"])
     def test_atoms_equal_the_two_indicator_difference(self, p):
         # D_{2^(m+1)} - D_{2^m} as two indicators, scaled as the atom is
-        inv_p = experiments._inverse(p)  # 4, or the float 2.5
+        inv_p = _inverse(p)  # 4, or the float 2.5
         for M in range(1, 11):
             fam = build_t1(p, M - 1, M)
             for m, (atom, interval) in enumerate(array_atoms(fam)):
@@ -717,17 +718,17 @@ class TestDivergenceT2:
 
     def test_depth_limit_is_the_kernel_columns(self, monkeypatch):
         # depth 24 passes the one cell-limit check and reaches the first kernel column,
-        # whose 2^24 cells are the table's largest array; depth 25 is refused before it
+        # whose 2^24 tiled roots are the table's largest array; depth 25 is refused before it
         class Reached(Exception):
             pass
 
-        def stop(order, N):
-            raise Reached(order, N)
+        def stop(order, tau_width, N):
+            raise Reached(order, tau_width, N)
 
-        monkeypatch.setattr(experiments, "dirichlet_prefix", stop)
+        monkeypatch.setattr(experiments, "kernel_half_integral", stop)
         with pytest.raises(Reached) as reached:
             divergence_t2(build_t2(3, 24), [2])
-        assert reached.value.args == (q_seq(1), 24)
+        assert reached.value.args == (q_seq(1), 4, 24)
         with pytest.raises(ValueError,
                            match=r"^depth 25 would materialize 2\^25 cells; the limit is 24$"):
             divergence_t2(build_t2(3, 25), [2])
@@ -765,6 +766,23 @@ class TestDivergenceT2:
         T = np.abs(dirichlet_prefix(order, M)[tau_permutation(width, M)])
         want = float(np.add.accumulate(np.sqrt(T))[-1]) / (1 << M)
         assert kernel_half_integral(order, width, M).hex() == want.hex()
+
+    def test_kernel_half_integral_memory_is_the_tiled_roots(self):
+        # one 2^P-cell period is tiled to 2^20 float roots; no 2^20-cell kernel or tau index
+        tracemalloc.start()
+        try:
+            kernel_half_integral(341, 16, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (1 << 20) * 8
+
+    @pytest.mark.parametrize("order", [-1, -(1 << 30), (1 << 12) + 1, 1 << 40])
+    def test_kernel_half_integral_order_outside_the_spectrum(self, order):
+        # the message names the resolution N, not the period the cells are built on
+        with pytest.raises(ValueError,
+                           match=rf"^kernel order {order} overflows spectrum at resolution 12$"):
+            kernel_half_integral(order, 4, 12)
 
     def test_tau_preserves_integral(self):
         # the coordinate reversal is measure preserving, so the kernel
@@ -934,6 +952,21 @@ class TestIdentitySuite:
             "conjugate-translation-and-isometry",
         ]
         assert all(r.passed for r in reports)
+
+    def test_conjugate_depth_limit(self, monkeypatch):
+        # 2^(depth+1) sign points of 2^depth cells: depth 11 signs 2^23 cells, depth 12 2^25
+        class Reached(Exception):
+            pass
+
+        def stop(rng, depth):
+            raise Reached(depth)
+
+        monkeypatch.setattr(experiments, "random_lacunary_martingale", stop)
+        with pytest.raises(Reached):
+            verify_conjugate_translation(11, 1, 0)
+        with pytest.raises(ValueError,
+                           match=r"^depth 12 signs 2\^25 cells; the limit is 2\^24$"):
+            verify_conjugate_translation(12, 1, 0)
 
     def test_individual_reports(self):
         assert verify_closed_form(6).passed

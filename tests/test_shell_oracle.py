@@ -21,10 +21,11 @@ import pytest
 from dyadlab import (SampledFunction, System, dirichlet, fejer_mean, is_p_atom, lp_quasinorm,
                      normalize_p, s2n, weak_lp)
 from dyadlab import experiments
-from dyadlab.experiments import (_inverse, _on_shell, audit_family, build_t1, build_t2,
-                                 divergence_t1, divergence_t2, q_seq)
+from dyadlab.experiments import (_on_shell, audit_family, build_t1, build_t2, divergence_t1,
+                                 divergence_t2, q_seq)
 from dyadlab.group import DyadicInterval
 from dyadlab.hardy import _atom_clauses
+from dyadlab.norms import _inverse
 from dyadlab.walsh import _check_depth
 
 P_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), 0.3]
@@ -258,17 +259,17 @@ def expand(shells: experiments._Shells) -> SampledFunction:
     for j, v in enumerate(shells.values, R):
         for x in range(0, 1 << M, 1 << j):
             cells[x] = v  # deeper shells overwrite: the last write is x's own shell
-    if shells.exact:
-        return SampledFunction(M, cells)
-    return SampledFunction(M, np.array(cells, dtype=np.float64))
+    return SampledFunction(M, cells)
 
 
 def assert_same_atoms(family) -> None:
-    """Each shell atom, expanded, equals the array atom cell for cell, on the same interval."""
+    """Each shell atom, its block expanded and scaled as `array_atoms` scales it, equals the
+    array atom cell for cell, on the same interval."""
     got, want = list(experiments._shell_atoms(family)), list(array_atoms(family))
     assert len(got) == len(want) == len(family.blocks)
-    for (shells, interval), (atom, want_interval) in zip(got, want):
-        g = expand(shells)
+    for (scale, block, interval), (atom, want_interval) in zip(got, want):
+        g = expand(block)
+        g = g.scale(scale) if isinstance(scale, int) else g.to_float().scale(scale)
         assert interval == want_interval and g == atom
         assert all(same(a, b) for a, b in zip(g.values.tolist(), atom.values.tolist()))
 
@@ -286,45 +287,35 @@ def test_t2_shell_atoms_equal_the_array_atoms():
             assert_same_atoms(build_t2(L, M))
 
 
-def random_shells(rng: random.Random, exact: bool) -> experiments._Shells:
+def random_shells(rng: random.Random) -> experiments._Shells:
     M = rng.randint(0, 7)
     R = rng.randint(0, M)
 
     def value():
-        v = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6]))
-        return v if exact else float(v) * 1.5 ** rng.randint(-3, 3)
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6]))
 
-    low = [value() for _ in range(1 << R)]
-    low = SampledFunction(R, low) if exact else SampledFunction(R, np.array(low))
+    low = SampledFunction(R, [value() for _ in range(1 << R)])
     return experiments._Shells(M, low, [value() for _ in range(M - R + 1)])
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_shell_form_equals_its_expansion(exact):
+def test_shell_form_equals_its_expansion():
     rng = random.Random(5)
     for _ in range(300):
-        shells = random_shells(rng, exact)
+        shells = random_shells(rng)
         g, R, M = expand(shells), shells.low.resolution, shells.depth
         for p in P_VALUES:
-            if exact:
-                assert same(shells.weak(p).value, weak(g, p).value)
-            else:  # weak_lp powers float cells with numpy, which may round differently
-                assert shells.weak(p).value == pytest.approx(weak_lp(g, p).value, rel=1e-12)
+            assert same(shells.weak(p).value, weak(g, p).value)
         for p in LP_VALUES:
             got, want = shells.lp(normalize_p(p)), lp_quasinorm(g, p)
-            if exact:
-                assert got.exact is want.exact
-                assert same(got.value, want.value) and same(got.power_sum, want.power_sum)
-            else:  # float cells sum with numpy's pairwise sum, the shells with one fsum
-                assert got.power_sum == pytest.approx(want.power_sum, rel=1e-12)
+            assert got.exact is want.exact
+            assert same(got.value, want.value) and same(got.power_sum, want.power_sum)
         assert shells.sup() == g._sup()
         for r in range(R, M + 1):
             inside = DyadicInterval.at_zero(r, M).cells(M)
             nonzero = g._nonzero()
             assert shells.vanishes_off(r) == (np.count_nonzero(nonzero)
                                               == np.count_nonzero(nonzero[inside]))
-            got, want = shells.integral(r), g._integral(inside)
-            assert got == (want if exact else pytest.approx(want, abs=1e-12))
+            assert shells.integral(r) == g._integral(inside)
 
 
 def test_atom_clauses_name_each_violation():
@@ -336,7 +327,7 @@ def test_atom_clauses_name_each_violation():
     for violated, values in cases.items():
         shells, interval = experiments._Shells(M, zero, values), DyadicInterval.at_zero(2, M)
         cert = _atom_clauses(interval, p, shells.vanishes_off(2), shells.integral(2),
-                             shells.sup(), shells.exact)
+                             shells.sup(), True)
         assert cert.violated == is_p_atom(expand(shells), interval, p).violated == violated
 
 

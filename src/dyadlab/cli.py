@@ -210,7 +210,7 @@ def run_kernel(config: RunConfig) -> list[VerificationReport]:
         kernel = kernel.to_float()
     if kernel.is_exact:
         rows = [{"index": j, "value_numerator": v.numerator, "value_denominator": v.denominator}
-                for j, v in enumerate(map(Fraction, kernel.values))]
+                for j, v in enumerate(kernel.values)]
     else:
         rows = [{"index": j, "value": float(v)} for j, v in enumerate(kernel.values)]
     report = VerificationReport(

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
-from .hardy import (DyadicMartingale, _atom_clauses, _conjugates, _solved_shift, conjugate,
+from .hardy import (DyadicMartingale, _atom_clauses, _signs, _solved_shift, conjugate,
                     hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import (PLike, QuasiNormValue, _inverse, _lp_of_runs, _weak_of_runs, normalize_p,
                     translate, weak_lp)
@@ -737,14 +737,18 @@ def verify_kernel_decomposition(N: int) -> VerificationReport:
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
+_STACK_CELLS = 1 << 18  # the conjugate sweep signs its points in row chunks of this many cells
+
+
 def verify_conjugate_translation(depth: int, count: int, seed: int) -> VerificationReport:
     """Conjugation by every sign point: translation match and norm equality.
 
     For block-lacunary martingales the conjugate terminal must equal the
     translate by the solved shift (see `conjugate_shift`); no solution or
     a mismatch fails as `no-shift`.  Translations commute with the partial
-    sums, so every H_p quasi-norm is preserved with zero tolerance (checked
-    as maximal-function value multisets).  For dense martingales the
+    sums, so the conjugate's maximal function must be f* translated by the
+    same shift, cell for cell; this implies equal value multisets, hence
+    every H_p quasi-norm, with zero tolerance.  For dense martingales the
     exactly preserved pointwise quantity is the squared square function;
     their maximal-function quasi-norm ratios are reported, not asserted.
     """
@@ -758,20 +762,22 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
 
     def cases():
         points = [GroupPoint(depth + 1, t) for t in range(1 << (depth + 1))]
+        chunk = max(1, _STACK_CELLS >> depth)
         for trial in range(count):
             lac = random_lacunary_martingale(rng, depth)
             dense = random_exact_martingale(rng, depth)
-            lac_term, lac_max = lac.terminal_function(), sorted(maximal(lac).values)
+            lac_term, lac_max = lac.terminal_function(), maximal(lac)
             dense_square = square_function_squared(dense)
-            rows = zip(_conjugates(lac, points, _signed_sup_abs),
-                       _conjugates(dense, points, _signed_square_sum))
-            for t, ((signs, (term, peak)), (_, square)) in enumerate(rows):
-                shift = _solved_shift(lac, signs)
-                _, kind = _first_failure([
-                    ("no-shift", shift is not None and translate(lac_term, shift) == term),
-                    ("lacunary-multiset", sorted(peak.values) == lac_max),
-                    ("square-function", square == dense_square)])
-                yield {"trial": trial, "t": t, "kind": kind}, kind is None
+            for first in range(0, len(points), chunk):
+                signs = _signs(lac, points[first:first + chunk])
+                rows = zip(signs, _signed_sup_abs(lac.terminal, signs),
+                           _signed_square_sum(dense.terminal, signs))
+                for t, (row, (term, peak), square) in enumerate(rows, first):
+                    shift = _solved_shift(lac, row)
+                    kind = ("no-shift" if shift is None or translate(lac_term, shift) != term
+                            else "lacunary-multiset" if translate(lac_max, shift) != peak
+                            else "square-function" if square != dense_square else None)
+                    yield {"trial": trial, "t": t, "kind": kind}, kind is None
 
     checked, failure = _first_failure(cases())
     shifts_found = checked - (failure is not None and failure["kind"] == "no-shift")

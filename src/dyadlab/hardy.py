@@ -18,8 +18,9 @@ the sign r_n(t).  It always preserves every H_p quasi-norm; it agrees
 with a group translation exactly when the sign pattern is realizable as
 a character on the occupied spectrum, which `conjugate_shift` decides by
 solving the corresponding GF(2) linear system.  `_signs` gives the signs
-of many points as one matrix, and `_conjugates` butterflies its rows as
-one stack, so a sweep over sign points costs one butterfly per chunk.
+of many points as one matrix, whose rows `walsh._signed_sup_abs` and
+`walsh._signed_square_sum` fold as one stack, so a sweep over sign points
+costs one butterfly per chunk of points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -196,9 +197,6 @@ def atomic_norm_bound(weights: Sequence, p: PLike) -> float:
 # ---------------------------------------------------------------------------
 # conjugate transform
 
-_STACK_CELLS = 4_000_000  # sign points stack in row chunks of about this many cells
-
-
 def _signs(f: DyadicMartingale, points: Sequence[GroupPoint]) -> np.ndarray:
     """r_{bit_length(i)}(t) as int64 +-1: a row per t in `points`, a column per Paley index i < 2^M.
 
@@ -217,15 +215,6 @@ def _signs(f: DyadicMartingale, points: Sequence[GroupPoint]) -> np.ndarray:
 def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     """Multiply the n-th martingale difference by r_n(t); t needs resolution > depth."""
     return DyadicMartingale(f.terminal._weighted(_signs(f, [t])[0]))
-
-
-def _conjugates(f: DyadicMartingale, points: Sequence[GroupPoint], signed) -> Iterator:
-    """(t's `_signs` row, `signed` of conjugate(f, t)) for each t in `points`, in order, where
-    `signed` is `_signed_sup_abs` or `_signed_square_sum`; one butterfly per chunk of rows."""
-    chunk = max(1, _STACK_CELLS >> f.depth)
-    for start in range(0, len(points), chunk):
-        signs = _signs(f, points[start:start + chunk])
-        yield from zip(signs, signed(f.terminal, signs))
 
 
 def _solved_shift(f: DyadicMartingale, signs: np.ndarray) -> Optional[GroupPoint]:

@@ -14,7 +14,8 @@ import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, JInterval, SampledFunction,
                      System, dirichlet, dirichlet_prefix, experiments, fejer, interval_indices,
-                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n, walsh)
+                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n, translate,
+                     walsh)
 from dyadlab.cli import main
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2, jsonable,
@@ -1057,8 +1058,11 @@ class TestIdentityVerdictsCanFail:
         ("_signed_sup_abs", 22, lambda row: (plus_one(row[0]), row[1]), 1, 5, "no-shift"),
         ("_signed_sup_abs", 19, lambda row: (row[0], plus_one(row[1])),
          1, 2, "lacunary-multiset"),
+        # the peak moved by a translate keeps its value multiset but not its cells
+        ("_signed_sup_abs", 27, lambda row: (row[0], translate(row[1], GroupPoint(3, 5))),
+         1, 10, "lacunary-multiset"),
         ("_signed_square_sum", 4, plus_one, 0, 3, "square-function"),
-    ], ids=["no-shift", "lacunary-multiset", "square-function"])
+    ], ids=["no-shift", "lacunary-multiset", "lacunary-translate", "square-function"])
     def test_conjugate_translation(self, monkeypatch, name, k, wrong, trial, t, kind):
         real, rows = getattr(experiments, name), itertools.count(1)
 

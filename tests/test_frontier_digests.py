@@ -3,10 +3,10 @@
 `test_golden_reports.py` pins whole files at small sizes.  The routes
 that act only at larger sizes (shell forms past the 2^24-cell limit, run
 folds over many distinct magnitudes, t2's kernel columns, the Paley-lemma
-sums at n_max 65536) are pinned here by the digest of each report.  Each
-case runs in-process with `--out <name>` relative to a temporary working
-directory, so the echoed `out` field is the same on every machine.  A
-changed digest is a changed report.
+sums at n_max 65536, a kernel dump of 2^14 cells) are pinned here by the
+digest of each report.  Each case runs in-process with `--out <name>`
+relative to a temporary working directory, so the echoed `out` field is
+the same on every machine.  A changed digest is a changed report.
 """
 
 import contextlib
@@ -62,6 +62,9 @@ CASES = {
     "yano_65536": (
         ["verify", "yano", "--n-max", "65536", "--resolution", "16"],
         "e83ef85594e5e55cac89457a290e2fd62571721df122d557cfbf47b6be7bfd5c"),
+    "kernel_fejer_n3_r14": (
+        ["kernel", "--kind", "fejer", "--n", "3", "--resolution", "14"],
+        "804748a71514449d50680dc7450ca7d6c52ee31c5fb0f5b7cd11ee81bf481e66"),
     "lemma2_A10": (
         ["verify", "lemma2", "--A", "10"],
         "790515f2ae102c669a26f5346824fd53724c8a16e63eaf17ed775dc133de8542"),

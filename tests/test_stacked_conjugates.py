@@ -1,15 +1,16 @@
 """The stacked conjugation sweep against the per-point route.
 
-`hardy._conjugates` puts every sign point of a martingale through one
-butterfly of the stacked signed spectra (`walsh._signed_sup_abs`,
-`walsh._signed_square_sum`).  Each row must equal what `conjugate`,
-`terminal_function`, `maximal` and `square_function_squared` give for
-its point one at a time, in value, readout type and numerator dtype, and
-`_solved_shift` with the row's terminal must decide what
-`conjugate_shift` decides.
+`hardy._signs` gives the signs of many sign points as one matrix, and
+one butterfly of the stacked signed spectra (`walsh._signed_sup_abs`,
+`walsh._signed_square_sum`) folds all its rows.  Each row must equal
+what `conjugate`, `terminal_function`, `maximal` and
+`square_function_squared` give for its point one at a time, in value,
+readout type and numerator dtype, and `_solved_shift` with the row's
+terminal must decide what `conjugate_shift` decides.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from dyadlab import experiments, hardy
 from dyadlab.experiments import (random_decaying_martingale, random_exact_martingale,
                                  random_lacunary_martingale, verify_conjugate_translation)
 from dyadlab.group import rademacher
-from dyadlab.hardy import _conjugates, _signs, _solved_shift
+from dyadlab.hardy import _signs, _solved_shift
 from dyadlab.walsh import _signed_square_sum, _signed_sup_abs
 
 INT64_MAX = (1 << 63) - 1
@@ -80,10 +81,11 @@ def sign_points(depth: int) -> list[GroupPoint]:
 def test_every_row_matches_the_per_point_route(kind, depth):
     f = KINDS[kind](random.Random(100 * depth + len(kind)), depth)
     points = sign_points(depth)
-    maxima = list(_conjugates(f, points, _signed_sup_abs))
-    squares = list(_conjugates(f, points, _signed_square_sum))
-    assert len(maxima) == len(squares) == len(points)
-    for t, (signs, (terminal, peak)), (_, square) in zip(points, maxima, squares):
+    stack = _signs(f, points)
+    maxima = list(_signed_sup_abs(f.terminal, stack))
+    squares = list(_signed_square_sum(f.terminal, stack))
+    assert len(stack) == len(maxima) == len(squares) == len(points)
+    for t, signs, (terminal, peak), square in zip(points, stack, maxima, squares):
         assert np.array_equal(signs, _signs(f, [t])[0])
         g = conjugate(f, t)
         assert g.terminal == conjugate_by_definition(f, t).terminal
@@ -98,8 +100,11 @@ def test_every_row_matches_the_per_point_route(kind, depth):
 
 def test_lacunary_rows_all_translate():
     f = random_lacunary_martingale(random.Random(5), 6)
-    for signs, (terminal, _) in _conjugates(f, sign_points(6), _signed_sup_abs):
-        assert translate(f.terminal_function(), _solved_shift(f, signs)) == terminal
+    stack = _signs(f, sign_points(6))
+    for signs, (terminal, peak) in zip(stack, _signed_sup_abs(f.terminal, stack)):
+        shift = _solved_shift(f, signs)
+        assert translate(f.terminal_function(), shift) == terminal
+        assert translate(maximal(f), shift) == peak
 
 
 def test_near_int64_rows_widen_like_one_row():
@@ -145,46 +150,66 @@ class TestOneRowBound:
 class TestChunks:
     @pytest.fixture
     def stacks(self, monkeypatch):
-        """Record the rows of each stacked butterfly."""
-        sizes = []
-        for name in ("_signed_sup_abs", "_signed_square_sum"):
+        """Record the rows of each sign matrix and of each stacked butterfly, by callee."""
+        sizes = {}
+        for name in ("_signs", "_signed_sup_abs", "_signed_square_sum"):
             real = getattr(experiments, name)
 
-            def spy(spec, signs, real=real):
-                sizes.append(len(signs))
-                return real(spec, signs)
+            def spy(f, rows, real=real, name=name):
+                sizes.setdefault(name, []).append(len(rows))
+                return real(f, rows)
 
             monkeypatch.setattr(experiments, name, spy)
         return sizes
 
     def test_one_chunk_per_martingale(self, stacks):
         verify_conjugate_translation(4, 2, seed=1)
-        assert stacks == [32] * 4
+        assert stacks == {name: [32] * 2
+                          for name in ("_signs", "_signed_sup_abs", "_signed_square_sum")}
+
+    def test_each_chunk_is_signed_once(self, stacks, monkeypatch):
+        monkeypatch.setattr(experiments, "_STACK_CELLS", 3 << 4)
+        verify_conjugate_translation(4, 2, seed=1)
+        chunks = [3] * 10 + [2]  # 32 sign points in rows of 3
+        assert stacks == {name: chunks * 2
+                          for name in ("_signs", "_signed_sup_abs", "_signed_square_sum")}
+
+    def test_depth_9_signs_two_chunks_in_under_40_mb(self, stacks):
+        tracemalloc.start()
+        try:
+            assert verify_conjugate_translation(9, 1, seed=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacks["_signs"] == [1 << 9] * 2  # 2^10 points of 2^9 cells, 2^18 cells a chunk
+        assert peak < 40 << 20
 
     @pytest.mark.parametrize("depth, count, seed", [(4, 2, 1), (3, 2, 0), (5, 3, 7)])
     def test_chunks_of_three_rows_give_the_same_report(self, stacks, monkeypatch,
                                                        depth, count, seed):
         whole = verify_conjugate_translation(depth, count, seed)
         stacks.clear()
-        monkeypatch.setattr(hardy, "_STACK_CELLS", 3 << depth)
+        monkeypatch.setattr(experiments, "_STACK_CELLS", 3 << depth)
         chunked = verify_conjugate_translation(depth, count, seed)
-        assert max(stacks) == 3 and sum(stacks) == 2 * count << (depth + 1)
+        for sizes in stacks.values():
+            assert max(sizes) == 3 and sum(sizes) == count << (depth + 1)
         assert (chunked.passed, chunked.witness, chunked.rows) == \
             (whole.passed, whole.witness, whole.rows)
 
-    def test_chunked_rows_match_one_stack(self, monkeypatch):
+    def test_chunked_rows_match_one_stack(self):
         f = random_exact_martingale(random.Random(9), 4)
         points = sign_points(4)
-        whole = list(_conjugates(f, points, _signed_sup_abs))
-        monkeypatch.setattr(hardy, "_STACK_CELLS", 3 << 4)
-        chunked = list(_conjugates(f, points, _signed_sup_abs))
-        assert len(chunked) == len(whole) == 32
-        for (signs, rows), (want_signs, want_rows) in zip(chunked, whole):
-            assert np.array_equal(signs, want_signs) and rows == want_rows
+        for signed in (_signed_sup_abs, _signed_square_sum):
+            whole = list(signed(f.terminal, _signs(f, points)))
+            chunked = [row for first in range(0, 32, 3)
+                       for row in signed(f.terminal, _signs(f, points[first:first + 3]))]
+            assert len(chunked) == len(whole) == 32
+            assert chunked == whole
 
 
 def test_sweep_makes_no_per_point_calls(monkeypatch):
-    """The per-point routes run once per martingale at most, not once per sign point."""
+    """The per-point routes run once per martingale at most, not once per sign point,
+    and no sign point reads a cell readout."""
     calls = {}
 
     def count(owner, name):
@@ -197,6 +222,12 @@ def test_sweep_makes_no_per_point_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(DyadicMartingale, "terminal_function")
+
+    def read(f, real=SampledFunction.values.fget):
+        calls["SampledFunction.values"] = calls.get("SampledFunction.values", 0) + 1
+        return real(f)
+
+    monkeypatch.setattr(SampledFunction, "values", property(read))
     for name in ("conjugate", "maximal", "square_function_squared"):
         count(experiments, name)
         count(hardy, name)

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(targets, "lemma2", run_lemma2, "lacunary kernel lower bound").add_argument(
         "--A", type=int, default=3)
     i = leaf(targets, "identities", run_identities, "bundled exact cross-checks")
-    i.add_argument("--resolution", type=int, default=12)
+    i.add_argument("--resolution", type=int, default=8)
     i.add_argument("--depth", type=int, default=5)
     i.add_argument("--count", type=int, default=5)
     i.add_argument("--seed", type=int, default=0)

@@ -34,15 +34,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .group import DyadicInterval, GroupPoint, JInterval, tau_permutation
-from .hardy import (DyadicMartingale, _atom_clauses, _signs, _solved_shift, conjugate,
+from .hardy import (DyadicMartingale, _atom_clauses, _shift_solver, _signs, conjugate,
                     hardy_quasinorm, maximal, modulus_hp, s2n, square_function_squared)
 from .norms import (PLike, QuasiNormValue, _inverse, _lp_of_runs, _weak_of_runs, normalize_p,
-                    translate, weak_lp)
+                    weak_lp)
 from .operators import fejer_mean
 from .walsh import (_MAX_DEPTH, SampledFunction, Scalar, System, _check_depth, _equal_rows,
                     _fejer_rows, _kernel_l1_fits_int64, _signed_square_sum, _signed_sup_abs,
                     compose_with_tau, dirichlet, fejer_numerators, fwht, kaczmarz_paley_index,
-                    kaczmarz_samples, walsh_paley_samples)
+                    kaczmarz_rows, sigma_permutation, walsh_paley_rows, walsh_paley_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -648,22 +648,23 @@ def verify_closed_form(N: int) -> VerificationReport:
         mode="exact", runtime_s=time.perf_counter() - start)
 
 
-def _first_failure(cases: Iterable[tuple[object, bool]]) -> tuple[int, object]:
-    """(cases run, key of the first `(key, held)` case that fails or None); stops there."""
+def _first_failure(blocks: Iterable[tuple[Callable, Sequence[bool]]]) -> tuple[int, object]:
+    """(cases run, key of the first case that fails or None), from blocks (key of case k, held
+    per case) in order; stops at the first failing block, whose key runs before the next."""
     checked = 0
-    for checked, (key, held) in enumerate(cases, 1):
-        if not held:
-            return checked, key
+    for key, held in blocks:
+        if not np.all(held):
+            return checked + int(np.argmin(held)) + 1, key(int(np.argmin(held)))
+        checked += len(held)
     return checked, None
 
 
 def verify_permutation_equivalence(N: int) -> VerificationReport:
-    """kappa_n (definitional product) equals w_{sigma(n)} for all n < 2^N."""
+    """kappa_n (definitional product) equals w_{sigma(n)} for all n < 2^N, as two matrices."""
     start = time.perf_counter()
-    _, mismatch = _first_failure(
-        ({"n": n, "sigma_n": kaczmarz_paley_index(n)},
-         kaczmarz_samples(n, N) == walsh_paley_samples(kaczmarz_paley_index(n), N))
-        for n in range(1 << N))
+    held = np.all(kaczmarz_rows(np.arange(1 << N), N) == walsh_paley_rows(sigma_permutation(N), N),
+                  axis=1)
+    _, mismatch = _first_failure([(lambda n: {"n": n, "sigma_n": kaczmarz_paley_index(n)}, held)])
     return VerificationReport(
         claim="kaczmarz-bit-reversal-equivalence",
         parameters={"resolution": N, "count": 1 << N},
@@ -700,7 +701,7 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
                 orders = range((1 << m) + 1, (2 << m) + 1)
                 rows = _fejer_rows(fwht(smf), System.KACZMARZ, orders)
                 held = _equal_rows(rows, smf, inner, [Fraction(1 << m, n) for n in orders])
-                yield from (({"trial": trial, "m": m, "n": n}, ok) for n, ok in zip(orders, held))
+                yield (lambda k: {"trial": trial, "m": m, "n": orders[k]}), held
 
     checked, failure = _first_failure(cases())
     return VerificationReport(
@@ -726,7 +727,7 @@ def verify_kernel_decomposition(N: int) -> VerificationReport:
             for s in range(1 << A):
                 lhs = dirichlet(System.KACZMARZ, s + (1 << A), N)
                 rhs = base + r_row * compose_with_tau(dirichlet(System.PALEY, s, N), A)
-                yield {"i": i, "s": s}, lhs == rhs
+                yield (lambda k: {"i": i, "s": s}), [lhs == rhs]
 
     checked, failure = _first_failure(cases())
     return VerificationReport(
@@ -738,6 +739,7 @@ def verify_kernel_decomposition(N: int) -> VerificationReport:
 
 
 _STACK_CELLS = 1 << 18  # the conjugate sweep signs its points in row chunks of this many cells
+_CHECKS = ("no-shift", "lacunary-multiset", "square-function")  # per sign point, in order
 
 
 def verify_conjugate_translation(depth: int, count: int, seed: int) -> VerificationReport:
@@ -751,6 +753,7 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
     every H_p quasi-norm, with zero tolerance.  For dense martingales the
     exactly preserved pointwise quantity is the squared square function;
     their maximal-function quasi-norm ratios are reported, not asserted.
+    Each chunk of sign points is one solve and one array step per check.
     """
     start = time.perf_counter()
     if count < 1:
@@ -761,23 +764,21 @@ def verify_conjugate_translation(depth: int, count: int, seed: int) -> Verificat
     rng = random.Random(seed)
 
     def cases():
-        points = [GroupPoint(depth + 1, t) for t in range(1 << (depth + 1))]
-        chunk = max(1, _STACK_CELLS >> depth)
+        points, chunk = 1 << (depth + 1), max(1, _STACK_CELLS >> depth)
         for trial in range(count):
             lac = random_lacunary_martingale(rng, depth)
             dense = random_exact_martingale(rng, depth)
             lac_term, lac_max = lac.terminal_function(), maximal(lac)
-            dense_square = square_function_squared(dense)
-            for first in range(0, len(points), chunk):
-                signs = _signs(lac, points[first:first + chunk])
-                rows = zip(signs, _signed_sup_abs(lac.terminal, signs),
-                           _signed_square_sum(dense.terminal, signs))
-                for t, (row, (term, peak), square) in enumerate(rows, first):
-                    shift = _solved_shift(lac, row)
-                    kind = ("no-shift" if shift is None or translate(lac_term, shift) != term
-                            else "lacunary-multiset" if translate(lac_max, shift) != peak
-                            else "square-function" if square != dense_square else None)
-                    yield {"trial": trial, "t": t, "kind": kind}, kind is None
+            dense_square, solve = square_function_squared(dense), _shift_solver(lac)
+            for first in range(0, points, chunk):
+                signs = _signs(lac, np.arange(first, min(first + chunk, points)))
+                shifts = solve(signs)  # -1 for no shift: that row fails whatever it reads
+                terminals, peaks = _signed_sup_abs(lac.terminal, signs)
+                squares = _signed_square_sum(dense.terminal, signs)
+                held = np.stack((lac_term._matches(terminals, shifts) & (shifts >= 0),
+                                 lac_max._matches(peaks, shifts), dense_square._matches(squares)))
+                yield (lambda k: {"trial": trial, "t": first + k,
+                                  "kind": _CHECKS[np.argmin(held[:, k])]}), held.all(axis=0)
 
     checked, failure = _first_failure(cases())
     shifts_found = checked - (failure is not None and failure["kind"] == "no-shift")

@@ -16,11 +16,11 @@ inside I and sup-norm at most mu(I)^{-1/p}.
 The conjugate transform multiplies the n-th martingale difference by
 the sign r_n(t).  It always preserves every H_p quasi-norm; it agrees
 with a group translation exactly when the sign pattern is realizable as
-a character on the occupied spectrum, which `conjugate_shift` decides by
-solving the corresponding GF(2) linear system.  `_signs` gives the signs
-of many points as one matrix, whose rows `walsh._signed_sup_abs` and
-`walsh._signed_square_sum` fold as one stack, so a sweep over sign points
-costs one butterfly per chunk of points.
+a character on the occupied spectrum: a GF(2) linear system that
+`_shift_solver` eliminates once per martingale and solves for many sign
+points at once, given their signs as one matrix (`_signs`).  The folds
+`walsh._signed_sup_abs` and `walsh._signed_square_sum` take that matrix
+as one stack, so a sweep over sign points costs one butterfly per chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def s2n_by_averaging(f: SampledFunction, n: int) -> SampledFunction:
 
 def maximal(f: DyadicMartingale) -> SampledFunction:
     """f* = max_n |f^(n)| pointwise over all levels 0..M: `_signed_sup_abs` with no signs."""
-    return next(_signed_sup_abs(f.terminal))
+    return _signed_sup_abs(f.terminal)
 
 
 def maximal_by_averages(f: SampledFunction) -> SampledFunction:
@@ -119,7 +119,7 @@ def square_function_squared(f: DyadicMartingale) -> SampledFunction:
     unchanged pointwise, which is the exactly-preserved quantity behind
     the conjugate transform's isometry.
     """
-    return next(_signed_square_sum(f.terminal))
+    return _signed_square_sum(f.terminal)
 
 
 def modulus_hp(f: DyadicMartingale, n: int, p: PLike) -> QuasiNormValue:
@@ -197,18 +197,21 @@ def atomic_norm_bound(weights: Sequence, p: PLike) -> float:
 # ---------------------------------------------------------------------------
 # conjugate transform
 
-def _signs(f: DyadicMartingale, points: Sequence[GroupPoint]) -> np.ndarray:
+def _signs(f: DyadicMartingale, points: Sequence[GroupPoint] | np.ndarray) -> np.ndarray:
     """r_{bit_length(i)}(t) as int64 +-1: a row per t in `points`, a column per Paley index i < 2^M.
 
     Difference n occupies the Paley indices of bit length n: the constant
     term for n = 0, the block [2^{n-1}, 2^n) for n >= 1.  Signing
-    differences 0..M needs coordinates t_0..t_M, so resolution >= M + 1.
+    differences 0..M needs coordinates t_0..t_M, so resolution >= M + 1;
+    `points` are GroupPoints, or an int array of the indices of such points.
     """
-    M, coarsest = f.depth, min(t.resolution for t in points)
-    if coarsest < M + 1:
-        raise ValueError(f"conjugate sign point needs resolution >= {M + 1}, got {coarsest}")
-    index = np.array([t.index & ((2 << M) - 1) for t in points], dtype=np.int64)
-    flips = index[:, None] >> np.repeat(np.arange(M + 1), [1] + [1 << n for n in range(M)]) & 1
+    M = f.depth
+    if not isinstance(points, np.ndarray):
+        coarsest = min(t.resolution for t in points)
+        if coarsest < M + 1:
+            raise ValueError(f"conjugate sign point needs resolution >= {M + 1}, got {coarsest}")
+        points = np.array([t.index & ((2 << M) - 1) for t in points], dtype=np.int64)
+    flips = points[:, None] >> np.repeat(np.arange(M + 1), [1] + [1 << n for n in range(M)]) & 1
     return 1 - 2 * flips
 
 
@@ -217,47 +220,50 @@ def conjugate(f: DyadicMartingale, t: GroupPoint) -> DyadicMartingale:
     return DyadicMartingale(f.terminal._weighted(_signs(f, [t])[0]))
 
 
-def _solved_shift(f: DyadicMartingale, signs: np.ndarray) -> Optional[GroupPoint]:
-    """The u with w_i(u) = signs[i] on every occupied Paley index i of f, if one exists.
+def _shift_solver(f: DyadicMartingale) -> Callable[[np.ndarray], np.ndarray]:
+    """For rows s of `_signs`, the u with w_i(u) = s[i] on every occupied Paley index i of f,
+    as an int64 index per row, or -1 where there is none.
 
-    Gaussian elimination over GF(2); pivot on the highest set bit.
+    One GF(2) elimination, pivoting on the highest set bit, records the occupied rows each
+    pivot and each zero row combine; one parity product gives every row's right-hand sides.
+    A zero row with right-hand side 1 (0 = 1) leaves no shift; the pivots back-substitute all
+    rows at once, lowest first, since a pivot's mask has no bit above its own.
     """
     occupied = np.flatnonzero(f.terminal._nonzero())
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in zip(occupied.tolist(), (signs[occupied] < 0).tolist()):
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (mask, rhs)
-                break
-            pmask, prhs = pivots[top]
-            mask ^= pmask
-            rhs ^= prhs
+    pivots, zeros = {}, []  # top bit: (mask, combination of occupied rows); zero rows' ones
+    for row, mask in enumerate(occupied.tolist()):
+        combo = 1 << row
+        while mask and mask.bit_length() - 1 in pivots:
+            pmask, pcombo = pivots[mask.bit_length() - 1]
+            mask, combo = mask ^ pmask, combo ^ pcombo
+        if mask:
+            pivots[mask.bit_length() - 1] = (mask, combo)
         else:
-            if rhs:
-                return None  # inconsistent: 0 = 1
-    # masks only carry bits <= their pivot, so resolve low pivots first
-    u = 0
-    for top in sorted(pivots):
-        mask, rhs = pivots[top]
-        parity = ((mask & ~(1 << top)) & u).bit_count() & 1
-        if parity ^ rhs:
-            u |= 1 << top
-    return GroupPoint(f.depth, u)
+            zeros.append(combo)
+    tops = sorted(pivots)
+    combos = np.array([pivots[top][1] for top in tops] + zeros, dtype=object)
+    parity = (combos >> np.arange(len(combos))[:, None] & 1).astype(np.int64)  # row r in combo c
+
+    def solve(signs: np.ndarray) -> np.ndarray:
+        rhs = (signs[:, occupied] < 0) @ parity & 1
+        u = np.zeros(len(signs), dtype=np.int64)
+        for top, col in zip(tops, rhs.T):
+            u |= (np.bitwise_count(u & (pivots[top][0] ^ 1 << top)) & 1 ^ col) << top
+        return np.where(rhs[:, len(tops):].any(axis=1), -1, u)
+
+    return solve
 
 
 def conjugate_shift(f: DyadicMartingale, t: GroupPoint) -> Optional[GroupPoint]:
     """A shift u with  conjugate(f, t) = f(. + u)  on the terminal level, if any.
 
-    Translation multiplies coefficient i by w_i(u) while conjugation
-    multiplies it by the per-block sign r_{bit_length(i)}(t); matching them
-    on the occupied spectrum is a GF(2) linear system in the bits of u,
-    whose constant-term row (no bit of u) holds only when r_0(t) = 1.
-    Martingales with at most one occupied coefficient per block (and no
-    constant term when r_0(t) = -1) always admit a solution; dense
-    spectra generally do not, in which case None is returned.
+    Translation multiplies coefficient i by w_i(u) and conjugation by r_{bit_length(i)}(t),
+    so u solves `_shift_solver`'s system for the one row of t; the constant term holds only
+    when r_0(t) = 1.  Martingales with at most one occupied coefficient per block (and no
+    constant term when r_0(t) = -1) always admit one; dense spectra generally do not (None).
     """
-    shift = _solved_shift(f, _signs(f, [t])[0])
+    u = int(_shift_solver(f)(_signs(f, [t]))[0])
+    shift = GroupPoint(f.depth, u) if u >= 0 else None
     matched = shift is not None and (translate(f.terminal_function(), shift)
                                      == conjugate(f, t).terminal_function())
     return shift if matched else None

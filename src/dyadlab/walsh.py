@@ -9,9 +9,9 @@ digit order reversed: kappa_0 = 1 and, for n >= 1 with A = msb(n),
 
 Each kappa_n equals w_{sigma(n)} where sigma(n) = 2^A + reverse_A(n - 2^A)
 reverses the low A digits; sigma maps every block [2^A, 2^{A+1}) onto
-itself and is an involution there.  `kaczmarz` and `kaczmarz_samples`
-deliberately evaluate the definitional product so they can serve as an
-independent oracle for the bit-reversal form.
+itself and is an involution there.  `kaczmarz` and `kaczmarz_rows` (one
+row of which is `kaczmarz_samples`) deliberately evaluate the definitional
+product so they can serve as an independent oracle for the bit-reversal form.
 
 Sampled functions live on the 2^N rank-N cells.  Float mode stores
 the cells (and spectra) as one read-only float64 array and reduces with
@@ -29,7 +29,7 @@ cells read out by the same rule, so a bool input reads as an int.  Only
 this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_magnitudes`, `_sup_abs`, `_level`,
-`_signed_sup_abs`, `_signed_square_sum`, `_fejer_spectrum`,
+`_signed_sup_abs`, `_signed_square_sum`, `_matches`, `_fejer_spectrum`,
 `_fejer_rows`, `_equal_rows` and `_translate_power_sums`.  The last gives
 sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
 p, exactly, as integers over one power of two: a signed sum of dyadic
@@ -37,7 +37,8 @@ correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
 D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
 one synthesis step butterflies that head and tiles it for all of them.
 The butterfly runs along the last axis, so one set of stages folds a stack
-of +-1-signed spectra, or of the Fejer means of one head size, one per row.
+of +-1-signed spectra (kept as rows, for `_matches`), or of the Fejer means
+of one head size, one per row.
 """
 
 from __future__ import annotations
@@ -128,33 +129,41 @@ def sigma_permutation(N: int) -> np.ndarray:
     return out
 
 
-def walsh_paley_samples(n: int, N: int) -> list[int]:
-    """The full sample vector of w_n on the 2^N cells, by coordinate doubling."""
-    if n >> N:
-        raise ValueError(f"spectrum overflow: w_{n} at resolution {N}")
-    row = [1]
+def walsh_paley_rows(orders: np.ndarray, N: int) -> np.ndarray:
+    """w_n on the 2^N cells as int8 +-1, a row per n in the int array `orders`: coordinate
+    doubling, where coordinate k appends the rows so far, negated where n has digit k."""
+    if np.any(orders >> N):
+        raise ValueError(f"spectrum overflow: w_{orders.max()} at resolution {N}")
+    flips = (1 - 2 * (orders[:, None] >> np.arange(N) & 1)).astype(np.int8)
+    rows = np.ones((len(orders), 1 << N), dtype=np.int8)
     for k in range(N):
-        if n >> k & 1:
-            row += [-v for v in row]
-        else:
-            row += row
-    return row
+        np.multiply(rows[:, :1 << k], flips[:, k:k + 1], out=rows[:, 1 << k:2 << k])
+    return rows
+
+
+def walsh_paley_samples(n: int, N: int) -> list[int]:
+    """The full sample vector of w_n on the 2^N cells: one row of `walsh_paley_rows`."""
+    return walsh_paley_rows(np.array([n]), N)[0].tolist()
+
+
+def kaczmarz_rows(orders: np.ndarray, N: int) -> np.ndarray:
+    """kappa_n on the 2^N cells as int8 +-1, a row per n in the int array `orders`, by the
+    definitional product r_A prod_{k<A} r_{A-1-k}^{n_k}, never through sigma: for the orders
+    of each top bit A, the power of -1 is x_A + sum_k n_k x_{A-1-k}, one matrix product."""
+    if np.any(orders >> N):
+        raise ValueError(f"spectrum overflow: kappa_{orders.max()} at resolution {N}")
+    coords = (np.arange(1 << N) >> np.arange(N)[:, None] & 1).astype(np.int8)  # row i: x_i
+    power = np.zeros((len(orders), 1 << N), dtype=np.int8)  # kappa_0 = 1
+    for A in range(N):
+        rows = np.flatnonzero(orders >> A == 1)
+        digits = (orders[rows, None] >> np.arange(A) & 1).astype(np.int8)  # n_k, k < A
+        power[rows] = coords[A] + digits @ coords[:A][::-1]
+    return 1 - 2 * (power & 1)
 
 
 def kaczmarz_samples(n: int, N: int) -> list[int]:
-    """Sample vector of kappa_n via the definitional product (test oracle)."""
-    if n >> N:
-        raise ValueError(f"spectrum overflow: kappa_{n} at resolution {N}")
-    size = 1 << N
-    if n == 0:
-        return [1] * size
-    A = msb(n)
-    j = np.arange(size, dtype=np.int64)
-    e = j >> A  # r_A(j) * prod r_{A-1-k}(j)^{n_k} = (-1)^{bit 0 of e}
-    for k in range(A):
-        if n >> k & 1:
-            e ^= j >> (A - 1 - k)
-    return (1 - 2 * (e & 1)).tolist()
+    """Sample vector of kappa_n by the definitional product (test oracle): a `kaczmarz_rows` row."""
+    return kaczmarz_rows(np.array([n]), N)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +500,14 @@ class SampledFunction(_Cells):
         means, den = _quotient(num.reshape(reps, cells).sum(axis=0), self._den, reps)
         return self._like(np.tile(means, reps), den, True)
 
+    def _matches(self, rows: tuple[np.ndarray, int], shifts=None) -> np.ndarray:
+        """Per row k of a stack (numerators, den), whether it == f(. XOR shifts[k]), or f, for
+        f = self: the same mode and equal values.  No row is stored as a function."""
+        num, den = rows
+        cells = self._num if shifts is None else self._num[np.arange(len(self)) ^ shifts[:, None]]
+        same = np.all(_times(num, self._den) == _times(cells, den), axis=-1)
+        return same & (self.is_exact == (num.dtype != np.float64))
+
     def to_float(self) -> "SampledFunction":
         return self._like(self._floats())
 
@@ -708,9 +725,9 @@ def _level_frac(spec: CoefficientSequence, n: int) -> bool:
     return spec._frac if isinstance(spec._frac, bool) else bool(spec._frac[:1 << n].any())
 
 
-def _signed_sup_abs(spec: CoefficientSequence, signs=None) -> Iterator:
-    """(f^(N), max_n |f^(n)|) of the Paley spectrum spec * s, for each row s of the +-1 `signs`;
-    with no signs, max_n |f^(n)| of spec alone, and no terminal.
+def _signed_sup_abs(spec: CoefficientSequence, signs=None):
+    """max_n |f^(n)| of the Paley spectrum spec, as a function; given the +-1 `signs`, the
+    terminals f^(N) and the maxima of spec * s, a row per row s, as two stacks (numerators, den).
 
     Each row's butterfly stages for bits 0..n-1 leave level n on its first
     2^n cells (see `_level`) over spec's denominator, so one butterfly of
@@ -730,16 +747,13 @@ def _signed_sup_abs(spec: CoefficientSequence, signs=None) -> Iterator:
             frac = np.where(mag > acc, _level_frac(spec, n), frac)
         acc = np.maximum(acc, mag)
     if signs is None:
-        yield SampledFunction._of(spec.resolution, acc, spec._den, frac)
-        return
-    whole = _level_frac(spec, spec.resolution)
-    for terminal, peak, marks in zip(cells, acc, np.broadcast_to(frac, acc.shape)):
-        yield (SampledFunction._of(spec.resolution, terminal, spec._den, whole),
-               SampledFunction._of(spec.resolution, peak, spec._den, marks))
+        return SampledFunction._of(spec.resolution, acc, spec._den, frac)
+    return (cells, spec._den), (acc, spec._den)
 
 
-def _signed_square_sum(spec: CoefficientSequence, signs=None) -> Iterator[SampledFunction]:
-    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, for f = spec * s as in `_signed_sup_abs`, or spec.
+def _signed_square_sum(spec: CoefficientSequence, signs=None):
+    """sum_n (f^(n) - f^(n-1))^2, f^(-1) = 0, for f = spec as a function, or for f = spec * s
+    as one stack, as in `_signed_sup_abs`.
 
     Difference n has the spectrum's block [2^(n-1), 2^n) ([0, 1) for
     n = 0), so the squared sums of |numerator| over the blocks add up
@@ -757,9 +771,10 @@ def _signed_square_sum(spec: CoefficientSequence, signs=None) -> Iterator[Sample
         level = cells[..., :1 << n]
         diff = level - np.concatenate((prev, prev), axis=-1)
         acc, prev = np.concatenate((acc, acc), axis=-1) + diff * diff, level.copy()
-    for row in acc.reshape(-1, acc.shape[-1]):
-        yield SampledFunction._of(spec.resolution, row, spec._den ** 2,
-                                  _level_frac(spec, spec.resolution))
+    if signs is None:
+        return SampledFunction._of(spec.resolution, acc, spec._den ** 2,
+                                   _level_frac(spec, spec.resolution))
+    return acc, spec._den ** 2
 
 
 def _fejer_rows(spec: CoefficientSequence, system: System,

@@ -108,7 +108,7 @@ class TestVerifyCommand:
     def test_identities_header_echoes_resolution_that_ran(self, tmp_path):
         out = tmp_path / "identities.json"
         code = run_cli(["verify", "identities", "--depth", "2", "--count", "1",
-                        "--out", str(out)])  # --resolution defaults to 12
+                        "--out", str(out)])  # --resolution defaults to 8, the most that runs
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["resolution"] == 8

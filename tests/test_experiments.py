@@ -14,8 +14,7 @@ import pytest
 
 from dyadlab import (DyadicInterval, DyadicMartingale, GroupPoint, JInterval, SampledFunction,
                      System, dirichlet, dirichlet_prefix, experiments, fejer, interval_indices,
-                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n, translate,
-                     walsh)
+                     is_p_atom, kaczmarz_paley_index, modulus_hp, normalize_p, s2n, walsh)
 from dyadlab.cli import main
 from dyadlab.experiments import (audit_family, build_t1, build_t2,
                                  convergence_table, divergence_t1, divergence_t2, jsonable,
@@ -982,19 +981,26 @@ def plus_one(f):
 
 
 class TestFirstFailure:
+    """Cases come in blocks (key of case k, held per case), in order."""
+
     def test_stops_at_the_first_failure(self):
         seen = []
 
         def cases():
             for k in range(5):
                 seen.append(k)
-                yield {"k": k}, k != 2
+                yield (lambda i, k=k: {"k": k, "i": i}), [k != 2]
 
-        assert experiments._first_failure(cases()) == (3, {"k": 2})
+        assert experiments._first_failure(cases()) == (3, {"k": 2, "i": 0})
         assert seen == [0, 1, 2]
 
+    def test_counts_the_rows_of_each_block_up_to_the_failing_one(self):
+        blocks = [(str, np.ones(4, dtype=bool)), (lambda i: {"row": i}, [True, False, False]),
+                  (str, [False])]
+        assert experiments._first_failure(iter(blocks)) == (6, {"row": 1})
+
     def test_all_held(self):
-        assert experiments._first_failure(((k, True) for k in range(4))) == (4, None)
+        assert experiments._first_failure(((str, [True] * k) for k in range(4))) == (6, None)
         assert experiments._first_failure(iter([])) == (0, None)
 
 
@@ -1026,7 +1032,12 @@ class TestIdentityVerdictsCanFail:
         assert report.witness == {"failures": [{"system": "kaczmarz", "m": 2}], "checked": 10}
 
     def test_permutation_equivalence(self, monkeypatch):
-        self.break_call(monkeypatch, "walsh_paley_samples", 7, lambda row: [-row[0]] + row[1:])
+        def broken(rows):  # row 7 (from 1), w_sigma(6), comes out with its first cell negated
+            rows = rows.copy()
+            rows[6, 0] *= -1
+            return rows
+
+        self.break_call(monkeypatch, "walsh_paley_rows", 1, broken)
         report = verify_permutation_equivalence(4)
         assert report.passed is False
         assert report.witness == {"first_mismatch": {"n": 6, "sigma_n": kaczmarz_paley_index(6)}}
@@ -1053,22 +1064,25 @@ class TestIdentityVerdictsCanFail:
         assert report.witness == {"checked": 7, "first_failure": {"i": 2, "s": 2}}
 
     # at depth 3 each trial stacks 16 sign points, so the stacked operations
-    # yield 16 rows per trial: row k is trial (k - 1) // 16, t = (k - 1) % 16
+    # give 16 rows per trial: row k is trial (k - 1) // 16, t = (k - 1) % 16
     @pytest.mark.parametrize("name, k, wrong, trial, t, kind", [
-        ("_signed_sup_abs", 22, lambda row: (plus_one(row[0]), row[1]), 1, 5, "no-shift"),
-        ("_signed_sup_abs", 19, lambda row: (row[0], plus_one(row[1])),
+        ("_signed_sup_abs", 22, lambda rows, i: (row_changed(rows[0], i, plus_den), rows[1]),
+         1, 5, "no-shift"),
+        ("_signed_sup_abs", 19, lambda rows, i: (rows[0], row_changed(rows[1], i, plus_den)),
          1, 2, "lacunary-multiset"),
         # the peak moved by a translate keeps its value multiset but not its cells
-        ("_signed_sup_abs", 27, lambda row: (row[0], translate(row[1], GroupPoint(3, 5))),
+        ("_signed_sup_abs", 27, lambda rows, i: (rows[0], row_changed(rows[1], i, xor_five)),
          1, 10, "lacunary-multiset"),
-        ("_signed_square_sum", 4, plus_one, 0, 3, "square-function"),
+        ("_signed_square_sum", 4, lambda rows, i: row_changed(rows, i, plus_den),
+         0, 3, "square-function"),
     ], ids=["no-shift", "lacunary-multiset", "lacunary-translate", "square-function"])
     def test_conjugate_translation(self, monkeypatch, name, k, wrong, trial, t, kind):
-        real, rows = getattr(experiments, name), itertools.count(1)
+        real, seen = getattr(experiments, name), [0]
 
-        def broken(*args):  # the k-th row (from 1) over all calls comes out as wrong(row)
-            for row in real(*args):
-                yield wrong(row) if next(rows) == k else row
+        def broken(f, signs):  # the k-th row (from 1) over all stacks comes out as wrong says
+            first, seen[0] = seen[0], seen[0] + len(signs)
+            out = real(f, signs)
+            return wrong(out, k - 1 - first) if first < k <= seen[0] else out
 
         monkeypatch.setattr(experiments, name, broken)
         report = verify_conjugate_translation(3, 2, seed=0)
@@ -1078,6 +1092,21 @@ class TestIdentityVerdictsCanFail:
         assert report.witness["checked"] == checked
         assert report.witness["shifts_found"] == checked - (kind == "no-shift")
         assert report.rows is None
+
+
+def row_changed(rows: tuple, i: int, change) -> tuple:
+    """The stack (numerators, den) with row i replaced by change(row, den)."""
+    num, den = rows[0].copy(), rows[1]
+    num[i] = change(num[i], den)
+    return num, den
+
+
+def plus_den(row, den):  # the row's values plus one
+    return row + den
+
+
+def xor_five(row, den):  # the row translated by 5
+    return row[np.arange(len(row)) ^ 5]
 
 
 class TestGenerators:

@@ -3,7 +3,8 @@
 `test_golden_reports.py` pins whole files at small sizes.  The routes
 that act only at larger sizes (shell forms past the 2^24-cell limit, run
 folds over many distinct magnitudes, t2's kernel columns, the Paley-lemma
-sums at n_max 65536, a kernel dump of 2^14 cells) are pinned here by the
+sums at n_max 65536, a kernel dump of 2^14 cells, conjugate sweeps of one
+and of two 2^18-cell chunks) are pinned here by the
 digest of each report.  Each case runs in-process with `--out <name>`
 relative to a temporary working directory, so the echoed `out` field is
 the same on every machine.  A changed digest is a changed report.
@@ -68,6 +69,13 @@ CASES = {
     "lemma2_A10": (
         ["verify", "lemma2", "--A", "10"],
         "790515f2ae102c669a26f5346824fd53724c8a16e63eaf17ed775dc133de8542"),
+    # one 2^18-cell chunk of 512 sign points, and two chunks of 5,120 in all
+    "identities_d8_seed3": (
+        ["verify", "identities", "--depth", "8", "--seed", "3"],
+        "5df27989a3c93e6a5579e0502553174dd351fea660689367da65b8350eecf62c"),
+    "identities_d9_seed3": (
+        ["verify", "identities", "--depth", "9", "--seed", "3"],
+        "910034b33ae9a3c541baa82a0973af1c9826bd35a9e484ee35cb091d1ea00bc9"),
     **{f"identities_seed{seed}": (
         ["verify", "identities", "--resolution", "8", "--depth", "5", "--seed", str(seed)], want)
        for seed, want in enumerate(IDENTITIES)},

@@ -27,7 +27,7 @@ LIMITS = {"_kernel_l1_fits_int64", "_check_depth", "_MAX_DEPTH"}
 # the documented operations on whole objects, plus the limits
 ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
            "_block_means", "_magnitudes", "_sup_abs", "_level",
-           "_signed_sup_abs", "_signed_square_sum", "_fejer_spectrum",
+           "_signed_sup_abs", "_signed_square_sum", "_matches", "_fejer_spectrum",
            "_fejer_rows", "_equal_rows", "_translate_power_sums"} | LIMITS
 
 

@@ -662,6 +662,8 @@ def _first_failure(blocks: Iterable[tuple[Callable, Sequence[bool]]]) -> tuple[i
 def verify_permutation_equivalence(N: int) -> VerificationReport:
     """kappa_n (definitional product) equals w_{sigma(n)} for all n < 2^N, as two matrices."""
     start = time.perf_counter()
+    if 2 * N > _MAX_DEPTH:  # each matrix holds 2^N rows of 2^N cells
+        raise ValueError(f"resolution {N} compares 2^{2 * N} cells; the limit is 2^{_MAX_DEPTH}")
     held = np.all(kaczmarz_rows(np.arange(1 << N), N) == walsh_paley_rows(sigma_permutation(N), N),
                   axis=1)
     _, mismatch = _first_failure([(lambda n: {"n": n, "sigma_n": kaczmarz_paley_index(n)}, held)])
@@ -677,9 +679,9 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
                                   m_max: Optional[int] = None) -> VerificationReport:
     """sigma_n^k S_{2^m} f - S_{2^m} f = (2^m/n) S_{2^m}(sigma_{2^m}^k f - f).
 
-    Exact, for seeded integer-coefficient martingales, every m below the
-    depth and every 2^m < n <= 2^{m+1}: one stack of means (`_fejer_rows`) per m,
-    whose rows are checked in one integer comparison (`_equal_rows`).
+    Exact, for seeded integer-coefficient martingales, every m <= m_max and 2^m < n <= 2^{m+1}:
+    per m one array of n sigma_n (`_fejer_rows`) against n S f + 2^m inner in one comparison
+    (`_equal_rows`).  The last array, 2^(m_max+depth) cells, is under the 2^24-cell limit.
     """
     start = time.perf_counter()
     if count < 1:
@@ -689,6 +691,9 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
     m_max = depth - 1 if m_max is None else m_max
     if not 0 <= m_max < depth:
         raise ValueError(f"m_max must be in 0..{depth - 1} at depth {depth}, got {m_max}")
+    if depth + m_max > _MAX_DEPTH:  # the last stack: 2^m_max orders of 2^depth cells
+        raise ValueError(f"m_max {m_max} stacks 2^{depth + m_max} cells; "
+                         f"the limit is 2^{_MAX_DEPTH}")
     rng = random.Random(seed)
 
     def cases():
@@ -698,10 +703,10 @@ def verify_fejer_partial_identity(depth: int, count: int, seed: int,
             for m in range(m_max + 1):
                 smf = s2n(f, m)
                 inner = s2n(fejer_mean(f, System.KACZMARZ, 1 << m) - term, m)
-                orders = range((1 << m) + 1, (2 << m) + 1)
-                rows = _fejer_rows(fwht(smf), System.KACZMARZ, orders)
-                held = _equal_rows(rows, smf, inner, [Fraction(1 << m, n) for n in orders])
-                yield (lambda k: {"trial": trial, "m": m, "n": orders[k]}), held
+                n, spec = np.arange((1 << m) + 1, (2 << m) + 1)[:, None], fwht(smf)
+                rows = _fejer_rows(spec, System.KACZMARZ, n)
+                held = _equal_rows(rows, spec, n, smf, inner, 1 << m)
+                yield (lambda k: {"trial": trial, "m": m, "n": n.item(k)}), held
 
     checked, failure = _first_failure(cases())
     return VerificationReport(

@@ -9,9 +9,9 @@ sigma(j) < n; `walsh._fejer_spectrum` is that multiplier n - i on its
 first 2^r cells, r = (n-1).bit_length(): system functions 0..n-1 read only
 the coordinates below r, so S_n f and sigma_n f come at that resolution,
 tiled.  S_n f is level r (`walsh._level`) of the spectrum zeroed where
-that multiplier vanishes.  `fejer_mean` is the one-row case of
-`walsh._fejer_rows`, which stacks the orders of one r through one
-butterfly.  `_fejer_sums` builds n sigma_n f, n = 1, 2, ..., by one
+that multiplier vanishes.  `fejer_mean` is `walsh._fejer_mean`, the one
+row of `walsh._fejer_rows` (one butterfly for every order of one r) tiled
+and wrapped.  `_fejer_sums` builds n sigma_n f, n = 1, 2, ..., by one
 running sum for the weighted maximal sweep, each sum at its own
 resolution.  The definitional averages are kept as test oracles.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from .hardy import DyadicMartingale
 from .norms import PLike, normalize_p
-from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_rows, _fejer_spectrum,
+from .walsh import (CoefficientSequence, SampledFunction, System, _fejer_mean, _fejer_spectrum,
                     _level, _zeroed, fwht, sigma_permutation)
 
 Operand = Union[DyadicMartingale, SampledFunction]
@@ -52,14 +52,14 @@ def partial_sum(f: Operand, system: System | str, n: int) -> SampledFunction:
 
 
 def fejer_mean(f: Operand, system: System | str, n: int) -> SampledFunction:
-    """sigma_n f via the diagonal weights (n - i)/n, i < n, in `system` order: one stacked row."""
+    """sigma_n f via the diagonal weights (n - i)/n, i < n, in `system` order: one tiled row."""
     system = System.coerce(system)
     spec = _paley_spectrum(f)
     if n < 1:
         raise ValueError("Fejer mean order must be >= 1")
     if n > len(spec):
         raise ValueError(f"Fejer order {n} outside spectrum 0..{len(spec)}")
-    return _fejer_rows(spec, system, [n])[0]
+    return _fejer_mean(spec, system, n)
 
 
 def _fejer_sums(coeffs: np.ndarray, system: System,

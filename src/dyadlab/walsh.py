@@ -30,15 +30,16 @@ this module knows the format; the others use operations on whole objects:
 `_gathered`, `_weighted`, `_zeroed`, `_floats`, `_nonzero`, `_sup`,
 `_integral`, `_block_means`, `_magnitudes`, `_sup_abs`, `_level`,
 `_signed_sup_abs`, `_signed_square_sum`, `_matches`, `_fejer_spectrum`,
-`_fejer_rows`, `_equal_rows` and `_translate_power_sums`.  The last gives
-sum_j (f(j XOR h) - f(j))^p of the float cells for every shift h at even
-p, exactly, as integers over one power of two: a signed sum of dyadic
-correlations, each a cellwise product under the butterfly.  S_n, sigma_n,
-D_n and n K_n vanish from Paley cell 2^r on, r = (n-1).bit_length(), so
-one synthesis step butterflies that head and tiles it for all of them.
-The butterfly runs along the last axis, so one set of stages folds a stack
-of +-1-signed spectra (kept as rows, for `_matches`), or of the Fejer means
-of one head size, one per row.
+`_fejer_rows`, `_fejer_mean`, `_equal_rows` and `_translate_power_sums`.
+The last gives sum_j (f(j XOR h) - f(j))^p of the float cells for every
+shift h at even p, exactly, as integers over one power of two: a signed
+sum of dyadic correlations, each a cellwise product under the butterfly.
+S_n, sigma_n, D_n and n K_n vanish from Paley cell 2^r on, r =
+(n-1).bit_length(), so one synthesis step butterflies that head and tiles
+it.  The butterfly runs along the last axis, so one set of stages folds a
+stack of +-1-signed spectra (kept as rows, for `_matches`), or of the
+Fejer means of one head size (one array, a row per order, which
+`_equal_rows` compares; `_fejer_mean` tiles and wraps its one-row case).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def kaczmarz_rows(orders: np.ndarray, N: int) -> np.ndarray:
     of each top bit A, the power of -1 is x_A + sum_k n_k x_{A-1-k}, one matrix product."""
     if np.any(orders >> N):
         raise ValueError(f"spectrum overflow: kappa_{orders.max()} at resolution {N}")
-    coords = (np.arange(1 << N) >> np.arange(N)[:, None] & 1).astype(np.int8)  # row i: x_i
+    coords = np.indices((2,) * N, dtype=np.int8).reshape(N, 1 << N)[::-1]  # row i: x_i
     power = np.zeros((len(orders), 1 << N), dtype=np.int8)  # kappa_0 = 1
     for A in range(N):
         rows = np.flatnonzero(orders >> A == 1)
@@ -777,47 +778,40 @@ def _signed_square_sum(spec: CoefficientSequence, signs=None):
     return acc, spec._den ** 2
 
 
-def _fejer_rows(spec: CoefficientSequence, system: System,
-                orders: Sequence[int]) -> list[SampledFunction]:
-    """sigma_n of the Paley `spec` for each order n, ascending, all of one head size 2^r.
-
-    The head times the multipliers n - i (`_fejer_spectrum`), one row each, runs one butterfly:
-    float rows as head * (w / n), exact ones as c * w over den * n.  Row n's values are at most
-    max|c| n(n+1)/2 over the cells it keeps, which grow with n, so the stack widens once, on
-    the largest row; past it a row whose products (max|c| n) and butterfly (sum |c| (n - i))
-    fit int64 narrows back, to the dtype it has alone.
-    """
-    N, top, exact, k = spec.resolution, orders[-1], spec.is_exact, len(orders)
-    col = top if k == 1 else np.array(orders)[:, None]  # `fejer_mean`'s one row stays 1-D
-    w = _fejer_spectrum(system, col)
+def _fejer_rows(spec: CoefficientSequence, system: System, n: int | np.ndarray) -> np.ndarray:
+    """The butterflied head of sigma_n of the Paley `spec` for the order n, or a row per order of
+    a column n of ascending orders of one head size 2^r: the head times w = n - i
+    (`_fejer_spectrum`), as head * (w / n) on float cells, and on exact ones as c * w, the
+    numerators of n sigma_n over spec's denominator.  Exact rows widen together: max|c| n over
+    the kept c bounds every product, and 2^r times it each row's butterfly values.  Only past
+    int64 are the products formed first, for the bounds of `_product` and then `_butterflied`,
+    so one row gets the dtype of that route."""
+    w = _fejer_spectrum(system, n)
     head = spec._num[:w.shape[-1]]
-    num = (_fit(head, _peak(head[w.reshape(k, -1)[-1] != 0]) * (top * (top + 1) // 2)) * w
-           if exact else head * (w / col))
-    rows = _synthesis(_butterfly_array(num), N).reshape(k, -1)
-    if rows.dtype != head.dtype:
-        peaks = np.where(w != 0, np.abs(head), 0).reshape(k, -1).max(axis=1).tolist()
-        rows = [row.astype(np.int64) if max(c * n, s) <= _INT64_MAX else row for n, c, s, row
-                in zip(orders, peaks, np.abs(num).reshape(k, -1).sum(axis=1).tolist(), rows)]
-    return [SampledFunction._of(N, row, spec._den * n if exact else 1, True)
-            for n, row in zip(orders, rows)]
+    if not spec.is_exact:
+        return _butterfly_array(head * (w / n))
+    kept, size = np.where(w, head, 0), head.size
+    peak = _peak(kept) * w.item(-size)  # w peaks at the last n, in its first cell
+    bound = peak * size if peak * size <= _INT64_MAX else max(peak, _l1(_product(kept, w)))
+    return _butterfly_array(_fit(kept, bound) * w)
 
 
-def _equal_rows(rows: Iterable[SampledFunction], base: SampledFunction, step: SampledFunction,
-                ts: Sequence[Fraction]) -> list[bool]:
-    """Whether row k == base + ts[k] step, for each k, on exact cells: one integer comparison.
+def _fejer_mean(spec: CoefficientSequence, system: System, n: int) -> SampledFunction:
+    """sigma_n of the Paley `spec`: the one row of `_fejer_rows`, tiled, over den * n if exact."""
+    row = _synthesis(_fejer_rows(spec, system, n), spec.resolution)
+    return SampledFunction._of(spec.resolution, row, spec._den * n if spec.is_exact else 1, True)
 
-    Row k's, base's and step's numerators scale to row k's common denominator d by the
-    columns d/d_row, d/d_base and t d/d_step, widened first if a product could leave int64.
-    """
-    rows = list(rows)
-    dens = [math.lcm(r._den, base._den, t.denominator * step._den) for r, t in zip(rows, ts)]
-    cols = ([d // r._den for d, r in zip(dens, rows)], [d // base._den for d in dens],
-            [t.numerator * d // (t.denominator * step._den) for d, t in zip(dens, ts)])
-    nums = (np.stack([r._num for r in rows]), base._num, step._num)
-    bound = 2 * max(_peak(num) * max(map(abs, c)) for num, c in zip(nums, cols))
-    R, A, B = (_fit(num, bound) for num in nums)
-    u, v, s = (np.array(c, dtype=_int_dtype(max(map(abs, c))))[:, None] for c in cols)
-    return np.all(R * u == A * v + s * B, axis=1).tolist()
+
+def _equal_rows(rows: np.ndarray, spec: CoefficientSequence, n: np.ndarray,
+                base: SampledFunction, step: SampledFunction, t: int) -> list[bool]:
+    """Whether each row of the exact stack `_fejer_rows(spec, ., n)`, n sigma_n for its order in
+    the column n, equals n base + t step, in one comparison: the stack, tiled, base and step
+    scale to one common denominator d by d/den, n d/den and t d/den, widened first if needed."""
+    d = math.lcm(spec._den, base._den, step._den)
+    lhs, a, b = (_times(num, k) for num, k in ((rows, d // spec._den), (base._num, d // base._den),
+                                               (step._num, t * d // step._den)))
+    a, b = _widened(lambda x, y: _peak(x) * _peak(n) + _peak(y), a, b)
+    return np.all(_synthesis(lhs, base.resolution) == a * n + b, axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +831,9 @@ def _fejer_spectrum(system: System, n: int | np.ndarray) -> np.ndarray:
     r = (n-1).bit_length() (0 for n = 0): sigma keeps each block [2^k, 2^{k+1}) in place,
     so every later coefficient is 0.  Their butterfly is n K_n = sum_{k=1..n} D_k, and D_n has
     coefficient 1 where they are nonzero: sigma_n weights by them over n, S_n keeps their support;
-    a column of orders gives one row each, on the head of the largest.
+    a column of ascending orders gives one row each, on the head of the last.
     """
-    r = max((int(n.max()) if isinstance(n, np.ndarray) else n) - 1, 0).bit_length()
+    r = max((n.item(-1) if isinstance(n, np.ndarray) else n) - 1, 0).bit_length()
     pos = np.arange(1 << r, dtype=np.int64) if system is System.PALEY else sigma_permutation(r)
     return np.maximum(n - pos, 0)
 

@@ -968,6 +968,37 @@ class TestIdentitySuite:
                            match=r"^depth 12 signs 2\^25 cells; the limit is 2\^24$"):
             verify_conjugate_translation(12, 1, 0)
 
+    class Reached(Exception):
+        pass
+
+    def stub(self, monkeypatch, name):
+        """Make the row builder `name` raise Reached, so a run that gets past its checks
+        allocates no rows."""
+        def stop(*args):
+            raise self.Reached(name)
+
+        monkeypatch.setattr(experiments, name, stop)
+
+    def test_permutation_size_limit(self, monkeypatch):
+        # two 2^N x 2^N int8 matrices: N = 12 holds 2^24 cells each, N = 13 2^26
+        self.stub(monkeypatch, "kaczmarz_rows")
+        with pytest.raises(self.Reached):
+            verify_permutation_equivalence(12)
+        with pytest.raises(ValueError,
+                           match=r"^resolution 13 compares 2\^26 cells; the limit is 2\^24$"):
+            verify_permutation_equivalence(13)
+
+    def test_fejer_stack_size_limit(self, monkeypatch):
+        # the last stack holds 2^m_max orders of 2^depth cells
+        self.stub(monkeypatch, "_fejer_rows")
+        for depth, m_max in [(13, 11), (12, None)]:
+            with pytest.raises(self.Reached):
+                verify_fejer_partial_identity(depth, 1, 0, m_max=m_max)
+        for m_max in (12, None):  # None: m_max = depth - 1
+            with pytest.raises(ValueError,
+                               match=r"^m_max 12 stacks 2\^25 cells; the limit is 2\^24$"):
+                verify_fejer_partial_identity(13, 1, 0, m_max=m_max)
+
     def test_individual_reports(self):
         assert verify_closed_form(6).passed
         assert verify_permutation_equivalence(6).passed
@@ -1047,8 +1078,11 @@ class TestIdentityVerdictsCanFail:
         # row 15 + 1 + 2 + 2 is trial 1's m = 2, n = 6
         real, rows = experiments._fejer_rows, itertools.count(1)
 
-        def broken(*args):  # the 20th row over all stacks comes out one too large
-            return [plus_one(row) if next(rows) == 20 else row for row in real(*args)]
+        def broken(*args):  # the 20th row over all stacks comes out one numerator too large
+            stack = real(*args).copy()
+            for row in stack:
+                row += next(rows) == 20
+            return stack
 
         monkeypatch.setattr(experiments, "_fejer_rows", broken)
         report = verify_fejer_partial_identity(4, 2, seed=0)

@@ -28,7 +28,7 @@ LIMITS = {"_kernel_l1_fits_int64", "_check_depth", "_MAX_DEPTH"}
 ALLOWED = {"_gathered", "_weighted", "_zeroed", "_floats", "_nonzero", "_sup", "_integral",
            "_block_means", "_magnitudes", "_sup_abs", "_level",
            "_signed_sup_abs", "_signed_square_sum", "_matches", "_fejer_spectrum",
-           "_fejer_rows", "_equal_rows", "_translate_power_sums"} | LIMITS
+           "_fejer_rows", "_fejer_mean", "_equal_rows", "_translate_power_sums"} | LIMITS
 
 
 def storage_reaches(source: str) -> list[str]:

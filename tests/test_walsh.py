@@ -1,6 +1,7 @@
 """Character systems, the block bit-reversal, transforms, and kernels."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,20 @@ class TestKaczmarz:
             row = kaczmarz_samples(n, N)
             assert all(type(v) is int for v in row)
             assert row == [kaczmarz(n, GroupPoint(N, j)) for j in range(1 << N)]
+
+    def test_rows_build_no_int64_coordinate_matrix(self):
+        # the N int8 coordinate rows take N 2^N bytes; as an int64 N x 2^N matrix they took
+        # 8 times that (168 MB at N = 20) before the cast to int8
+        N, n = 20, (1 << 19) + 12345
+        tracemalloc.start()
+        try:
+            row = kaczmarz_samples(n, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (N + 8) << N
+        cells = [0, 1, 12345, (1 << 19) + 7, (1 << N) - 1]
+        assert [row[j] for j in cells] == [kaczmarz(n, GroupPoint(N, j)) for j in cells]
 
     def test_kappa5_is_w6(self):
         for j in range(8):
